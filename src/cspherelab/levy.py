@@ -7,10 +7,19 @@ L^2-orthonormal functions. Conjugation swaps the bidegrees (m, n) and
 * for an unordered pair {(m, n), (n, m)} with m != n, the functions
   sqrt(2) Re Y_j and sqrt(2) Im Y_j over an orthonormal basis {Y_j} of the
   (m, n) space give 2 dim(m, n) orthonormal real functions;
-* for m == n, exact Gram-Schmidt over {Y_j + conj Y_j} and {Y_j - conj Y_j}
-  produces dim(m, m) orthonormal real functions (the two families are
-  exactly orthogonal because our basis vectors have real rational
-  coefficients).
+* for m == n, the same pair for each Y_j whose signature sigma = a - b
+  satisfies sigma > -sigma (lexicographically), Y_j itself for sigma = 0
+  (that block is spanned by the real monomials |z^a|^2, so its vectors are
+  real), and nothing for sigma < -sigma: conjugation maps signature block
+  sigma onto block -sigma, so the real and imaginary parts of that last
+  group already lie in the span of the first.
+
+Member order decides which outer-sample coefficient meets which function,
+so fixed-seed Monte Carlo outputs depend on it. Pairs interleave Re and Im
+per basis vector; a diagonal bidegree lists its Re and real members in
+basis order, then its Im members. build_basis emits the signature blocks in
+reverse sorted order, so on the diagonal the sigma > -sigma vectors come
+first, then the sigma = 0 ones, then the skipped sigma < -sigma ones.
 
 Both gradings assign equal multipliers within such a set, so the weighted
 norm of a coefficient vector is well defined. The Levy mean
@@ -28,22 +37,26 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import MonomialPoly, _gram_schmidt, build_basis
-from .dimensions import dim_complex_harmonic, layer_members, theta
+from .basis import build_basis
+from .dimensions import layer_members, theta
 from .errors import ArgumentError, ConsistencyError
 from .multipliers import MultiplierFamily, lambda_value, multiplier_at
-from .sphere import DEFAULT_CHUNK, omega, sample_points, _chunk_rng
+from .sphere import DEFAULT_CHUNK, _chunk_rng, lp_norm_mc, omega, sample_points, sup_norm_refined
 
 
 @dataclass(frozen=True)
 class RealBasisMember:
-    """One real orthonormal coordinate function of the window."""
+    """One real orthonormal coordinate function of the window.
+
+    With Y the orthonormal function `index` of the `bidegree` basis, the
+    member is sqrt(2) Re Y (part "re"), sqrt(2) Im Y ("im"), or Y itself
+    ("real", for a real Y).
+    """
 
     level: int
     bidegree: tuple
-    poly: MonomialPoly
-    sq_norm: object  # exact Fraction, in units of omega(d)
-    phase: complex   # 1 for the symmetric part, -1j for the antisymmetric part
+    index: int
+    part: str
 
 
 class RealCoordinateSystem:
@@ -60,14 +73,37 @@ class RealCoordinateSystem:
         """Real values of all coordinate functions at (N, d) points -> (N, s)."""
         points = np.asarray(points, dtype=complex)
         out = np.empty((points.shape[0], self.s), dtype=float)
-        w = omega(self.d)
+        root2 = math.sqrt(2.0)
         for k, member in enumerate(self.members):
-            vals = member.poly.eval(points) * (member.phase / math.sqrt(float(member.sq_norm) * w))
-            out[:, k] = vals.real
+            if k == 0 or member.bidegree != self.members[k - 1].bidegree:
+                ortho = build_basis(self.d, *member.bidegree).eval_orthonormal(points)
+            y = ortho[:, member.index]
+            if member.part == "re":
+                out[:, k] = root2 * y.real
+            elif member.part == "im":
+                out[:, k] = root2 * y.imag
+            else:
+                out[:, k] = y.real
         return out
 
     def multiplier_vector(self, fam: MultiplierFamily):
         return np.array([multiplier_at(fam, *member.bidegree) for member in self.members])
+
+    def exact_member(self, k):
+        """Exact form (poly, sq_norm, phase) of member k.
+
+        The member equals phase * poly / sqrt(sq_norm * omega(d)), where poly
+        has rational coefficients and sq_norm = <poly, poly> in units of
+        omega(d).
+        """
+        member = self.members[k]
+        base = build_basis(self.d, *member.bidegree)
+        v, q = base.vectors[member.index], base.sq_norms[member.index]
+        if member.part == "real":
+            return v, q, 1.0
+        if member.part == "re":
+            return v + v.conj(), 2 * q, 1.0
+        return v - v.conj(), 2 * q, -1.0j
 
     def exact_gram(self):
         """Exact pairwise inner products (should be the identity), as floats.
@@ -75,44 +111,34 @@ class RealCoordinateSystem:
         Polynomial inner products are already in units of omega(d), matching
         the sq_norm units, so no measure constant appears here.
         """
+        forms = [self.exact_member(k) for k in range(self.s)]
         g = np.zeros((self.s, self.s))
-        for i, mi in enumerate(self.members):
+        for i, (poly_i, q_i, phase_i) in enumerate(forms):
             for j in range(i, self.s):
-                mj = self.members[j]
-                val = mi.poly.inner(mj.poly)
-                phase = (mi.phase * np.conj(mj.phase)).real
-                g[i, j] = g[j, i] = float(val) * phase / math.sqrt(
-                    float(mi.sq_norm) * float(mj.sq_norm))
+                poly_j, q_j, phase_j = forms[j]
+                val = poly_i.inner(poly_j)
+                phase = (phase_i * np.conj(phase_j)).real
+                g[i, j] = g[j, i] = float(val) * phase / math.sqrt(float(q_i) * float(q_j))
         return g
 
 
-def _pair_members(d, m, n, level):
-    """Real members for the conjugation-closed pair {(m, n), (n, m)}, m < n."""
+def _real_members(d, m, n, level):
+    """Real members of the conjugation-closed set {(m, n), (n, m)}, m <= n."""
     base = build_basis(d, m, n)
-    out = []
-    for vec, q in zip(base.vectors, base.sq_norms):
-        plus = vec + vec.conj()
-        minus = vec - vec.conj()
-        out.append(RealBasisMember(level, (m, n), plus, 2 * q, 1.0))
-        out.append(RealBasisMember(level, (m, n), minus, 2 * q, -1.0j))
-    return out
-
-
-def _diagonal_members(d, m, level):
-    """Real members for the self-conjugate bidegree (m, m)."""
-    base = build_basis(d, m, m)
-    sym = [v + v.conj() for v in base.vectors]
-    anti = [v - v.conj() for v in base.vectors]
-    out = []
-    for family, phase in ((sym, 1.0), (anti, -1.0j)):
-        vectors, norms = _gram_schmidt([v for v in family if not v.is_zero()])
-        out.extend(RealBasisMember(level, (m, m), v, q, phase)
-                   for v, q in zip(vectors, norms))
-    if len(out) != dim_complex_harmonic(d, m, m):
-        raise ConsistencyError(
-            f"real coordinate construction for bidegree ({m}, {m}) emitted {len(out)}"
-            f" functions, expected {dim_complex_harmonic(d, m, m)}")
-    return out
+    if m < n:
+        return [RealBasisMember(level, (m, n), j, part)
+                for j in range(base.dim) for part in ("re", "im")]
+    re, im = [], []
+    for j, vec in enumerate(base.vectors):
+        a, b = next(iter(vec.terms))  # every term of a vector shares its signature
+        sig = tuple(ai - bi for ai, bi in zip(a, b))
+        neg = tuple(-x for x in sig)
+        if sig > neg:
+            re.append(RealBasisMember(level, (m, m), j, "re"))
+            im.append(RealBasisMember(level, (m, m), j, "im"))
+        elif sig == neg:
+            re.append(RealBasisMember(level, (m, m), j, "real"))
+    return re + im
 
 
 @lru_cache(maxsize=None)
@@ -128,10 +154,7 @@ def build_real_system(d, m1, m2):
             if key in seen:
                 continue
             seen.add(key)
-            if m == n:
-                members.extend(_diagonal_members(d, m, level))
-            else:
-                members.extend(_pair_members(d, key[0], key[1], level))
+            members.extend(_real_members(d, *key, level))
     system = RealCoordinateSystem(d, m1, m2, members)
     expected = theta(d, m1, m2, "max")
     if system.s != expected:
@@ -310,44 +333,25 @@ def nikolskii_check(d, m1, m2, p, trials, seed, omega_samples=4096,
     coeffs = rng.standard_normal((trials, s))
 
     pts = sample_points(d, omega_samples, seed + 2, point_chunk)
-    bmat = system.eval_matrix(pts)
-    values = coeffs @ bmat.T  # (trials, omega_samples)
+    values = coeffs @ system.eval_matrix(pts).T  # (trials, omega_samples)
+
+    def cap_values(cap):
+        bmat = system.eval_matrix(cap.reshape(-1, d)).reshape(cap.shape[:-1] + (s,))
+        return np.einsum("ts,tns->tn", coeffs, bmat)
 
     # Lower-bound sup norms: shared-cloud max, then shrinking caps per trial.
-    sup = np.max(np.abs(values), axis=1)
-    centers = pts[np.argmax(np.abs(values), axis=1)]
-    sigma = 0.3
-    for round_idx in range(refine_rounds):
-        local_rng = _chunk_rng(seed, 9000 + round_idx)
-        offsets = local_rng.standard_normal((trials, refine_samples, d)) \
-            + 1j * local_rng.standard_normal((trials, refine_samples, d))
-        cap = centers[:, None, :] + sigma * offsets
-        cap /= np.sqrt(np.sum(np.abs(cap) ** 2, axis=2, keepdims=True))
-        flat = cap.reshape(-1, d)
-        cap_vals = np.abs(np.einsum("ts,tns->tn", coeffs,
-                                    system.eval_matrix(flat).reshape(trials, refine_samples, s)))
-        round_best = cap_vals.max(axis=1)
-        improved = round_best > sup
-        best_idx = cap_vals.argmax(axis=1)
-        centers = np.where(improved[:, None], cap[np.arange(trials), best_idx], centers)
-        sup = np.maximum(sup, round_best)
-        sigma *= 0.3
+    sup = sup_norm_refined(cap_values, pts, values, refine_samples, seed, rounds=refine_rounds)
 
     # Both norms of each ratio come from the same shared cloud, so the p = 2
     # instance of the p-versus-2 comparison is the exact equality case.
-    mean_2 = (values**2).mean(axis=1)
-    norm2 = (w * mean_2) ** 0.5
-    se_2 = 0.5 * (w * mean_2) ** (-0.5) * w * (values**2).std(axis=1, ddof=1) / math.sqrt(omega_samples)
+    magnitudes = np.abs(values)
+    norm2, se_2 = lp_norm_mc(magnitudes, 2, d)
     if p == math.inf:
         norm_p, se_p = sup, np.zeros(trials)
     else:
-        powers = np.abs(values) ** p
-        mean_p = powers.mean(axis=1)
-        norm_p = (w * mean_p) ** (1.0 / p)
-        se_mean = powers.std(axis=1, ddof=1) / math.sqrt(omega_samples)
-        se_p = (1.0 / p) * (w * mean_p) ** (1.0 / p - 1.0) * w * se_mean
+        norm_p, se_p = lp_norm_mc(magnitudes, p, d)
 
-    bound_sup = (s / w) ** (1.0 / p) * norm_p if p != math.inf else (s / w) ** 0.0 * norm_p
+    bound_sup = (s / w) ** (1.0 / p) * norm_p
     ratio_sup = sup / bound_sup
     se_ratio_sup = ratio_sup * se_p / norm_p if p != math.inf else np.zeros(trials)
     viol_sup = int(np.sum(ratio_sup > 1.0 + 3.0 * se_ratio_sup))

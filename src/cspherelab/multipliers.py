@@ -1,4 +1,4 @@
-"""Multiplier families, coefficient-space operators and level-sequence plans.
+"""Multiplier families and level-sequence plans.
 
 A multiplier family is a scalar function lambda on levels together with a
 grading that maps a bidegree (m, n) to its level: ``star`` uses m + n and
@@ -18,7 +18,7 @@ factor e, and budgets approximation ranks geometrically between them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dimensions import _check_grading, cum_dim, theta
 from .errors import ArgumentError, DivergenceError
@@ -152,38 +152,6 @@ def multiplier_at(fam, m, n):
     if m < 0 or n < 0:
         raise ArgumentError(f"bidegree must be nonnegative, got ({m}, {n})")
     return lambda_value(fam, level_of(fam.grading, m, n))
-
-
-@dataclass(frozen=True)
-class CoeffVector:
-    """Coefficients against orthonormal harmonic bases: ((m, n), j) -> complex."""
-
-    d: int
-    coeffs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        from .dimensions import dim_complex_harmonic
-
-        for (m, n), j in self.coeffs:
-            if not 0 <= j < dim_complex_harmonic(self.d, m, n):
-                raise ArgumentError(
-                    f"basis index {j} out of range for bidegree ({m}, {n}) in dimension {self.d}")
-
-    def l2_norm(self):
-        return math.sqrt(sum(abs(c) ** 2 for c in self.coeffs.values()))
-
-    def __len__(self):
-        return len(self.coeffs)
-
-
-def apply_multiplier(vec, fam):
-    """Scale each coefficient by the multiplier of its bidegree."""
-    scaled = {}
-    for ((m, n), j), c in vec.coeffs.items():
-        lam = multiplier_at(fam, m, n)
-        if lam != 0 and c != 0:
-            scaled[((m, n), j)] = lam * c
-    return CoeffVector(d=vec.d, coeffs=scaled)
 
 
 def build_level_sequence(fam, start, count):

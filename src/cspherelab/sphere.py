@@ -8,12 +8,17 @@ Sampling is reproducible and worker-independent: points are generated in
 fixed-size chunks, each chunk seeded by (seed, chunk index) through a
 SeedSequence spawn key, so serial and parallel runs produce bit-identical
 streams for the same (seed, count, chunk).
+
+Each Monte Carlo norm has one estimator, batched so that one call covers
+many functions sampled on a shared cloud: lp_norm_mc reduces along the last
+axis of sampled |f| values and returns the estimates with their delta-method
+standard errors; sup_norm_refined runs the shrinking-cap sup search for a
+batch of functions at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,22 +67,14 @@ def sample_points(d, count, seed, chunk=DEFAULT_CHUNK):
     return np.concatenate(blocks, axis=0)
 
 
-@dataclass(frozen=True)
-class McEstimate:
-    """A Monte Carlo estimate with its standard error and provenance."""
+def lp_norm_mc(values, p, d):
+    """L^p(Omega_d) norm estimates from |f| sampled at uniform points.
 
-    value: float
-    stderr: float
-    samples: int
-    seed: int
-
-
-def lp_norm_mc(values, p, d, seed=0):
-    """L^p(Omega_d) norm estimate from |f| sampled at uniform points.
-
-    For finite p returns (omega(d) * mean(|f|^p))^(1/p) with the delta-method
-    standard error. For p = inf returns max(values), which is a lower-biased
-    estimate of the essential sup (stderr is reported as 0).
+    The samples run along the last axis of `values`; returns (value, stderr),
+    each with the shape of `values` less that axis.
+    For finite p the value is (omega(d) * mean(|f|^p))^(1/p) with its
+    delta-method standard error. For p = inf the value is max(values), a
+    lower-biased estimate of the essential sup, with stderr 0.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
@@ -86,40 +83,48 @@ def lp_norm_mc(values, p, d, seed=0):
         raise ArgumentError("sampled |f| values must be finite")
     if p != math.inf and p < 1:
         raise ArgumentError(f"need p >= 1 or p = inf, got {p}")
-    n = values.size
+    n = values.shape[-1]
     if p == math.inf:
-        return McEstimate(value=float(values.max()), stderr=0.0, samples=n, seed=seed)
+        value = values.max(axis=-1)
+        return value, np.zeros_like(value)[()]
     w = omega(d)
     powers = values**p
-    mean = float(powers.mean())
-    est = (w * mean) ** (1.0 / p)
-    if n > 1 and mean > 0:
-        se_mean = float(powers.std(ddof=1)) / math.sqrt(n)
-        stderr = (1.0 / p) * (w * mean) ** (1.0 / p - 1.0) * w * se_mean
-    else:
-        stderr = 0.0
-    return McEstimate(value=est, stderr=stderr, samples=n, seed=seed)
+    mean = powers.mean(axis=-1)
+    value = (w * mean) ** (1.0 / p)
+    stderr = np.zeros_like(value)
+    if n > 1:
+        se_mean = powers.std(axis=-1, ddof=1) / math.sqrt(n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = (1.0 / p) * (w * mean) ** (1.0 / p - 1.0) * w * se_mean
+        stderr = np.where(mean > 0, delta, 0.0)
+    return value, stderr[()]
 
 
-def sup_norm_refined(f, d, samples, seed, rounds=3, shrink=0.3):
-    """Lower bound for sup |f| on the sphere: dense sampling plus cap refinement.
+def sup_norm_refined(f, points, values, samples, seed, rounds=3, shrink=0.3):
+    """Lower bounds for sup |f_b| on the sphere, for a batch of functions f_b.
 
-    Starts from uniform samples, then repeatedly resamples a shrinking
-    Gaussian cap around the running maximiser. f must accept an (n, d)
-    complex array and return |f| or f values (magnitudes are taken here).
+    values (B, N) holds every f_b at the shared points (N, d). Each search
+    starts at its function's largest |value| there, then `rounds` times
+    draws `samples` points from a Gaussian cap around its running maximiser
+    (cap width shrink^(r+1) in round r, drawn from the stream (seed, 9000 + r))
+    and keeps the best. f maps cap points (B, samples, d) to values
+    (B, samples); magnitudes are taken here.
     """
-    pts = sample_points(d, samples, seed)
-    vals = np.abs(np.asarray(f(pts)))
-    best = float(vals.max())
-    center = pts[int(np.argmax(vals))]
+    mags = np.abs(values)
+    best = mags.max(axis=1)
+    centers = points[mags.argmax(axis=1)]
+    batch, d = centers.shape
     sigma = shrink
     for r in range(rounds):
-        rng = _chunk_rng(seed, 10_000 + r)
-        perturbed = center + sigma * (rng.standard_normal((samples, d)) + 1j * rng.standard_normal((samples, d)))
-        perturbed /= np.sqrt(np.sum(np.abs(perturbed) ** 2, axis=1, keepdims=True))
-        vals = np.abs(np.asarray(f(perturbed)))
-        if float(vals.max()) > best:
-            best = float(vals.max())
-            center = perturbed[int(np.argmax(vals))]
+        rng = _chunk_rng(seed, 9000 + r)
+        offsets = rng.standard_normal((batch, samples, d)) \
+            + 1j * rng.standard_normal((batch, samples, d))
+        cap = centers[:, None, :] + sigma * offsets
+        cap /= np.sqrt(np.sum(np.abs(cap) ** 2, axis=2, keepdims=True))
+        cap_vals = np.abs(f(cap))
+        round_best = cap_vals.max(axis=1)
+        improved = round_best > best
+        centers = np.where(improved[:, None], cap[np.arange(batch), cap_vals.argmax(axis=1)], centers)
+        best = np.maximum(best, round_best)
         sigma *= shrink
     return best

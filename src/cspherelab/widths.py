@@ -147,16 +147,10 @@ def table_from_values(values, d=0, n_max=None):
         raise ArgumentError("empty width table")
     if np.any(np.diff(values) > 1e-12):
         raise ArgumentError("width values must be non-increasing")
-    runs = []
-    idx = 0
-    while idx < values.size:
-        j = idx
-        while j + 1 < values.size and values[j + 1] == values[idx]:
-            j += 1
-        runs.append((float(values[idx]), j - idx + 1))
-        idx = j + 1
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    lengths = np.diff(np.append(starts, values.size))
     return WidthTable(d=d, n_max=n_max if n_max is not None else values.size - 1,
-                      runs=tuple(runs))
+                      runs=tuple(zip(values[starts].tolist(), lengths.tolist())))
 
 
 @dataclass(frozen=True)

@@ -171,14 +171,21 @@ def test_project_reproducing_property(capsys):
 
 
 def test_cli_deterministic_across_processes():
+    import os
     import subprocess
     import sys
 
+    import cspherelab
+
+    # the child processes import the same package as this one
+    src = os.path.dirname(os.path.dirname(cspherelab.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
     cmd = [sys.executable, "-m", "cspherelab.cli", "levy", "--d", "2", "--N", "0",
            "--lmax", "1", "--family", "exp:gamma=1,r=1", "--p", "4",
            "--sphere-samples", "100", "--omega-samples", "2000", "--seed", "3"]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, check=True, env=env)
     assert first.stdout == second.stdout
 
 

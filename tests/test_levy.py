@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cspherelab.basis import build_basis
 from cspherelab.dimensions import theta
 from cspherelab.errors import ArgumentError
 from cspherelab.levy import (
@@ -16,7 +17,7 @@ from cspherelab.levy import (
     nikolskii_check,
 )
 from cspherelab.multipliers import exp_analytic, identity, sobolev
-from cspherelab.sphere import omega
+from cspherelab.sphere import omega, sample_points
 
 
 def test_real_system_sizes():
@@ -26,10 +27,34 @@ def test_real_system_sizes():
 
 
 def test_real_system_exactly_orthonormal():
-    for window in [(0, 1), (1, 2)]:
-        system = build_real_system(2, *window)
+    # (3, 0, 2) and (2, 2, 4) contain diagonal bidegrees (m, m) with m >= 2
+    for d, m1, m2 in [(2, 0, 1), (2, 1, 2), (3, 0, 2), (2, 2, 4)]:
+        system = build_real_system(d, m1, m2)
         gram = system.exact_gram()
         assert np.array_equal(gram, np.eye(system.s))
+
+
+def test_zero_signature_vectors_are_real():
+    # the real coordinates take the sigma = 0 basis vectors of (m, m) as they are
+    for d, m in [(2, 1), (2, 3), (3, 2), (4, 2)]:
+        zero = [v for v in build_basis(d, m, m).vectors
+                if all(a == b for a, b in v.terms)]
+        assert zero
+        for v in zero:
+            assert v.conj().terms == v.terms
+
+
+def test_eval_matrix_matches_exact_members():
+    # every column is its member's exact polynomial, evaluated directly
+    for d, m1, m2 in [(2, 0, 3), (3, 1, 2)]:
+        system = build_real_system(d, m1, m2)
+        pts = sample_points(d, 500, seed=4)
+        bmat = system.eval_matrix(pts)
+        for k in range(system.s):
+            poly, sq_norm, phase = system.exact_member(k)
+            direct = phase * poly.eval(pts) / math.sqrt(float(sq_norm) * omega(d))
+            assert np.max(np.abs(direct.imag)) < 1e-12
+            assert np.max(np.abs(bmat[:, k] - direct.real)) < 1e-12
 
 
 def test_real_system_rejects_bad_window():

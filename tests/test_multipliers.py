@@ -1,4 +1,4 @@
-"""Multiplier families, coefficient operators, and the level-sequence plan."""
+"""Multiplier families, their action on coefficients, and the level-sequence plan."""
 
 import math
 
@@ -9,8 +9,6 @@ from cspherelab.basis import build_basis
 from cspherelab.dimensions import cum_dim, layer_members
 from cspherelab.errors import ArgumentError, DivergenceError
 from cspherelab.multipliers import (
-    CoeffVector,
-    apply_multiplier,
     build_level_sequence,
     exp_analytic,
     finite_smooth,
@@ -56,46 +54,22 @@ def test_monotone_tail():
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
-def test_apply_multiplier_simple_cases():
-    empty = CoeffVector(d=2, coeffs={})
-    assert len(apply_multiplier(empty, exp_analytic(1, 1))) == 0
-
-    single = CoeffVector(d=2, coeffs={((1, 1), 0): 1.0})
-    out = apply_multiplier(single, exp_analytic(1, 1, "max"))
-    assert out.coeffs[((1, 1), 0)] == pytest.approx(math.exp(-1))
-
-    rng = np.random.default_rng(0)
-    coeffs = {((m, n), j): complex(*rng.standard_normal(2))
-              for m in range(3) for n in range(3)
-              for j in range(min(2, m + n + 1))}
-    vec = CoeffVector(d=2, coeffs=coeffs)
-    same = apply_multiplier(vec, identity())
-    assert same.coeffs == vec.coeffs
-    with pytest.raises(ArgumentError):
-        CoeffVector(d=2, coeffs={((0, 0), 1): 1.0})  # index exceeds the space dimension
-
-
 def test_parseval_scaling_against_monte_carlo():
     # the coefficient-space norm of the filtered vector equals the sampled
     # function-space norm of the filtered expansion
     rng = np.random.default_rng(1)
     fam = exp_analytic(1, 1, "max")
-    coeffs = {}
-    for l in range(3):
-        for m, n in layer_members(l, "max"):
-            for j in range(build_basis(2, m, n).dim):
-                coeffs[((m, n), j)] = complex(*rng.standard_normal(2))
-    vec = CoeffVector(d=2, coeffs=coeffs)
-    filtered = apply_multiplier(vec, fam)
+    bases = [build_basis(2, m, n) for l in range(3) for m, n in layer_members(l, "max")]
+    lam = np.concatenate([np.full(b.dim, multiplier_at(fam, b.m, b.n)) for b in bases])
+    pairs = rng.standard_normal((lam.size, 2))
+    filtered = (pairs[:, 0] + 1j * pairs[:, 1]) * lam
 
     pts = sample_points(2, 4 * 10**4, seed=2)
-    values = np.zeros(pts.shape[0], dtype=complex)
-    for ((m, n), j), c in filtered.coeffs.items():
-        values += c * build_basis(2, m, n).eval_orthonormal(pts, j)
+    values = np.hstack([b.eval_orthonormal(pts) for b in bases]) @ filtered
     sq = np.abs(values) ** 2
     mc_norm = math.sqrt(omega(2) * sq.mean())
     se = omega(2) * sq.std(ddof=1) / math.sqrt(sq.size) / (2 * mc_norm)
-    assert abs(mc_norm - filtered.l2_norm()) < 3 * se
+    assert abs(mc_norm - np.linalg.norm(filtered)) < 3 * se
 
 
 def test_level_sequence_examples():

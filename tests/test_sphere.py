@@ -60,22 +60,40 @@ def test_sampling_chunked_consistently():
 
 def test_lp_norm_constant_function():
     values = np.ones(500)
-    est = lp_norm_mc(values, 3, d=2)
-    assert est.value == pytest.approx(omega(2) ** (1 / 3))
-    assert est.stderr == 0.0
+    value, stderr = lp_norm_mc(values, 3, d=2)
+    assert value == pytest.approx(omega(2) ** (1 / 3))
+    assert stderr == 0.0
 
 
 def test_lp_norm_coordinate_function():
     pts = sample_points(2, 10**5, seed=2)
-    est = lp_norm_mc(np.abs(pts[:, 0]), 2, d=2)
-    assert abs(est.value - math.sqrt(omega(2) / 2)) < 3 * est.stderr
-    assert est.stderr > 0
+    value, stderr = lp_norm_mc(np.abs(pts[:, 0]), 2, d=2)
+    assert abs(value - math.sqrt(omega(2) / 2)) < 3 * stderr
+    assert stderr > 0
+
+
+def test_lp_norm_vectorised_matches_rows():
+    pts = sample_points(2, 3000, seed=7)
+    rows = np.abs(np.stack([pts[:, 0], pts[:, 1] ** 2, pts[:, 0] * np.conj(pts[:, 1]),
+                            np.zeros(3000)]))
+    for p in (1, 2, 3.5, math.inf):
+        values, stderrs = lp_norm_mc(rows, p, d=2)
+        assert values.shape == stderrs.shape == (4,)
+        for k, row in enumerate(rows):
+            value, stderr = lp_norm_mc(row, p, d=2)
+            assert values[k] == value and stderrs[k] == stderr
 
 
 def test_sup_norm_estimates_from_below():
-    f = lambda pts: pts[:, 0]  # |z_1| has sup 1 on the sphere
-    best = sup_norm_refined(f, 2, 4096, seed=0)
-    assert 0.99 < best <= 1.0 + 1e-12
+    # |z_1| has sup 1 and |z_1 z_2| has sup 1/2 on the sphere
+    funcs = [lambda z: z[..., 0], lambda z: z[..., 0] * z[..., 1]]
+    pts = sample_points(2, 4096, seed=0)
+    values = np.stack([f(pts) for f in funcs])
+    best = sup_norm_refined(lambda cap: np.stack([f(c) for f, c in zip(funcs, cap)]),
+                            pts, values, 4096, seed=0)
+    assert 0.99 < best[0] <= 1.0 + 1e-12
+    assert 0.495 < best[1] <= 0.5 + 1e-12
+    assert np.all(best >= np.abs(values).max(axis=1))
 
 
 def test_normalized_norm_monotonicity():
@@ -85,11 +103,11 @@ def test_normalized_norm_monotonicity():
     w = omega(2)
     previous = None
     for p in (1, 2, 4, math.inf):
-        est = lp_norm_mc(f, p, d=2)
-        scaled = est.value * (w ** (-1 / p) if p != math.inf else 1.0)
+        value, stderr = lp_norm_mc(f, p, d=2)
+        scaled = value * (w ** (-1 / p) if p != math.inf else 1.0)
         scale = w ** (-1 / p) if p != math.inf else 1.0
         if previous is not None:
-            assert scaled >= previous - 3 * est.stderr * scale
+            assert scaled >= previous - 3 * stderr * scale
         previous = scaled
 
 

@@ -27,6 +27,16 @@ def test_expand_spectrum_hand_oracle():
     assert runs == ((1.0, 1), (0.5, 2), (0.25, 3))
     flat = [1.0, 0.5, 0.5, 0.25, 0.25, 0.25]
     assert list(np.repeat([v for v, c in runs], [c for _, c in runs])) == flat
+    # run-length encoding the flat list gives the runs back; the last run
+    # ends at the last rank
+    assert table_from_values(flat).runs == runs
+    assert table_from_values([0.5]).runs == ((0.5, 1),)
+    assert table_from_values([0.5] * 4).runs == ((0.5, 4),)
+    # an uptick within 1e-12 is tolerated and starts a run of its own
+    up = 0.5 + 5e-13
+    assert table_from_values([1.0, 0.5, up, up, 0.25]).runs == ((1.0, 1), (0.5, 1), (up, 2), (0.25, 1))
+    with pytest.raises(ArgumentError):
+        table_from_values([1.0, 0.5, 0.5 + 1e-9])
 
 
 def test_expand_spectrum_truncates_at_rank():
