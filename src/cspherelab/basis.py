@@ -2,18 +2,27 @@
 
 The harmonic space of bidegree (m, n) is realised as the orthogonal
 complement of the restricted bidegree-(m-1, n-1) polynomials inside the
-restricted bidegree-(m, n) polynomials. All linear algebra runs in exact
-rational arithmetic over the closed-form monomial inner product, so emitted
-vectors are *exactly* orthogonal; square roots appear only when a vector is
-evaluated in floating point.
+restricted bidegree-(m, n) polynomials. All linear algebra is exact, over
+the closed-form monomial inner product, so emitted vectors are *exactly*
+orthogonal; square roots appear only when a vector is evaluated in floating
+point.
 
-Two structural facts keep the construction cheap:
+Three structural facts keep the construction cheap:
 
 * Monomials z^a zbar^b only couple when their signatures a - b agree, so the
-  Gram matrix is block diagonal and the Gram-Schmidt passes run per block.
+  Gram matrix is block diagonal and each signature block is handled alone.
+* Inside one block every pair of monomials couples, and after scaling by
+  S = (d - 1 + m + n)! every Gram entry is an integer. Gram-Schmidt over the
+  ordered block [lowers, uppers] is then one fraction-free (Bareiss)
+  elimination of [G | I]: pivot k is the leading principal minor D_k of the
+  kept rows, the eliminated identity part of row k is D_(k-1) times the
+  Gram-Schmidt coefficients of vector k, and every division is exact
+  (Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
+  elimination", Math. Comp. 22, 1968).
 * Restriction to the sphere is injective on each bidegree-homogeneous
-  polynomial space, so the only exact zeros met during orthogonalisation are
-  the expected rank drops from quotienting out the lower bidegree.
+  polynomial space, so the only zero pivots are the expected rank drops from
+  quotienting out the lower bidegree. G is positive semidefinite, so a zero
+  pivot comes with a zero row and that row is skipped.
 """
 
 from __future__ import annotations
@@ -37,6 +46,18 @@ MAX_DIMENSION = 4
 POINT_TOL = 1e-12
 
 
+def _moment(d, total):
+    """Closed-form sphere moment of |z^t|^2 for t = total, in units of omega(d).
+
+    Returned as the integers ((d-1)! * prod(t_j!), (d - 1 + |t|)!), whose
+    quotient is the moment.
+    """
+    num = math.factorial(d - 1)
+    for t in total:
+        num *= math.factorial(t)
+    return num, math.factorial(d - 1 + sum(total))
+
+
 def monomial_inner(d, a, b, c, e):
     """Exact inner product <z^a zbar^b, z^c zbar^e> on the sphere, in units of omega(d).
 
@@ -48,10 +69,7 @@ def monomial_inner(d, a, b, c, e):
     total = tuple(ai + ei for ai, ei in zip(a, e))
     if total != tuple(bi + ci for bi, ci in zip(b, c)):
         return Fraction(0)
-    num = math.factorial(d - 1)
-    for t in total:
-        num *= math.factorial(t)
-    return Fraction(num, math.factorial(d - 1 + sum(total)))
+    return Fraction(*_moment(d, total))
 
 
 class MonomialPoly:
@@ -105,9 +123,6 @@ class MonomialPoly:
                     total += cf * cg * v
         return total
 
-    def is_zero(self):
-        return not self.terms
-
     def eval(self, points):
         """Evaluate at an (N, d) complex array (or a single point) -> complex values."""
         points = np.asarray(points, dtype=complex)
@@ -129,22 +144,6 @@ class MonomialPoly:
 
     def __repr__(self):
         return f"MonomialPoly(d={self.d}, {len(self.terms)} terms)"
-
-
-def _gram_schmidt(vectors):
-    """Exact Gram-Schmidt; drops exact zeros. Returns (orthogonal vectors, sq norms)."""
-    basis = []
-    norms = []
-    for v in vectors:
-        for u, q in zip(basis, norms):
-            coeff = v.inner(u)
-            if coeff != 0:
-                v = v - u.scale(coeff / q)
-        q = v.inner(v)
-        if q != 0:
-            basis.append(v)
-            norms.append(q)
-    return basis, norms
 
 
 @dataclass(frozen=True)
@@ -192,14 +191,49 @@ def _check_on_sphere(points):
         raise ArgumentError(f"points must lie on the unit sphere (|<z,z>-1| = {worst})")
 
 
+def _block_basis(d, keys, n_lower, scale):
+    """Gram-Schmidt over one signature block by fraction-free elimination.
+
+    keys lists the block's monomials (a, b): its n_lower lower-bidegree ones
+    first, then its upper ones. scale is S = (d - 1 + m + n)!, which makes
+    every Gram entry an integer. Returns the (vector, sq_norm) pairs that
+    exact Gram-Schmidt over keys, in this order, keeps for the upper
+    monomials; a vector lists its terms in the order of keys.
+    """
+    size = len(keys)
+    rows = [[0] * size + [int(i == j) for j in range(size)] for i in range(size)]
+    for i, (a, _) in enumerate(keys):
+        for j in range(i, size):
+            # one signature, so a_i + b_j == b_i + a_j: every pair couples
+            num, den = _moment(d, tuple(x + y for x, y in zip(a, keys[j][1])))
+            rows[i][j] = rows[j][i] = num * (scale // den)
+    out = []
+    prev = 1
+    for k, row_k in enumerate(rows):
+        pivot = row_k[k]
+        if pivot == 0:
+            continue  # a rank drop: G is semidefinite, so this whole row is zero
+        tail_k = row_k[k + 1:]
+        for row_i in rows[k + 1:]:
+            f = row_i[k]
+            row_i[k + 1:] = [(pivot * x - f * y) // prev for x, y in zip(row_i[k + 1:], tail_k)]
+        if k >= n_lower:
+            terms = {key: Fraction(c, prev) for key, c in zip(keys, row_k[size:]) if c}
+            out.append((MonomialPoly(d, terms), Fraction(pivot, prev * scale)))
+        prev = pivot
+    return out
+
+
 @lru_cache(maxsize=None)
 def build_basis(d, m, n):
     """Exact orthogonal basis of the bidegree-(m, n) harmonic space on Omega_d.
 
-    Two-stage Gram-Schmidt per signature block: project the bidegree-(m, n)
-    monomials against the restricted bidegree-(m-1, n-1) span, then
-    orthogonalise the surviving residuals. Aborts if the emitted count
-    disagrees with the dimension formula.
+    Per signature block, exact Gram-Schmidt over the restricted
+    bidegree-(m-1, n-1) monomials followed by the bidegree-(m, n) ones,
+    keeping the vectors of the latter: one Bareiss elimination of the
+    block's integer Gram matrix (see `_block_basis`). Blocks are emitted in
+    reverse sorted signature order. Aborts if the emitted count disagrees
+    with the dimension formula.
     """
     if d < 2:
         raise ArgumentError(f"complex dimension d must be >= 2, got {d}")
@@ -221,24 +255,14 @@ def build_basis(d, m, n):
         sig = tuple(ai - bi for ai, bi in zip(a, b))
         blocks.setdefault(sig, ([], []))[1].append((a, b))
 
+    scale = math.factorial(d - 1 + m + n)
     vectors = []
     sq_norms = []
     for sig in sorted(blocks, reverse=True):
         upper_keys, lower_keys = blocks[sig]
-        low_basis, low_norms = _gram_schmidt(
-            [MonomialPoly.monomial(d, a, b) for a, b in lower_keys])
-        residuals = []
-        for a, b in upper_keys:
-            v = MonomialPoly.monomial(d, a, b)
-            for u, q in zip(low_basis, low_norms):
-                coeff = v.inner(u)
-                if coeff != 0:
-                    v = v - u.scale(coeff / q)
-            if not v.is_zero():
-                residuals.append(v)
-        got, norms = _gram_schmidt(residuals)
-        vectors.extend(got)
-        sq_norms.extend(norms)
+        for vec, q in _block_basis(d, lower_keys + upper_keys, len(lower_keys), scale):
+            vectors.append(vec)
+            sq_norms.append(q)
 
     expected = dim_complex_harmonic(d, m, n)
     if len(vectors) != expected:

@@ -90,6 +90,53 @@ def test_basis_d4_exactness():
     assert verify_addition(4, 1, 1, 300, seed=9) < 1e-9
 
 
+def test_basis_d4_bidegree_four_four():
+    built = build_basis(4, 4, 4)
+    assert built.dim == dim_complex_harmonic(4, 4, 4)
+    assert verify_addition(4, 4, 4, 200, seed=13) < 1e-9
+
+
+def _signature(key):
+    a, b = key
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _gram_schmidt_oracle(d, m, n):
+    """Polynomial-level exact Gram-Schmidt per signature block (reverse sorted),
+    over the bidegree-(m-1, n-1) monomials and then the bidegree-(m, n) ones;
+    returns the vectors and squared norms kept for the latter."""
+    uppers = bidegree_monomials(d, m, n)
+    lowers = bidegree_monomials(d, m - 1, n - 1) if m > 0 and n > 0 else []
+    vectors, sq_norms = [], []
+    for sig in sorted({_signature(key) for key in uppers + lowers}, reverse=True):
+        block_lowers = [key for key in lowers if _signature(key) == sig]
+        block = block_lowers + [key for key in uppers if _signature(key) == sig]
+        done, done_norms = [], []
+        for i, (a, b) in enumerate(block):
+            v = MonomialPoly.monomial(d, a, b)
+            for u, q in zip(done, done_norms):
+                v = v - u.scale(v.inner(u) / q)
+            q = v.inner(v)
+            if q != 0:
+                done.append(v)
+                done_norms.append(q)
+                if i >= len(block_lowers):
+                    vectors.append(v)
+                    sq_norms.append(q)
+    return vectors, sq_norms
+
+
+@pytest.mark.parametrize("d,mmax", [(2, 4), (3, 3), (4, 2)])
+def test_basis_matches_polynomial_gram_schmidt(d, mmax):
+    for m in range(mmax + 1):
+        for n in range(mmax + 1):
+            built = build_basis(d, m, n)
+            vectors, sq_norms = _gram_schmidt_oracle(d, m, n)
+            assert [dict(vec.terms) for vec in built.vectors] == \
+                [dict(vec.terms) for vec in vectors], (d, m, n)
+            assert built.sq_norms == tuple(sq_norms), (d, m, n)
+
+
 def test_basis_feasibility_guard():
     with pytest.raises(ArgumentError):
         build_basis(2, 9, 0)

@@ -1,8 +1,11 @@
 """CLI behaviour: exit codes, output schemas, byte-for-byte determinism."""
 
+import hashlib
 import json
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +161,22 @@ def test_basis_json_roundtrip(capsys):
                    Fraction(t["numerator"], t["denominator"]) for t in terms}
         assert rebuilt == vec.terms
         assert Fraction(norm_str) == norm
+
+
+def test_basis_json_matches_benchmark_goldens(capsys):
+    # The benchmark's exact-basis ops, rendered in-process; the goldens are
+    # only read here (bench/capture.py writes them).
+    golden_path = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
+    ops = json.loads(golden_path.read_text(encoding="utf-8"))["ops"]
+    cases = {name: re.fullmatch(r"basis-d(\d+)-(\d+)-(\d+)", name) for name in ops}
+    cases = {name: match.groups() for name, match in cases.items() if match}
+    assert cases
+    for name, (d, m, n) in sorted(cases.items()):
+        code, out, _ = run_cli(capsys, "basis", "--d", d, "--m", m, "--n", n)
+        data = out.encode("utf-8")
+        assert code == 0
+        assert (len(data), hashlib.sha256(data).hexdigest()) == \
+            (ops[name]["bytes"], ops[name]["sha256"]), name
 
 
 def test_project_reproducing_property(capsys):
