@@ -43,6 +43,14 @@ from .sphere import DEFAULT_CHUNK, omega, sample_points
 MAX_BIDEGREE = 8
 MAX_DIMENSION = 4
 
+# Cost guard: the elimination of a signature block of s monomials costs about
+# s^4 (s^3 big-integer operations on entries whose size grows with s). One
+# unit took 1e-8 to 1.6e-8 s on a 2-vCPU x86-64 VM with Python 3.11 (d=4
+# bidegree (6, 6): 1.7e9 units, 18 s), so the ceiling refuses inputs that
+# would take more than about a minute, e.g. d=4 bidegree (8, 8) at 5.2e10.
+MAX_BLOCK_COST = 4 * 10**9
+SECONDS_PER_BLOCK_COST = 1.2e-8
+
 POINT_TOL = 1e-12
 
 
@@ -254,6 +262,14 @@ def build_basis(d, m, n):
     for a, b in lowers:
         sig = tuple(ai - bi for ai, bi in zip(a, b))
         blocks.setdefault(sig, ([], []))[1].append((a, b))
+
+    sizes = [len(u) + len(l) for u, l in blocks.values()]
+    cost = sum(size**4 for size in sizes)
+    if cost > MAX_BLOCK_COST:
+        raise ArgumentError(
+            f"exact basis for d={d}, bidegree ({m}, {n}) refused: its signature blocks (largest"
+            f" {max(sizes)} monomials) cost {cost:.2e} > {MAX_BLOCK_COST:.0e}, an estimated"
+            f" {cost * SECONDS_PER_BLOCK_COST:.0f} s of exact elimination")
 
     scale = math.factorial(d - 1 + m + n)
     vectors = []

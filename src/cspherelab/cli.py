@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -287,35 +288,45 @@ def _cmd_widths_spectrum(args):
                "runs": [[v, c] for v, c in table.runs]}
         report.write_output(report.dumps(doc), args.out)
         return 0
-    values = table.values()
     if table.warning:
         print(f"warning: {table.warning}", file=sys.stderr)
-    rows = ((n, float(v)) for n, v in enumerate(values))
-    report.write_output(report.csv_lines(("n", "d_n"), rows), args.out)
+    report.write_output(report.csv_runs(("n", "d_n"), table.runs), args.out)
     return 0
 
 
+_WIDTH_ROW = np.dtype([("n", np.int64), ("d_n", np.float64)])
+
+
 def _read_width_csv(path):
+    """Widths d_0, d_1, ... of a CSV with header 'n,d_n' ('-' reads stdin).
+
+    The body is parsed in one numpy call (values bit-identical to float());
+    blank lines are skipped. A malformed row, a rank column that is not
+    0, 1, 2, ... or an empty body raises ArgumentError.
+    """
     handle = sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
     try:
         header = handle.readline().strip()
         if header.replace(" ", "") != "n,d_n":
             raise ArgumentError(f"expected header 'n,d_n', got {header!r}")
-        values = []
-        for idx, line in enumerate(handle):
-            line = line.strip()
-            if not line:
-                continue
-            n_str, v_str = line.split(",")
-            if int(n_str) != idx:
-                raise ArgumentError(f"width CSV ranks must be contiguous from 0, got {n_str} at row {idx}")
-            values.append(float(v_str))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty body is reported below
+            try:
+                rows = np.loadtxt(handle, delimiter=",", dtype=_WIDTH_ROW, ndmin=1)
+            except ValueError as exc:
+                reason = str(exc).partition("; use `usecols`")[0]  # numpy's hint names its API
+                raise ArgumentError(f"malformed width CSV: {reason}") from exc
     finally:
         if handle is not sys.stdin:
             handle.close()
-    if not values:
+    if rows.size == 0:
         raise ArgumentError("width CSV has no data rows")
-    return np.asarray(values)
+    gaps = np.flatnonzero(rows["n"] != np.arange(rows.size))
+    if gaps.size:
+        idx = int(gaps[0])
+        raise ArgumentError(
+            f"width CSV ranks must be contiguous from 0, got {rows['n'][idx]} at row {idx}")
+    return rows["d_n"]
 
 
 def _cmd_widths_fit(args):

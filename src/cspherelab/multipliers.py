@@ -25,7 +25,7 @@ from .errors import ArgumentError, DivergenceError
 
 FAMILY_KINDS = ("sobolev", "finite_smooth", "exp_analytic", "identity", "table")
 
-# Forward-scan cap for the level sequence.
+# Forward-scan cap for the level sequence of a table family.
 SCAN_LIMIT = 10**6
 
 
@@ -154,33 +154,75 @@ def multiplier_at(fam, m, n):
     return lambda_value(fam, level_of(fam.grading, m, n))
 
 
+def _magnitude(fam, level):
+    """|lambda(level)|; DivergenceError if the level is beyond float range."""
+    try:
+        return abs(lambda_value(fam, level))
+    except OverflowError:
+        raise DivergenceError(
+            f"a level of {len(str(level))} digits is beyond the float range, so the multiplier"
+            f" cannot be evaluated there ({fam.describe()})") from None
+
+
+def _drops_below(fam, level, target):
+    # A level beyond float range counts as a drop: it is past every level
+    # that can be evaluated, and _magnitude rejects it if the search ends there.
+    try:
+        return abs(lambda_value(fam, level)) <= target
+    except OverflowError:
+        return True
+
+
+def _next_level_scan(fam, base, target):
+    for l in range(base + 1, base + SCAN_LIMIT + 1):
+        if abs(lambda_value(fam, l)) <= target:
+            return l
+    raise DivergenceError(
+        f"no level within {SCAN_LIMIT} steps of {base} drops the multiplier"
+        f" by a factor e ({fam.describe()})")
+
+
+def _next_level_gallop(fam, base, target):
+    # Unbounded search (Bentley & Yao, Inf. Proc. Letters 5, 1976): double
+    # the step until a level drops, then bisect; lo never drops, hi does.
+    lo, step = base, 1
+    while not _drops_below(fam, base + step, target):
+        lo, step = base + step, 2 * step
+    hi = base + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _drops_below(fam, mid, target):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def build_level_sequence(fam, start, count):
     """Levels N_1 = start, N_(k+1) = least l with e * lambda(l) <= lambda(N_k).
 
-    Requires lambda(start) > 0. Each step scans forward at most SCAN_LIMIT
-    levels; exhaustion raises DivergenceError (e.g. the identity family).
+    Requires lambda(start) > 0. The parametric families are non-increasing
+    past the start, so each step gallops and bisects in O(log N_(k+1))
+    evaluations on Python ints; a level too large for lambda to be evaluated
+    in floats raises DivergenceError. The identity family never drops and
+    raises DivergenceError at once. Table families may be non-monotone and
+    scan forward at most SCAN_LIMIT levels per step, raising
+    DivergenceError when the scan is exhausted.
     """
     if count < 1:
         raise ArgumentError(f"need at least one sequence term, got {count}")
     if start < 1:
         raise ArgumentError(f"start level must be >= 1, got {start}")
-    lam_start = abs(lambda_value(fam, start))
-    if lam_start == 0:
+    current = _magnitude(fam, start)
+    if current == 0:
         raise ArgumentError(f"lambda({start}) = 0; the level sequence needs a positive start value")
+    if count > 1 and fam.kind == "identity":
+        raise DivergenceError(f"no level drops the multiplier by a factor e ({fam.describe()})")
+    next_level = _next_level_scan if fam.kind == "table" else _next_level_gallop
     levels = [start]
     while len(levels) < count:
-        current = abs(lambda_value(fam, levels[-1]))
-        target = current / math.e
-        found = None
-        for l in range(levels[-1] + 1, levels[-1] + SCAN_LIMIT + 1):
-            if abs(lambda_value(fam, l)) <= target:
-                found = l
-                break
-        if found is None:
-            raise DivergenceError(
-                f"no level within {SCAN_LIMIT} steps of {levels[-1]} drops the multiplier"
-                f" by a factor e ({fam.describe()})")
-        levels.append(found)
+        levels.append(next_level(fam, levels[-1], current / math.e))
+        current = _magnitude(fam, levels[-1])
     return levels
 
 
@@ -211,7 +253,11 @@ KCLASS_EXPONENTS = (1.0, 1.5, 2.0)
 
 
 def plan_beta(fam, d, start, eps, kclass_ps=KCLASS_EXPONENTS):
-    """Build the full rank-budget plan for a multiplier family."""
+    """Build the full rank-budget plan for a multiplier family.
+
+    Raises DivergenceError when a level, or a ratio theta_k / theta12 of
+    the sequence-class sum, is beyond the float range.
+    """
     if eps <= 0:
         raise ArgumentError(f"eps must be positive, got {eps}")
     first_two = build_level_sequence(fam, start, 2)
@@ -225,11 +271,16 @@ def plan_beta(fam, d, start, eps, kclass_ps=KCLASS_EXPONENTS):
     beta = sum(mk)
 
     ratios = {}
-    for p in kclass_ps:
-        total = 0.0
-        for k in range(1, M + 1):
-            total += math.exp(-k * (1.0 - eps / 2.0)) * (thetas[k - 1] / theta12) ** (1.0 / p)
-        ratios[p] = total
+    try:
+        for p in kclass_ps:
+            total = 0.0
+            for k in range(1, M + 1):
+                total += math.exp(-k * (1.0 - eps / 2.0)) * (thetas[k - 1] / theta12) ** (1.0 / p)
+            ratios[p] = total
+    except OverflowError:
+        raise DivergenceError(
+            f"the layer-dimension ratios theta_k / theta12 exceed the float range (the levels"
+            f" reach {len(str(levels[-1]))} digits; {fam.describe()})") from None
 
     plateau = any(
         abs(lambda_value(fam, levels[k + 1])) == abs(lambda_value(fam, levels[k]))

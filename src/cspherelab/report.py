@@ -52,16 +52,33 @@ def dumps(value, indent=0):
     raise ArgumentError(f"cannot serialise value of type {type(value).__name__}")
 
 
+def _cell(x):
+    if isinstance(x, float):
+        return "%.17g" % x
+    return str(x)
+
+
 def csv_lines(header, rows):
     """CSV text from a header tuple and an iterable of row tuples."""
-    def cell(x):
-        if isinstance(x, float):
-            return "%.17g" % x
-        return str(x)
-
     out = [",".join(header)]
-    out.extend(",".join(cell(x) for x in row) for row in rows)
+    out.extend(",".join(_cell(x) for x in row) for row in rows)
     return "\n".join(out) + "\n"
+
+
+def csv_runs(header, runs):
+    """CSV text of a run-length encoded column: one "rank,value" row per rank.
+
+    runs holds (value, count) pairs with positive counts; ranks count from 0.
+    The text equals csv_lines over the expanded (rank, value) rows, but each
+    run's value is formatted once and its ranks are joined in one call.
+    """
+    out = [",".join(header) + "\n"]
+    rank = 0
+    for value, count in runs:
+        sep = "," + _cell(value) + "\n"
+        out.append(sep.join(map(str, range(rank, rank + count))) + sep)
+        rank += count
+    return "".join(out)
 
 
 def write_output(text, out_path=None):

@@ -1,6 +1,7 @@
 """Exact harmonic bases: monomial integrals, orthogonality, zonal identities."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -142,6 +143,17 @@ def test_basis_feasibility_guard():
         build_basis(2, 9, 0)
     with pytest.raises(ArgumentError):
         build_basis(5, 1, 1)
+
+
+def test_basis_cost_guard_refuses_up_front():
+    # d=4 (8, 8) passes the bidegree guard but its signature-0 block holds 285
+    # monomials: minutes of exact elimination, so it is refused before any
+    start = time.perf_counter()
+    with pytest.raises(ArgumentError, match=r"largest 285 monomials.*estimated \d+ s"):
+        build_basis(4, 8, 8)
+    with pytest.raises(ArgumentError, match="refused"):
+        build_basis(4, 7, 7)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_eval_orthonormal_values():

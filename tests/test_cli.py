@@ -1,16 +1,23 @@
 """CLI behaviour: exit codes, output schemas, byte-for-byte determinism."""
 
 import hashlib
+import io
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from cspherelab import report
 from cspherelab.basis import build_basis
-from cspherelab.cli import run
+from cspherelab.cli import _read_width_csv, run
+from cspherelab.multipliers import exp_analytic, identity, table_family
+from cspherelab.widths import l2_width_table, table_from_values
+
+GOLDEN_PATH = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
 
 
 def run_cli(capsys, *argv):
@@ -166,8 +173,7 @@ def test_basis_json_roundtrip(capsys):
 def test_basis_json_matches_benchmark_goldens(capsys):
     # The benchmark's exact-basis ops, rendered in-process; the goldens are
     # only read here (bench/capture.py writes them).
-    golden_path = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
-    ops = json.loads(golden_path.read_text(encoding="utf-8"))["ops"]
+    ops = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["ops"]
     cases = {name: re.fullmatch(r"basis-d(\d+)-(\d+)-(\d+)", name) for name in ops}
     cases = {name: match.groups() for name, match in cases.items() if match}
     assert cases
@@ -177,6 +183,112 @@ def test_basis_json_matches_benchmark_goldens(capsys):
         assert code == 0
         assert (len(data), hashlib.sha256(data).hexdigest()) == \
             (ops[name]["bytes"], ops[name]["sha256"]), name
+
+
+# The benchmark's spectrum and seq command lines, by golden name.
+SPECTRUM_AND_SEQ_OPS = {
+    "spectrum-fs3-d2": "widths spectrum --family fs:gamma=3,xi=0 --d 2 --grading max --nmax 500000",
+    "spectrum-sobolev-d3": "widths spectrum --family sobolev:gamma=2 --d 3 --grading star --nmax 500000",
+    "seq-fs3-d2": "seq --family fs:gamma=3,xi=0 --d 2 --N 3 --eps 0.5",
+    "seq-exp-d3": "seq --family exp:gamma=1,r=1 --d 3 --N 1 --eps 0.5",
+    "seq-fs1-d2": "seq --family fs:gamma=1,xi=0 --d 2 --N 3 --eps 0.5",
+}
+
+
+def test_spectrum_and_seq_match_benchmark_goldens(tmp_path, capsys):
+    # Rendered in-process through --out; the goldens are only read here.
+    ops = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["ops"]
+    assert {name for name in ops if name.startswith("seq-")} <= set(SPECTRUM_AND_SEQ_OPS)
+    for name, line in SPECTRUM_AND_SEQ_OPS.items():
+        out_path = tmp_path / f"{name}.out"
+        code, _, _ = run_cli(capsys, *line.split(), "--out", str(out_path))
+        data = out_path.read_bytes()
+        assert code == 0
+        assert (len(data), hashlib.sha256(data).hexdigest()) == \
+            (ops[name]["bytes"], ops[name]["sha256"]), name
+
+
+def _per_row_csv(table):
+    # The per-row writer that csv_runs replaced, kept as its oracle.
+    rows = ((n, float(v)) for n, v in enumerate(table.values()))
+    return report.csv_lines(("n", "d_n"), rows)
+
+
+def _assert_same_lines(text, expected):
+    # As line lists, a mismatch is reported by its first differing line;
+    # pytest's diff of two long strings would take minutes.
+    assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+WRITER_TABLES = {
+    "identity": l2_width_table(identity(), 2, 300),
+    "exp-near-1e-300": l2_width_table(exp_analytic(70, 1), 2, 1300),
+    "exp-subnormal": l2_width_table(exp_analytic(74, 1), 2, 1300),
+    "table-truncated-at-rank": l2_width_table(
+        table_family({0: 1.0, 1: 0.5, 2: 0.0, 3: 0.25, 4: 0.0}), 2, 10**6),
+    "single-run": table_from_values([0.125] * 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_TABLES))
+def test_spectrum_writer_matches_per_row_formatter(name):
+    table = WRITER_TABLES[name]
+    _assert_same_lines(report.csv_runs(("n", "d_n"), table.runs), _per_row_csv(table))
+
+
+def test_spectrum_writer_cases_cover_their_edges():
+    assert WRITER_TABLES["identity"].runs == ((1.0, 301),)
+    assert 0 < min(v for v, _ in WRITER_TABLES["exp-near-1e-300"].runs) < 1e-300
+    assert min(v for v, _ in WRITER_TABLES["exp-subnormal"].runs) < 2.2250738585072014e-308
+    truncated = WRITER_TABLES["table-truncated-at-rank"]
+    assert truncated.size < truncated.n_max
+    assert len(WRITER_TABLES["single-run"].runs) == 1
+
+
+def test_identity_spectrum_csv(capsys):
+    code, out, err = run_cli(capsys, "widths", "spectrum", "--family", "id", "--d", "2",
+                             "--nmax", "300")
+    assert code == 0 and "warning" in err
+    _assert_same_lines(out, _per_row_csv(WRITER_TABLES["identity"]))
+
+
+def test_spectrum_csv_reads_back_bit_identical(tmp_path, monkeypatch):
+    for table in (l2_width_table(exp_analytic(0.5, 0.7), 3, 20000),
+                  WRITER_TABLES["exp-subnormal"]):
+        text = report.csv_runs(("n", "d_n"), table.runs)
+        path = tmp_path / "table.csv"
+        path.write_text(text, encoding="utf-8")
+        expected = table.values().tobytes()
+        assert _read_width_csv(str(path)).tobytes() == expected
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert _read_width_csv("-").tobytes() == expected
+
+
+@pytest.mark.parametrize("body, reason", [
+    ("0,0.5\n1,abc\n", "could not convert string 'abc'"),    # a non-numeric value
+    ("0,0.5\n1,0.25,3\n", "requires 2 columns but 3"),       # a three-column row
+    ("0,0.5\n2,0.25\n", "contiguous from 0, got 2 at row 1"),  # a gap in the ranks
+    ("", "no data rows"),                                   # a header-only file
+    ("0,0.5\n1.5,0.25\n", "could not convert string '1.5'"),  # a non-integer rank
+])
+def test_widths_fit_rejects_malformed_csv(tmp_path, capsys, body, reason):
+    path = tmp_path / "table.csv"
+    path.write_text("n,d_n\n" + body, encoding="utf-8")
+    code, out, err = run_cli(capsys, "widths", "fit", str(path), "--N", "0", "--nmax", "30")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and reason in err and "Traceback" not in err
+
+
+def test_seq_slow_family_and_overflow_exit_codes(capsys):
+    code, out, _ = run_cli(capsys, "seq", "--family", "fs:gamma=0.5,xi=0", "--d", "2",
+                           "--N", "3", "--eps", "0.5")
+    assert code == 0
+    assert len(json.loads(out)["Nk"]) == 20
+    for family, d in (("fs:gamma=0.01,xi=0", "2"), ("fs:gamma=0.2,xi=0", "4")):
+        code, out, err = run_cli(capsys, "seq", "--family", family, "--d", d,
+                                 "--N", "3", "--eps", "0.5")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "finite_smooth" in err
 
 
 def test_project_reproducing_property(capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cspherelab import multipliers
 from cspherelab.basis import build_basis
 from cspherelab.dimensions import cum_dim, layer_members
 from cspherelab.errors import ArgumentError, DivergenceError
@@ -82,6 +83,65 @@ def test_level_sequence_errors():
         build_level_sequence(identity(), 3, 2)
     with pytest.raises(ArgumentError):
         build_level_sequence(finite_smooth(3, 0, "max"), 1, 2)  # lambda(1) = 0
+
+
+def _linear_scan_sequence(fam, start, count):
+    # The forward scan the level search replaced, kept as its oracle.
+    levels = [start]
+    while len(levels) < count:
+        target = abs(lambda_value(fam, levels[-1])) / math.e
+        for l in range(levels[-1] + 1, levels[-1] + 10**6 + 1):
+            if abs(lambda_value(fam, l)) <= target:
+                levels.append(l)
+                break
+        else:
+            raise AssertionError("oracle scan exhausted")
+    return levels
+
+
+@pytest.mark.parametrize("grading", ["max", "star"])
+def test_level_search_matches_linear_scan(grading):
+    families = [sobolev(1, 2, grading), sobolev(2.5, 3, grading),
+                finite_smooth(1, 0, grading), finite_smooth(3, 0, grading),
+                finite_smooth(1, 0.5, grading), finite_smooth(2, 0.5, grading),
+                exp_analytic(1, 0.5, grading), exp_analytic(0.3, 1, grading),
+                exp_analytic(1, 1, grading), exp_analytic(0.05, 2, grading)]
+    for fam in families:
+        for start in (2, 3, 7, 40):
+            expected = _linear_scan_sequence(fam, start, 6)
+            assert build_level_sequence(fam, start, 6) == expected, (fam.describe(), start)
+
+
+def test_slow_family_sequence_obeys_the_level_rule():
+    # gamma = 0.5: levels grow by about e^2 per step, far past any forward scan
+    fam = finite_smooth(0.5, 0, "max")
+    plan = plan_beta(fam, 2, 3, 0.5)
+    assert plan.Nk[-1] > 10**16
+    for cur, nxt in zip(plan.Nk, plan.Nk[1:]):
+        lam = lambda_value(fam, cur)
+        assert math.e * lambda_value(fam, nxt) <= lam < math.e * lambda_value(fam, nxt - 1)
+
+
+def test_level_beyond_float_range_diverges():
+    with pytest.raises(DivergenceError, match="finite_smooth"):
+        build_level_sequence(finite_smooth(0.01, 0, "max"), 3, 10)
+    with pytest.raises(DivergenceError, match="sobolev"):
+        build_level_sequence(sobolev(2, 2), 10**400, 2)
+    with pytest.raises(DivergenceError, match="exp_analytic"):
+        build_level_sequence(exp_analytic(1, 0.001), 3, 10)
+    # every level fits a float, but theta_k / theta12 at d = 4 does not
+    with pytest.raises(DivergenceError, match="finite_smooth"):
+        plan_beta(finite_smooth(0.2, 0, "max"), 4, 3, 0.5)
+
+
+def test_table_levels_scan_forward(monkeypatch):
+    # non-monotone tables keep the forward scan: a galloping search over this
+    # table would skip level 4 and land on level 9
+    values = {1: 1.0, 2: 0.9, 3: 0.9, 4: 0.2, 5: 0.9, 6: 0.9, 7: 0.9, 8: 0.9, 9: 0.1}
+    assert build_level_sequence(table_family(values), 1, 2) == [1, 4]
+    monkeypatch.setattr(multipliers, "SCAN_LIMIT", 2)
+    with pytest.raises(DivergenceError):
+        build_level_sequence(table_family(values), 1, 2)
 
 
 def test_plan_beta_exp_example():
