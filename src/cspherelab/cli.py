@@ -331,7 +331,7 @@ def _read_width_csv(path):
 
 def _cmd_widths_fit(args):
     values = _read_width_csv(args.input)
-    table = widths.table_from_values(values, d=args.d)
+    table = widths.table_from_values(values)
     if args.model == "stretched":
         fit = widths.fit_stretched(table, args.d, args.r, args.N, args.nmax)
     else:

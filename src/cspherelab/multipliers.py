@@ -8,8 +8,9 @@ grading that maps a bidegree (m, n) to its level: ``star`` uses m + n and
                          (needs the ambient dimension d);
 * ``finite_smooth``      lambda(t) = t^(-gamma) (ln t)^(-xi) for t > 1, else 0;
 * ``exp_analytic``       lambda(t) = exp(-gamma t^r);
-* ``identity``           lambda == 1;
-* ``table``              explicit level -> value map.
+* ``identity``           lambda == 1.
+
+Every family is non-increasing past its first positive level.
 
 The level-sequence machinery locates the thresholds where lambda drops by a
 factor e, and budgets approximation ranks geometrically between them.
@@ -23,10 +24,7 @@ from dataclasses import dataclass
 from .dimensions import _check_grading, cum_dim, theta
 from .errors import ArgumentError, DivergenceError
 
-FAMILY_KINDS = ("sobolev", "finite_smooth", "exp_analytic", "identity", "table")
-
-# Forward-scan cap for the level sequence of a table family.
-SCAN_LIMIT = 10**6
+FAMILY_KINDS = ("sobolev", "finite_smooth", "exp_analytic", "identity")
 
 
 @dataclass(frozen=True)
@@ -37,7 +35,6 @@ class MultiplierFamily:
     xi: float = 0.0
     r: float = 0.0
     d: int = 0
-    table: tuple = ()
 
     def __post_init__(self):
         _check_grading(self.grading)
@@ -51,8 +48,6 @@ class MultiplierFamily:
             return f"finite_smooth(gamma={self.gamma}, xi={self.xi})"
         if self.kind == "exp_analytic":
             return f"exp_analytic(gamma={self.gamma}, r={self.r})"
-        if self.kind == "table":
-            return f"table({len(self.table)} levels)"
         return "identity"
 
 
@@ -80,15 +75,6 @@ def exp_analytic(gamma, r, grading="max"):
 
 def identity(grading="max"):
     return MultiplierFamily(kind="identity", grading=grading)
-
-
-def table_family(values, grading="max"):
-    """Explicit multiplier table; values maps level -> finite value."""
-    items = tuple(sorted((int(k), float(v)) for k, v in dict(values).items()))
-    for _, v in items:
-        if not math.isfinite(v):
-            raise ArgumentError("table values must be finite")
-    return MultiplierFamily(kind="table", grading=grading, table=items)
 
 
 def parse_family(spec, d, grading):
@@ -134,12 +120,7 @@ def lambda_value(fam, t):
         if t <= 1:
             return 0.0
         return t ** (-fam.gamma) * math.log(t) ** (-fam.xi)
-    if fam.kind == "exp_analytic":
-        return math.exp(-fam.gamma * t**fam.r)
-    lookup = dict(fam.table)
-    if int(t) != t or int(t) not in lookup:
-        raise ArgumentError(f"table family has no value at level {t}")
-    return lookup[int(t)]
+    return math.exp(-fam.gamma * t**fam.r)
 
 
 def level_of(grading, m, n):
@@ -173,15 +154,6 @@ def _drops_below(fam, level, target):
         return True
 
 
-def _next_level_scan(fam, base, target):
-    for l in range(base + 1, base + SCAN_LIMIT + 1):
-        if abs(lambda_value(fam, l)) <= target:
-            return l
-    raise DivergenceError(
-        f"no level within {SCAN_LIMIT} steps of {base} drops the multiplier"
-        f" by a factor e ({fam.describe()})")
-
-
 def _next_level_gallop(fam, base, target):
     # Unbounded search (Bentley & Yao, Inf. Proc. Letters 5, 1976): double
     # the step until a level drops, then bisect; lo never drops, hi does.
@@ -201,13 +173,11 @@ def _next_level_gallop(fam, base, target):
 def build_level_sequence(fam, start, count):
     """Levels N_1 = start, N_(k+1) = least l with e * lambda(l) <= lambda(N_k).
 
-    Requires lambda(start) > 0. The parametric families are non-increasing
-    past the start, so each step gallops and bisects in O(log N_(k+1))
-    evaluations on Python ints; a level too large for lambda to be evaluated
-    in floats raises DivergenceError. The identity family never drops and
-    raises DivergenceError at once. Table families may be non-monotone and
-    scan forward at most SCAN_LIMIT levels per step, raising
-    DivergenceError when the scan is exhausted.
+    Requires lambda(start) > 0. Every family is non-increasing past the
+    start, so each step gallops and bisects in O(log N_(k+1)) evaluations
+    on Python ints; a level too large for lambda to be evaluated in floats
+    raises DivergenceError. The identity family never drops and raises
+    DivergenceError at once.
     """
     if count < 1:
         raise ArgumentError(f"need at least one sequence term, got {count}")
@@ -218,10 +188,9 @@ def build_level_sequence(fam, start, count):
         raise ArgumentError(f"lambda({start}) = 0; the level sequence needs a positive start value")
     if count > 1 and fam.kind == "identity":
         raise DivergenceError(f"no level drops the multiplier by a factor e ({fam.describe()})")
-    next_level = _next_level_scan if fam.kind == "table" else _next_level_gallop
     levels = [start]
     while len(levels) < count:
-        levels.append(next_level(fam, levels[-1], current / math.e))
+        levels.append(_next_level_gallop(fam, levels[-1], current / math.e))
         current = _magnitude(fam, levels[-1])
     return levels
 

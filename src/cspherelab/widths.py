@@ -29,15 +29,10 @@ class WidthTable:
     """Non-increasing width sequence d_0 >= d_1 >= ... stored as runs.
 
     runs is a tuple of (value, count) with strictly decreasing values; the
-    table covers ranks 0 .. n_max, except that it truncates early when the
-    operator's rank is exhausted (widths beyond the rank are zero).
+    table covers ranks 0 .. size - 1.
     """
 
-    d: int
-    n_max: int
     runs: tuple
-    family: str = ""
-    grading: str = ""
     warning: str = ""
 
     @property
@@ -106,41 +101,38 @@ def expand_spectrum(pairs, n_max):
 def l2_width_table(fam: MultiplierFamily, d, n_max):
     """Exact L^2 -> L^2 Kolmogorov width table of a multiplier operator.
 
-    Enumerates levels until the cumulative dimension of levels carrying a
-    nonzero multiplier exceeds n_max (level cap LEVEL_CAP); zero multipliers
-    sort to the tail and truncate the table at the operator's rank.
+    Enumerates levels 0 .. LEVEL_CAP and stops once the levels carrying a
+    nonzero multiplier cover rank n_max. Every family is non-increasing past
+    its first positive level, so the stop is sound, the zeros of the start
+    levels sort to the tail, and a zero after a positive value is a float
+    underflow that every later level shares: ArgumentError names that level
+    and the largest n_max left. Reaching the cap raises ArgumentError too.
     """
     if n_max < 1:
         raise ArgumentError(f"n_max must be >= 1, got {n_max}")
     pairs = []
     nonzero_cum = 0
-    if fam.kind == "table":
-        # explicit tables may be non-monotone, so enumerate them in full
-        levels = [l for l, _ in fam.table]
-    else:
-        levels = range(LEVEL_CAP + 1)
-    exhausted = True
-    for l in levels:
+    for l in range(LEVEL_CAP + 1):
         value = abs(lambda_value(fam, l))
+        if value == 0 and nonzero_cum:
+            raise ArgumentError(
+                f"lambda underflows to 0.0 at level {l} ({fam.describe()}, {fam.grading}"
+                f" grading); the largest n_max it can tabulate is {nonzero_cum - 1}")
         mult = dim_layer(d, l, fam.grading)
         pairs.append((value, mult))
         if value > 0:
             nonzero_cum += mult
-        # early stop is sound for the parametric families: their values are
-        # non-increasing past the already-enumerated levels
-        if fam.kind != "table" and nonzero_cum > n_max:
-            exhausted = False
+        if nonzero_cum > n_max:
             break
-    if exhausted and fam.kind != "table" and nonzero_cum <= n_max:
+    else:
         raise ArgumentError(
             f"spectrum enumeration hit the level cap {LEVEL_CAP} before covering"
             f" rank {n_max}; lower n_max")
     warning = "non-compact: constant table" if fam.kind == "identity" else ""
-    return WidthTable(d=d, n_max=n_max, runs=expand_spectrum(pairs, n_max),
-                      family=fam.describe(), grading=fam.grading, warning=warning)
+    return WidthTable(runs=expand_spectrum(pairs, n_max), warning=warning)
 
 
-def table_from_values(values, d=0, n_max=None):
+def table_from_values(values):
     """Run-length encode an explicit non-increasing width sequence (e.g. from CSV)."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
@@ -149,8 +141,7 @@ def table_from_values(values, d=0, n_max=None):
         raise ArgumentError("width values must be non-increasing")
     starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
     lengths = np.diff(np.append(starts, values.size))
-    return WidthTable(d=d, n_max=n_max if n_max is not None else values.size - 1,
-                      runs=tuple(zip(values[starts].tolist(), lengths.tolist())))
+    return WidthTable(runs=tuple(zip(values[starts].tolist(), lengths.tolist())))
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ import pytest
 from cspherelab import report
 from cspherelab.basis import build_basis
 from cspherelab.cli import _read_width_csv, run
-from cspherelab.multipliers import exp_analytic, identity, table_family
-from cspherelab.widths import l2_width_table, table_from_values
+from cspherelab.dimensions import dim_layer
+from cspherelab.multipliers import exp_analytic, identity
+from cspherelab.widths import WidthTable, expand_spectrum, l2_width_table, table_from_values
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
 
@@ -220,12 +221,15 @@ def _assert_same_lines(text, expected):
     assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
 
 
+TRUNCATED_N_MAX = 10**6
+
 WRITER_TABLES = {
     "identity": l2_width_table(identity(), 2, 300),
     "exp-near-1e-300": l2_width_table(exp_analytic(70, 1), 2, 1300),
     "exp-subnormal": l2_width_table(exp_analytic(74, 1), 2, 1300),
-    "table-truncated-at-rank": l2_width_table(
-        table_family({0: 1.0, 1: 0.5, 2: 0.0, 3: 0.25, 4: 0.0}), 2, 10**6),
+    "table-truncated-at-rank": WidthTable(runs=expand_spectrum(
+        [(v, dim_layer(2, l, "max")) for l, v in enumerate([1.0, 0.5, 0.0, 0.25, 0.0])],
+        TRUNCATED_N_MAX)),
     "single-run": table_from_values([0.125] * 7),
 }
 
@@ -241,7 +245,7 @@ def test_spectrum_writer_cases_cover_their_edges():
     assert 0 < min(v for v, _ in WRITER_TABLES["exp-near-1e-300"].runs) < 1e-300
     assert min(v for v, _ in WRITER_TABLES["exp-subnormal"].runs) < 2.2250738585072014e-308
     truncated = WRITER_TABLES["table-truncated-at-rank"]
-    assert truncated.size < truncated.n_max
+    assert truncated.size < TRUNCATED_N_MAX
     assert len(WRITER_TABLES["single-run"].runs) == 1
 
 
@@ -289,6 +293,17 @@ def test_seq_slow_family_and_overflow_exit_codes(capsys):
                                  "--N", "3", "--eps", "0.5")
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "finite_smooth" in err
+
+
+def test_spectrum_underflow_exits_2_naming_its_cause(capsys):
+    code, out, err = run_cli(capsys, "widths", "spectrum", "--family", "exp:gamma=70,r=1",
+                             "--d", "2", "--nmax", "1331")
+    assert code == 2 and out == ""
+    assert err.startswith("error: lambda underflows to 0.0 at level 11 ")
+    assert err.rstrip().endswith("the largest n_max it can tabulate is 1330")
+    code, out, err = run_cli(capsys, "widths", "compare-gradings", "--family",
+                             "exp:gamma=70,r=1", "--d", "2", "--nmax", "1000000")
+    assert code == 2 and "underflows to 0.0 at level 11" in err
 
 
 def test_project_reproducing_property(capsys):

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from cspherelab import multipliers
 from cspherelab.basis import build_basis
 from cspherelab.dimensions import cum_dim, layer_members
 from cspherelab.errors import ArgumentError, DivergenceError
 from cspherelab.multipliers import (
+    FAMILY_KINDS,
     build_level_sequence,
     exp_analytic,
     finite_smooth,
@@ -19,7 +19,6 @@ from cspherelab.multipliers import (
     parse_family,
     plan_beta,
     sobolev,
-    table_family,
 )
 from cspherelab.sphere import omega, sample_points
 
@@ -31,9 +30,6 @@ def test_lambda_values():
     assert lambda_value(finite_smooth(3, 1), 0.5) == 0.0
     assert lambda_value(exp_analytic(1, 1), 2) == pytest.approx(math.exp(-2))
     assert lambda_value(identity(), 17) == 1.0
-    assert lambda_value(table_family({0: 1.0, 1: 0.5}), 1) == 0.5
-    with pytest.raises(ArgumentError):
-        lambda_value(table_family({0: 1.0}), 3)
 
 
 def test_multiplier_at_gradings():
@@ -134,16 +130,6 @@ def test_level_beyond_float_range_diverges():
         plan_beta(finite_smooth(0.2, 0, "max"), 4, 3, 0.5)
 
 
-def test_table_levels_scan_forward(monkeypatch):
-    # non-monotone tables keep the forward scan: a galloping search over this
-    # table would skip level 4 and land on level 9
-    values = {1: 1.0, 2: 0.9, 3: 0.9, 4: 0.2, 5: 0.9, 6: 0.9, 7: 0.9, 8: 0.9, 9: 0.1}
-    assert build_level_sequence(table_family(values), 1, 2) == [1, 4]
-    monkeypatch.setattr(multipliers, "SCAN_LIMIT", 2)
-    with pytest.raises(DivergenceError):
-        build_level_sequence(table_family(values), 1, 2)
-
-
 def test_plan_beta_exp_example():
     plan = plan_beta(exp_analytic(1, 1, "max"), 2, 3, 0.5)
     assert plan.Nk[:4] == (3, 4, 5, 6)
@@ -188,3 +174,25 @@ def test_parse_family():
     for bad in ("exp", "exp:gamma=1", "nope:x=1", "fs:gamma"):
         with pytest.raises(ArgumentError):
             parse_family(bad, 2, "max")
+
+
+FAMILY_SPECS = {"sobolev": "sobolev:gamma=2.5", "finite_smooth": "fs:gamma=3,xi=0.5",
+                "exp_analytic": "exp:gamma=1,r=0.5", "identity": "id"}
+
+
+def _spec_from_description(description):
+    # "finite_smooth(gamma=3.0, xi=0.5)" -> "fs:gamma=3.0,xi=0.5"; d comes from --d
+    kind, _, argstr = description.partition("(")
+    prefix = FAMILY_SPECS[kind].partition(":")[0]
+    pieces = [p for p in argstr.rstrip(")").split(", ") if p and not p.startswith("d=")]
+    return prefix + (":" + ",".join(pieces) if pieces else "")
+
+
+def test_every_family_kind_parses():
+    # each kind the library knows is reachable from a family spec string
+    assert set(FAMILY_SPECS) == set(FAMILY_KINDS)
+    for kind in FAMILY_KINDS:
+        for grading in ("max", "star"):
+            fam = parse_family(FAMILY_SPECS[kind], 3, grading)
+            assert fam.kind == kind
+            assert parse_family(_spec_from_description(fam.describe()), 3, grading) == fam

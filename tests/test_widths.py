@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from cspherelab.dimensions import dim_real_harmonic
+from cspherelab.dimensions import dim_layer, dim_real_harmonic
 from cspherelab.errors import ArgumentError, HypothesisError
-from cspherelab.multipliers import exp_analytic, finite_smooth, identity, sobolev, table_family
+from cspherelab.multipliers import exp_analytic, finite_smooth, identity, lambda_value, sobolev
 from cspherelab.widths import (
+    LEVEL_CAP,
     BoundSpec,
+    WidthTable,
     bound_eval,
     expand_spectrum,
     fit_power,
@@ -81,27 +83,50 @@ def test_star_table_matches_real_sphere_multiplicities():
         assert table.runs == expand_spectrum(pairs, 500)
 
 
-def test_width_oracle_against_brute_force():
-    # random-valued table families, checked against a naive full expansion
-    rng = np.random.default_rng(42)
-    from cspherelab.dimensions import dim_layer
+def _brute_force_widths(values, d, grading, n_max):
+    # every level's |lambda| repeated dim_layer times, fully sorted, zeros
+    # dropped, cut to ranks 0 .. n_max
+    brute = np.sort(np.concatenate([
+        np.full(dim_layer(d, l, grading), abs(v)) for l, v in enumerate(values)]))[::-1]
+    return brute[brute > 0][: n_max + 1]
 
+
+def test_width_oracle_against_brute_force():
+    # random (value, multiplicity) pairs, checked against a naive full expansion
+    rng = np.random.default_rng(42)
     for trial in range(20):
         levels = int(rng.integers(2, 9))
         values = rng.uniform(0, 1, levels)
         values[rng.uniform(size=levels) < 0.2] = 0.0  # sprinkle zero multipliers
-        fam = table_family({l: float(values[l]) for l in range(levels)}, "max")
         n_max = int(rng.integers(5, 200))
-        table = l2_width_table(fam, 2, n_max)
-        brute = np.sort(np.concatenate([
-            np.full(dim_layer(2, l, "max"), abs(values[l])) for l in range(levels)]))[::-1]
-        brute = brute[brute > 0][: n_max + 1]
-        assert np.array_equal(table.values(), brute)
+        pairs = [(float(values[l]), dim_layer(2, l, "max")) for l in range(levels)]
+        table = WidthTable(runs=expand_spectrum(pairs, n_max))
+        assert np.array_equal(table.values(), _brute_force_widths(values, 2, "max", n_max))
+
+
+@pytest.mark.parametrize("grading", ["max", "star"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_parametric_spectrum_against_brute_force(d, grading):
+    # the early stop of l2_width_table against a full sort over many more
+    # levels; n_max runs over the rank boundaries of the first levels, so
+    # the zero-width start levels of sobolev and finite_smooth are crossed
+    families = [sobolev(1.5, d, grading), finite_smooth(2, 0, grading),
+                finite_smooth(2, 1, grading), exp_analytic(0.7, 0.5, grading),
+                exp_analytic(0.7, 1, grading), identity(grading)]
+    for fam in families:
+        values = [lambda_value(fam, l) for l in range(16)]
+        edges = np.cumsum([dim_layer(d, l, grading) for l, v in enumerate(values[:6]) if v > 0])
+        for n_max in sorted({1, 2, *(edges - 1).tolist(), *edges.tolist()} - {0}):
+            table = l2_width_table(fam, d, n_max)
+            assert table.size == n_max + 1
+            assert np.array_equal(table.values(), _brute_force_widths(values, d, grading, n_max)), \
+                (fam.describe(), n_max)
 
 
 def test_zero_multipliers_truncate():
-    fam = table_family({0: 1.0, 1: 0.5, 2: 0.0}, "max")
-    table = l2_width_table(fam, 2, 100)
+    pairs = [(1.0, dim_layer(2, 0, "max")), (0.5, dim_layer(2, 1, "max")),
+             (0.0, dim_layer(2, 2, "max"))]
+    table = WidthTable(runs=expand_spectrum(pairs, 100))
     # table runs out at the operator rank: 1 + 7 positive entries
     assert table.size == 8
 
@@ -109,6 +134,20 @@ def test_zero_multipliers_truncate():
 def test_level_cap_guard():
     with pytest.raises(ArgumentError):
         l2_width_table(exp_analytic(1, 1, "max"), 2, 10**10)
+
+
+def test_underflow_names_its_level_and_the_largest_n_max():
+    # exp(-70 * 11) is 0.0 in floats, and levels 0 .. 10 carry 11^3 = 1331 ranks
+    fam = exp_analytic(70, 1, "max")
+    assert l2_width_table(fam, 2, 1330).size == 1331
+    with pytest.raises(ArgumentError, match=r"underflows to 0\.0 at level 11 .*is 1330$"):
+        l2_width_table(fam, 2, 1331)
+
+
+def test_level_cap_message():
+    # levels 0 .. 1000 carry 1001^3 - 8 (about 1.0e9) positive ranks
+    with pytest.raises(ArgumentError, match=f"level cap {LEVEL_CAP} before covering rank 10000000000"):
+        l2_width_table(finite_smooth(3, 0, "max"), 2, 10**10)
 
 
 def test_fit_power_synthetic_exact():
@@ -132,8 +171,7 @@ def test_fit_power_range_errors():
         fit_power(table, 10, 15)  # fewer than 20 ranks
     with pytest.raises(ArgumentError):
         fit_power(table, 50, 5000)  # beyond the table rank
-    fam = table_family({0: 1.0, 1: 0.5, 2: 0.0}, "max")
-    short = l2_width_table(fam, 2, 100)
+    short = WidthTable(runs=expand_spectrum([(1.0, 1), (0.5, 7), (0.0, 19)], 100))
     with pytest.raises(ArgumentError):
         fit_power(short, 0, 50)  # zeros inside the range
 
