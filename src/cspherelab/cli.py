@@ -244,6 +244,8 @@ def _cmd_levy(args):
     doc = {
         "estimate": estimate.value,
         "stderr": estimate.stderr,
+        "stderr_outer": estimate.stderr_outer,
+        "stderr_cloud": estimate.stderr_cloud,
         "lower": bounds.lower,
         "upper": bounds.upper if bounds.upper_known else "unknown-constant",
         "case": bounds.case,

@@ -41,7 +41,8 @@ from .basis import build_basis
 from .dimensions import layer_members, theta
 from .errors import ArgumentError, ConsistencyError
 from .multipliers import MultiplierFamily, lambda_value, multiplier_at
-from .sphere import DEFAULT_CHUNK, _chunk_rng, lp_norm_mc, omega, sample_points, sup_norm_refined
+from .sphere import (DEFAULT_CHUNK, _chunk_rng, abs_power_inplace, lp_norm_mc, omega,
+                     sample_points, sup_norm_refined)
 
 
 @dataclass(frozen=True)
@@ -177,17 +178,15 @@ class LevyProblem:
 
 @dataclass(frozen=True)
 class LevyEstimate:
+    """A Levy-mean estimate; stderr = hypot(stderr_outer, stderr_cloud)."""
+
     value: float
     stderr: float
+    stderr_outer: float
+    stderr_cloud: float
     sphere_samples: int
     omega_samples: int
     seed: int
-
-
-def _coefficient_sphere(s, count, seed):
-    rng = _chunk_rng(seed, 777)
-    x = rng.standard_normal((count, s))
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 def levy_mean_parseval(prob: LevyProblem):
@@ -203,10 +202,19 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed,
     Outer samples are uniform on the Euclidean coefficient sphere; the inner
     L^p norm reuses one shared uniform point cloud on the sphere of C^d
     across all outer samples. The reported stderr combines the outer
-    sampling error with a block-resampled estimate of the shared-cloud
-    error (the cloud error does not shrink with more outer samples, so it
-    must be budgeted separately). p = 2 with omega_samples = 0 takes the
-    exact coefficient-space path for the inner norm.
+    sampling error (stderr_outer) with a block-resampled estimate of the
+    shared-cloud error (stderr_cloud; the cloud error does not shrink with
+    more outer samples, so it must be budgeted separately). p = 2 with
+    omega_samples = 0 takes the exact coefficient-space path for the inner
+    norm, with stderr_cloud = 0.
+
+    Outer samples are drawn, normalised and weighted `chunk` rows at a time
+    from one stream, so the rows do not depend on `chunk`. Memory: besides
+    the (omega_samples, s) matrix of the cloud's coordinate values, the only
+    array of cloud size is one (chunk, omega_samples / cloud_blocks) buffer.
+    Each chunk of rows is multiplied into it by one cloud block at a time,
+    and |.|^p (or max |.| at p = inf) is reduced in place to that block's
+    row means.
     """
     if sphere_samples < 2:
         raise ArgumentError("need at least two coefficient-sphere samples")
@@ -215,28 +223,40 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed,
         raise ArgumentError(f"need p >= 1 or p = inf, got {p}")
     system = prob.system()
     lam = system.multiplier_vector(prob.fam)
-    x = _coefficient_sphere(system.s, sphere_samples, seed)
-    weighted = x * lam
+    rng = _chunk_rng(seed, 777)
+    exact = p == 2 and omega_samples == 0
 
-    if p == 2 and omega_samples == 0:
-        sq = np.sum(weighted**2, axis=1)
-        se_cloud = 0.0
+    if exact:
+        sq = np.empty(sphere_samples)
     else:
         if omega_samples < 10**3:
             raise ArgumentError("inner estimation needs omega_samples >= 1000 (or 0 at p = 2)")
         omega_samples -= omega_samples % cloud_blocks
         pts = sample_points(prob.d, omega_samples, seed + 1, point_chunk)
         bmat = system.eval_matrix(pts)
-        w = omega(prob.d)
         per_block = omega_samples // cloud_blocks
+        blocks = [bmat[b * per_block:(b + 1) * per_block].T for b in range(cloud_blocks)]
+        buf = np.empty((min(chunk, sphere_samples), per_block))
         block_stat = np.empty((sphere_samples, cloud_blocks))
-        for start in range(0, sphere_samples, chunk):
-            vals = np.abs(weighted[start:start + chunk] @ bmat.T)
-            shaped = vals.reshape(vals.shape[0], cloud_blocks, per_block)
+    for start in range(0, sphere_samples, chunk):
+        rows = min(chunk, sphere_samples - start)
+        x = rng.standard_normal((rows, system.s))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        x *= lam
+        if exact:
+            sq[start:start + rows] = np.sum(x**2, axis=1)
+            continue
+        for b, block in enumerate(blocks):
+            v = np.matmul(x, block, out=buf[:rows])
             if p == math.inf:
-                block_stat[start:start + chunk] = shaped.max(axis=2)
+                block_stat[start:start + rows, b] = np.maximum(v.max(axis=1), -v.min(axis=1))
             else:
-                block_stat[start:start + chunk] = (shaped**p).mean(axis=2)
+                block_stat[start:start + rows, b] = abs_power_inplace(v, p).mean(axis=1)
+
+    if exact:
+        se_cloud = 0.0
+    else:
+        w = omega(prob.d)
         if p == math.inf:
             sq = block_stat.max(axis=1) ** 2
             block_means = np.sqrt(np.mean(block_stat**2, axis=0))
@@ -250,6 +270,7 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed,
     se_outer = float(np.std(sq, ddof=1)) / math.sqrt(sphere_samples)
     se_outer = se_outer / (2.0 * value) if value > 0 else 0.0
     return LevyEstimate(value=value, stderr=math.hypot(se_outer, se_cloud),
+                        stderr_outer=se_outer, stderr_cloud=se_cloud,
                         sphere_samples=sphere_samples, omega_samples=omega_samples,
                         seed=seed)
 

@@ -57,14 +57,39 @@ def sample_points(d, count, seed, chunk=DEFAULT_CHUNK):
         raise ArgumentError(f"sample count must be >= 1, got {count}")
     if chunk < 1:
         raise ArgumentError(f"chunk size must be >= 1, got {chunk}")
-    blocks = []
-    for index in range(0, -(-count // chunk)):
-        n = min(chunk, count - index * chunk)
-        g = _chunk_rng(seed, index).standard_normal((n, 2 * d))
-        z = g[:, 0::2] + 1j * g[:, 1::2]
+    out = np.empty((count, d), dtype=complex)
+    for start in range(0, count, chunk):
+        n = min(chunk, count - start)
+        # (x1, y1, ..., xd, yd) rows read as d complex numbers x + iy
+        z = _chunk_rng(seed, start // chunk).standard_normal((n, 2 * d)).view(complex)
         norms = np.sqrt(np.sum(np.abs(z) ** 2, axis=1, keepdims=True))
-        blocks.append(z / norms)
-    return np.concatenate(blocks, axis=0)
+        np.divide(z, norms, out=out[start:start + n])
+    return out
+
+
+def abs_power_inplace(v, p):
+    """Overwrite the float array v with |v|^p, for finite p >= 1; returns v.
+
+    Integer p is raised by left-to-right binary powering: one squaring per
+    binary digit after the leading one, and for each set digit one
+    multiplication by a saved copy of the input, so p = 2^k costs k
+    squarings and no copy. |v| is taken first only for odd p, since an even
+    power ends in a squaring. Other p use np.abs and np.power. This is the
+    one |.|^p rule of the Monte Carlo norms (lp_norm_mc and the Levy mean).
+    """
+    if not float(p).is_integer():
+        np.abs(v, out=v)
+        return np.power(v, p, out=v)
+    k = int(p)
+    if k % 2:
+        np.abs(v, out=v)
+    digits = bin(k)[3:]
+    base = v.copy() if "1" in digits else None
+    for digit in digits:
+        np.square(v, out=v)
+        if digit == "1":
+            np.multiply(v, base, out=v)
+    return v
 
 
 def lp_norm_mc(values, p, d):
@@ -88,7 +113,7 @@ def lp_norm_mc(values, p, d):
         value = values.max(axis=-1)
         return value, np.zeros_like(value)[()]
     w = omega(d)
-    powers = values**p
+    powers = abs_power_inplace(values.copy(), p)
     mean = powers.mean(axis=-1)
     value = (w * mean) ** (1.0 / p)
     stderr = np.zeros_like(value)

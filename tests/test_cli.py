@@ -102,11 +102,25 @@ def test_levy_json_schema(capsys):
                            "--omega-samples", "0", "--seed", "0")
     assert code == 0
     doc = json.loads(out)
-    for key in ("estimate", "stderr", "lower", "upper", "case", "empirical_C"):
+    for key in ("estimate", "stderr", "stderr_outer", "stderr_cloud", "lower", "upper", "case",
+                "empirical_C"):
         assert key in doc
+    keys = list(doc)
+    assert keys[keys.index("stderr"):keys.index("stderr") + 3] == [
+        "stderr", "stderr_outer", "stderr_cloud"]
     assert doc["case"] == "d"
     assert doc["estimate"] == pytest.approx(1.0)
     assert doc["seed"] == 0
+    # the exact p = 2 path has no point cloud
+    assert doc["stderr_cloud"] == 0.0
+    assert doc["stderr"] == math.hypot(doc["stderr_outer"], doc["stderr_cloud"])
+    code, out, _ = run_cli(capsys, "levy", "--d", "2", "--N", "0", "--lmax", "1",
+                           "--family", "id", "--p", "4", "--sphere-samples", "100",
+                           "--omega-samples", "1000", "--seed", "0")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["stderr_outer"] > 0 and doc["stderr_cloud"] > 0
+    assert doc["stderr"] == math.hypot(doc["stderr_outer"], doc["stderr_cloud"])
 
 
 def test_seq_json(capsys):

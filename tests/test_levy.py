@@ -1,6 +1,7 @@
 """Levy means, their two-sided bounds, and the norm-comparison checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from cspherelab.levy import (
     levy_mean_parseval,
     nikolskii_check,
 )
-from cspherelab.multipliers import exp_analytic, identity, sobolev
-from cspherelab.sphere import omega, sample_points
+from cspherelab.multipliers import exp_analytic, finite_smooth, identity, parse_family, sobolev
+from cspherelab.sphere import _chunk_rng, omega, sample_points
 
 
 def test_real_system_sizes():
@@ -196,3 +197,83 @@ def test_levy_mc_argument_errors():
         levy_mean_mc(problem, 100, 10, seed=0)  # inner cloud too small
     with pytest.raises(ArgumentError):
         levy_mean_mc(LevyProblem(2, 0, 1, identity("max"), 0.5), 100, 4000, seed=0)
+
+
+def _chunked_levy_oracle(prob, sphere_samples, omega_samples, seed, chunk=200, cloud_blocks=8):
+    """The earlier levy_mean_mc: one-shot outer draw, np.abs and ** on each chunk's full product.
+
+    Returns (value, stderr_outer, stderr_cloud) of the shared-cloud path.
+    """
+    system, p = prob.system(), prob.p
+    lam = system.multiplier_vector(prob.fam)
+    x = _chunk_rng(seed, 777).standard_normal((sphere_samples, system.s))
+    weighted = x / np.linalg.norm(x, axis=1, keepdims=True) * lam
+    omega_samples -= omega_samples % cloud_blocks
+    bmat = system.eval_matrix(sample_points(prob.d, omega_samples, seed + 1))
+    per_block = omega_samples // cloud_blocks
+    block_stat = np.empty((sphere_samples, cloud_blocks))
+    for start in range(0, sphere_samples, chunk):
+        vals = np.abs(weighted[start:start + chunk] @ bmat.T)
+        shaped = vals.reshape(vals.shape[0], cloud_blocks, per_block)
+        if p == math.inf:
+            block_stat[start:start + chunk] = shaped.max(axis=2)
+        else:
+            block_stat[start:start + chunk] = (shaped**p).mean(axis=2)
+    w = omega(prob.d)
+    if p == math.inf:
+        sq = block_stat.max(axis=1) ** 2
+        block_means = np.sqrt(np.mean(block_stat**2, axis=0))
+    else:
+        sq = ((w * block_stat.mean(axis=1)) ** (1.0 / p)) ** 2
+        block_means = np.sqrt(np.mean((w * block_stat) ** (2.0 / p), axis=0))
+    se_cloud = float(np.std(block_means, ddof=1)) / math.sqrt(cloud_blocks)
+    value = math.sqrt(float(np.mean(sq)))
+    se_outer = float(np.std(sq, ddof=1)) / math.sqrt(sphere_samples) / (2.0 * value)
+    return value, se_outer, se_cloud
+
+
+@pytest.mark.parametrize("p", [1, 2, 2.5, 3, 4, 6, math.inf])
+def test_levy_mc_matches_chunked_oracle(p):
+    # 450 outer rows: two full chunks of 200 and a short one of 50
+    problem = LevyProblem(2, 0, 2, finite_smooth(3, 0, "max"), p)
+    est = levy_mean_mc(problem, 450, 4004, seed=5)
+    value, se_outer, se_cloud = _chunked_levy_oracle(problem, 450, 4004, seed=5)
+    assert est.omega_samples == 4000
+    assert est.value == pytest.approx(value, rel=1e-13, abs=0)
+    assert est.stderr == pytest.approx(math.hypot(se_outer, se_cloud), rel=1e-13, abs=0)
+    assert est.stderr_outer == pytest.approx(se_outer, rel=1e-13, abs=0)
+    assert est.stderr_cloud == pytest.approx(se_cloud, rel=1e-13, abs=0)
+    assert est.stderr == math.hypot(est.stderr_outer, est.stderr_cloud)
+
+
+@pytest.mark.parametrize("fam, count", [(finite_smooth(3, 0, "max"), 1234), (identity("max"), 777)])
+def test_levy_exact_path_equals_one_shot_draw(fam, count):
+    # With the identity every squared norm is 1 up to rounding, so stderr
+    # sees a change of rounding in any row.
+    problem = LevyProblem(2, 0, 3, fam, 2)
+    est = levy_mean_mc(problem, count, 0, seed=8)
+    system = problem.system()
+    x = _chunk_rng(8, 777).standard_normal((count, system.s))
+    weighted = x / np.linalg.norm(x, axis=1, keepdims=True) * system.multiplier_vector(fam)
+    sq = np.sum(weighted**2, axis=1)
+    value = math.sqrt(float(np.mean(sq)))
+    se_outer = float(np.std(sq, ddof=1)) / math.sqrt(count) / (2.0 * value)
+    assert est.value == value
+    assert est.stderr_outer == se_outer
+    assert est.stderr_cloud == 0.0
+    assert est.stderr == se_outer
+
+
+def test_levy_mc_memory_stays_one_block_buffer():
+    # 1000 x 50000 at p = 4 on a window with s = 63: the full product would
+    # be 400 MB and one 200-row chunk of it 80 MB; one block buffer is 10 MB
+    # and the cloud's coordinate matrix 25 MB.
+    problem = LevyProblem(2, 0, 3, parse_family("fs:gamma=3,xi=0", 2, "max"), 4)
+    assert problem.system().s == 63
+    tracemalloc.start()
+    try:
+        levy_mean_mc(problem, 1000, 50000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

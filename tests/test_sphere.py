@@ -7,6 +7,8 @@ import pytest
 
 from cspherelab.errors import ArgumentError
 from cspherelab.sphere import (
+    _chunk_rng,
+    abs_power_inplace,
     lp_norm_mc,
     omega,
     sample_points,
@@ -56,6 +58,37 @@ def test_sampling_chunked_consistently():
     small = sample_points(2, 4096, seed=5, chunk=4096)
     large = sample_points(2, 8192, seed=5, chunk=4096)
     assert np.array_equal(small, large[:4096])
+
+
+def _interleaved_points(d, count, seed, chunk):
+    """The earlier sample_points: real and imaginary columns joined by + 1j *, then concatenated."""
+    blocks = []
+    for index in range(0, -(-count // chunk)):
+        n = min(chunk, count - index * chunk)
+        g = _chunk_rng(seed, index).standard_normal((n, 2 * d))
+        z = g[:, 0::2] + 1j * g[:, 1::2]
+        norms = np.sqrt(np.sum(np.abs(z) ** 2, axis=1, keepdims=True))
+        blocks.append(z / norms)
+    return np.concatenate(blocks, axis=0)
+
+
+@pytest.mark.parametrize("d, count, chunk", [(1, 7, 2), (2, 5000, 333), (3, 10**5, 4096)])
+def test_sampling_matches_interleaved_construction(d, count, chunk):
+    pts = sample_points(d, count, seed=9, chunk=chunk)
+    assert pts.shape == (count, d)
+    assert pts.tobytes() == _interleaved_points(d, count, 9, chunk).tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 2.5, 3, 4, 5, 6, 7, 8])
+def test_abs_power_inplace(p):
+    v = np.random.default_rng(3).standard_normal((40, 50))
+    want = np.abs(v) ** p
+    out = abs_power_inplace(v, p)
+    assert out is v
+    # one rounding per multiplication: at most a few ulp from pow
+    assert np.max(np.abs(out - want) / want) < 2e-15
+    if p in (1, 2) or not float(p).is_integer():
+        assert np.array_equal(out, want)
 
 
 def test_lp_norm_constant_function():
