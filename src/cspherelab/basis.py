@@ -37,7 +37,7 @@ import numpy as np
 from .dimensions import bidegree_monomials, dim_complex_harmonic
 from .errors import ArgumentError, ConsistencyError
 from .polynomials import disk_poly_eval
-from .sphere import DEFAULT_CHUNK, omega, sample_points
+from .sphere import omega, sample_points
 
 # Combinatorial growth guard for exact basis construction.
 MAX_BIDEGREE = 8
@@ -302,7 +302,7 @@ def zonal_eval(d, m, n, w, z):
     return (dim_complex_harmonic(d, m, n) / omega(d)) * disk_poly_eval(m, n, d - 2, t)
 
 
-def verify_addition(d, m, n, samples, seed, chunk=DEFAULT_CHUNK):
+def verify_addition(d, m, n, samples, seed):
     """Max deviation of the reproducing identity over random point pairs.
 
     Checks both sum_j conj(Y_j(w)) Y_j(z) = zonal(w, z) and the diagonal
@@ -311,7 +311,7 @@ def verify_addition(d, m, n, samples, seed, chunk=DEFAULT_CHUNK):
     if samples < 1:
         raise ArgumentError("need at least one sample pair")
     basis_ = build_basis(d, m, n)
-    pts = sample_points(d, 2 * samples, seed, chunk)
+    pts = sample_points(d, 2 * samples, seed)
     zs, ws = pts[:samples], pts[samples:]
     ez = basis_.eval_orthonormal(zs)
     ew = basis_.eval_orthonormal(ws)
@@ -325,7 +325,7 @@ def verify_addition(d, m, n, samples, seed, chunk=DEFAULT_CHUNK):
     return max(dev_pairs, dev_diag)
 
 
-def verify_gegenbauer(d, k, samples, seed, chunk=DEFAULT_CHUNK):
+def verify_gegenbauer(d, k, samples, seed):
     """Max deviation between the real-sphere zonal of total degree k (through
     the identification of C^d with R^(2d)) and the sum of complex zonals with
     m + n = k, over random point pairs.
@@ -340,7 +340,7 @@ def verify_gegenbauer(d, k, samples, seed, chunk=DEFAULT_CHUNK):
         raise ArgumentError(f"degree must be nonnegative, got {k}")
     if samples < 1:
         raise ArgumentError("need at least one sample pair")
-    pts = sample_points(d, 2 * samples, seed, chunk)
+    pts = sample_points(d, 2 * samples, seed)
     zs, ws = pts[:samples], pts[samples:]
     t = np.sum(zs * np.conj(ws), axis=1)
     w = omega(d)
@@ -352,7 +352,7 @@ def verify_gegenbauer(d, k, samples, seed, chunk=DEFAULT_CHUNK):
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def project_mc(f, d, m, n, w, samples, seed, chunk=DEFAULT_CHUNK):
+def project_mc(f, d, m, n, w, samples, seed):
     """Monte Carlo estimate of the projection of f onto the (m, n) harmonic
     space, evaluated at the pole w.
 
@@ -362,7 +362,7 @@ def project_mc(f, d, m, n, w, samples, seed, chunk=DEFAULT_CHUNK):
     """
     if samples < 2:
         raise ArgumentError("need at least two samples for a standard error")
-    pts = sample_points(d, samples, seed, chunk)
+    pts = sample_points(d, samples, seed)
     fvals = np.asarray(f(pts), dtype=complex)
     if not np.all(np.isfinite(fvals)):
         from .errors import DataError

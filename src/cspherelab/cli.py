@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from . import basis, dimensions, levy, multipliers, report, sphere, widths
+from . import basis, dimensions, levy, multipliers, report, widths
 from .errors import ArgumentError, HypothesisError, LabError
 
 
@@ -40,8 +40,6 @@ def _add_common(parser, *names, seed=True):
                             help="multiplier family: sobolev:gamma=G | fs:gamma=G,xi=X | exp:gamma=G,r=R | id")
     if seed:
         parser.add_argument("--seed", type=int, default=0, help="RNG seed (echoed in the output)")
-        parser.add_argument("--chunk", type=int, default=sphere.DEFAULT_CHUNK,
-                            help="sampling chunk size (part of the reproducibility contract)")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
@@ -186,8 +184,7 @@ def _cmd_basis(args):
 
 
 def _cmd_check_addition(args):
-    deviation = basis.verify_addition(args.d, args.m, args.n, args.samples, args.seed,
-                                      chunk=args.chunk)
+    deviation = basis.verify_addition(args.d, args.m, args.n, args.samples, args.seed)
     ok = deviation <= args.tol
     doc = {"check": "addition", "d": args.d, "m": args.m, "n": args.n,
            "samples": args.samples, "seed": args.seed,
@@ -199,8 +196,7 @@ def _cmd_check_addition(args):
 def _cmd_check_gegenbauer(args):
     worst = 0.0
     for k in range(args.lmax + 1):
-        worst = max(worst, basis.verify_gegenbauer(args.d, k, args.samples, args.seed + k,
-                                                   chunk=args.chunk))
+        worst = max(worst, basis.verify_gegenbauer(args.d, k, args.samples, args.seed + k))
     ok = worst <= args.tol
     doc = {"check": "gegenbauer", "d": args.d, "k_max": args.lmax,
            "samples": args.samples, "seed": args.seed,
@@ -211,7 +207,7 @@ def _cmd_check_gegenbauer(args):
 
 def _cmd_check_nikolskii(args):
     rep = levy.nikolskii_check(args.d, args.N, args.lmax, args.p, args.samples, args.seed,
-                               omega_samples=args.omega_samples, point_chunk=args.chunk)
+                               omega_samples=args.omega_samples)
     violations = rep["violations_sup"] + (rep["violations_p_vs_2"] or 0)
     ok = violations <= args.tol
     doc = {"check": "nikolskii", "seed": args.seed, **rep, "tol": args.tol, "pass": ok}
@@ -238,8 +234,7 @@ def _cmd_check_dim_bounds(args):
 def _cmd_levy(args):
     fam = _family_from(args)
     problem = levy.LevyProblem(args.d, args.N, args.lmax, fam, args.p)
-    estimate = levy.levy_mean_mc(problem, args.sphere_samples, args.omega_samples, args.seed,
-                                 point_chunk=args.chunk)
+    estimate = levy.levy_mean_mc(problem, args.sphere_samples, args.omega_samples, args.seed)
     bounds = levy.levy_bounds(problem)
     doc = {
         "estimate": estimate.value,
@@ -374,8 +369,7 @@ def _cmd_project(args):
     pole = np.zeros(args.d, dtype=complex)
     pole[-1] = 1.0
     f = lambda pts: built.eval_orthonormal(pts, args.j)  # noqa: E731
-    estimate, stderr = basis.project_mc(f, args.d, args.m, args.n, pole, args.samples, args.seed,
-                                        chunk=args.chunk)
+    estimate, stderr = basis.project_mc(f, args.d, args.m, args.n, pole, args.samples, args.seed)
     expected = complex(built.eval_orthonormal(pole, args.j))
     z_score = abs(estimate - expected) / stderr if stderr > 0 else 0.0
     doc = {"d": args.d, "m": args.m, "n": args.n, "j": args.j,

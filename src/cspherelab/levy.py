@@ -41,8 +41,11 @@ from .basis import build_basis
 from .dimensions import layer_members, theta
 from .errors import ArgumentError, ConsistencyError
 from .multipliers import MultiplierFamily, lambda_value, multiplier_at
-from .sphere import (DEFAULT_CHUNK, _chunk_rng, abs_power_inplace, lp_norm_mc, omega,
-                     sample_points, sup_norm_refined)
+from .sphere import _chunk_rng, abs_power_inplace, lp_norm_mc, omega, sample_points, sup_norm_refined
+
+# The fixed Monte Carlo layout: rows per pass, and cloud blocks for the cloud error.
+_OUTER_ROWS = 200
+_CLOUD_BLOCKS = 8
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,6 @@ class RealBasisMember:
     ("real", for a real Y).
     """
 
-    level: int
     bidegree: tuple
     index: int
     part: str
@@ -63,10 +65,8 @@ class RealBasisMember:
 class RealCoordinateSystem:
     """Real orthonormal coordinates of one level window (max grading)."""
 
-    def __init__(self, d, m1, m2, members):
+    def __init__(self, d, members):
         self.d = d
-        self.m1 = m1
-        self.m2 = m2
         self.members = tuple(members)
         self.s = len(self.members)
 
@@ -123,11 +123,11 @@ class RealCoordinateSystem:
         return g
 
 
-def _real_members(d, m, n, level):
+def _real_members(d, m, n):
     """Real members of the conjugation-closed set {(m, n), (n, m)}, m <= n."""
     base = build_basis(d, m, n)
     if m < n:
-        return [RealBasisMember(level, (m, n), j, part)
+        return [RealBasisMember((m, n), j, part)
                 for j in range(base.dim) for part in ("re", "im")]
     re, im = [], []
     for j, vec in enumerate(base.vectors):
@@ -135,10 +135,10 @@ def _real_members(d, m, n, level):
         sig = tuple(ai - bi for ai, bi in zip(a, b))
         neg = tuple(-x for x in sig)
         if sig > neg:
-            re.append(RealBasisMember(level, (m, m), j, "re"))
-            im.append(RealBasisMember(level, (m, m), j, "im"))
+            re.append(RealBasisMember((m, m), j, "re"))
+            im.append(RealBasisMember((m, m), j, "im"))
         elif sig == neg:
-            re.append(RealBasisMember(level, (m, m), j, "real"))
+            re.append(RealBasisMember((m, m), j, "real"))
     return re + im
 
 
@@ -155,8 +155,8 @@ def build_real_system(d, m1, m2):
             if key in seen:
                 continue
             seen.add(key)
-            members.extend(_real_members(d, *key, level))
-    system = RealCoordinateSystem(d, m1, m2, members)
+            members.extend(_real_members(d, *key))
+    system = RealCoordinateSystem(d, members)
     expected = theta(d, m1, m2, "max")
     if system.s != expected:
         raise ConsistencyError(
@@ -186,7 +186,6 @@ class LevyEstimate:
     stderr_cloud: float
     sphere_samples: int
     omega_samples: int
-    seed: int
 
 
 def levy_mean_parseval(prob: LevyProblem):
@@ -195,8 +194,7 @@ def levy_mean_parseval(prob: LevyProblem):
     return math.sqrt(float(np.mean(lam**2)))
 
 
-def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed,
-                 chunk=200, cloud_blocks=8, point_chunk=DEFAULT_CHUNK):
+def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
     """Monte Carlo Levy mean of the weighted p-norm on the coefficient sphere.
 
     Outer samples are uniform on the Euclidean coefficient sphere; the inner
@@ -208,13 +206,13 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed,
     omega_samples = 0 takes the exact coefficient-space path for the inner
     norm, with stderr_cloud = 0.
 
-    Outer samples are drawn, normalised and weighted `chunk` rows at a time
-    from one stream, so the rows do not depend on `chunk`. Memory: besides
+    Outer samples are drawn, normalised and weighted _OUTER_ROWS rows per
+    pass from one stream, so the rows do not depend on the pass size; the
+    cloud's _CLOUD_BLOCKS equal blocks give stderr_cloud. Memory: besides
     the (omega_samples, s) matrix of the cloud's coordinate values, the only
-    array of cloud size is one (chunk, omega_samples / cloud_blocks) buffer.
-    Each chunk of rows is multiplied into it by one cloud block at a time,
-    and |.|^p (or max |.| at p = inf) is reduced in place to that block's
-    row means.
+    array of cloud size is one (_OUTER_ROWS, omega_samples / _CLOUD_BLOCKS)
+    buffer, which each pass fills one cloud block at a time and reduces in
+    place (|.|^p, or max |.| at p = inf) to that block's row means.
     """
     if sphere_samples < 2:
         raise ArgumentError("need at least two coefficient-sphere samples")
@@ -231,15 +229,15 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed,
     else:
         if omega_samples < 10**3:
             raise ArgumentError("inner estimation needs omega_samples >= 1000 (or 0 at p = 2)")
-        omega_samples -= omega_samples % cloud_blocks
-        pts = sample_points(prob.d, omega_samples, seed + 1, point_chunk)
+        omega_samples -= omega_samples % _CLOUD_BLOCKS
+        pts = sample_points(prob.d, omega_samples, seed + 1)
         bmat = system.eval_matrix(pts)
-        per_block = omega_samples // cloud_blocks
-        blocks = [bmat[b * per_block:(b + 1) * per_block].T for b in range(cloud_blocks)]
-        buf = np.empty((min(chunk, sphere_samples), per_block))
-        block_stat = np.empty((sphere_samples, cloud_blocks))
-    for start in range(0, sphere_samples, chunk):
-        rows = min(chunk, sphere_samples - start)
+        per_block = omega_samples // _CLOUD_BLOCKS
+        blocks = [bmat[b * per_block:(b + 1) * per_block].T for b in range(_CLOUD_BLOCKS)]
+        buf = np.empty((min(_OUTER_ROWS, sphere_samples), per_block))
+        block_stat = np.empty((sphere_samples, _CLOUD_BLOCKS))
+    for start in range(0, sphere_samples, _OUTER_ROWS):
+        rows = min(_OUTER_ROWS, sphere_samples - start)
         x = rng.standard_normal((rows, system.s))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         x *= lam
@@ -264,15 +262,14 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed,
             norms = (w * block_stat.mean(axis=1)) ** (1.0 / p)
             sq = norms**2
             block_means = np.sqrt(np.mean((w * block_stat) ** (2.0 / p), axis=0))
-        se_cloud = float(np.std(block_means, ddof=1)) / math.sqrt(cloud_blocks)
+        se_cloud = float(np.std(block_means, ddof=1)) / math.sqrt(_CLOUD_BLOCKS)
     mean_sq = float(np.mean(sq))
     value = math.sqrt(mean_sq)
     se_outer = float(np.std(sq, ddof=1)) / math.sqrt(sphere_samples)
     se_outer = se_outer / (2.0 * value) if value > 0 else 0.0
     return LevyEstimate(value=value, stderr=math.hypot(se_outer, se_cloud),
                         stderr_outer=se_outer, stderr_cloud=se_cloud,
-                        sphere_samples=sphere_samples, omega_samples=omega_samples,
-                        seed=seed)
+                        sphere_samples=sphere_samples, omega_samples=omega_samples)
 
 
 @dataclass(frozen=True)
@@ -331,17 +328,16 @@ def levy_bounds(prob: LevyProblem):
                       inconsistent=known and lower > upper, monotone=monotone)
 
 
-def nikolskii_check(d, m1, m2, p, trials, seed, omega_samples=4096,
-                    refine_rounds=2, refine_samples=256, point_chunk=DEFAULT_CHUNK):
+def nikolskii_check(d, m1, m2, p, trials, seed, omega_samples=4096):
     """Check the window's norm comparison inequalities on random polynomials.
 
     For each random coefficient vector t the two ratios
     sup|t| / ((s/omega)^(1/p) ||t||_p) and ||t||_p / ((s/omega)^(1/2-1/p) ||t||_2)
     are compared against 1; a violation is a ratio exceeding
     1 + 3 * (its Monte Carlo standard error). The sup norm uses the shared
-    cloud plus per-trial cap refinement (a lower bound); ||t||_p and ||t||_2
-    come from the same cloud, so the p = 2 instance of the second ratio is
-    the exact equality case.
+    cloud plus per-trial cap refinement (a lower bound; caps are evaluated
+    _OUTER_ROWS trials per pass). ||t||_p and ||t||_2 come from the same
+    cloud, so the p = 2 instance of the second ratio is the exact equality case.
     """
     if p != math.inf and p < 1:
         raise ArgumentError(f"need p >= 1 or p = inf, got {p}")
@@ -353,15 +349,19 @@ def nikolskii_check(d, m1, m2, p, trials, seed, omega_samples=4096,
     rng = _chunk_rng(seed, 555)
     coeffs = rng.standard_normal((trials, s))
 
-    pts = sample_points(d, omega_samples, seed + 2, point_chunk)
+    pts = sample_points(d, omega_samples, seed + 2)
     values = coeffs @ system.eval_matrix(pts).T  # (trials, omega_samples)
 
     def cap_values(cap):
-        bmat = system.eval_matrix(cap.reshape(-1, d)).reshape(cap.shape[:-1] + (s,))
-        return np.einsum("ts,tns->tn", coeffs, bmat)
+        out = np.empty(cap.shape[:-1])
+        for start in range(0, trials, _OUTER_ROWS):
+            rows = slice(start, start + _OUTER_ROWS)
+            bmat = system.eval_matrix(cap[rows].reshape(-1, d)).reshape(-1, cap.shape[1], s)
+            out[rows] = np.einsum("ts,tns->tn", coeffs[rows], bmat)
+        return out
 
     # Lower-bound sup norms: shared-cloud max, then shrinking caps per trial.
-    sup = sup_norm_refined(cap_values, pts, values, refine_samples, seed, rounds=refine_rounds)
+    sup = sup_norm_refined(cap_values, pts, values, seed)
 
     # Both norms of each ratio come from the same shared cloud, so the p = 2
     # instance of the p-versus-2 comparison is the exact equality case.

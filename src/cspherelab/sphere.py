@@ -4,10 +4,10 @@ The surface measure is NOT normalised: the sphere in C^d carries total mass
 omega(d) = 2 pi^d / (d-1)!, the surface area of S^(2d-1) in R^(2d). Every
 norm estimator therefore multiplies sample means by omega(d) explicitly.
 
-Sampling is reproducible and worker-independent: points are generated in
-fixed-size chunks, each chunk seeded by (seed, chunk index) through a
-SeedSequence spawn key, so serial and parallel runs produce bit-identical
-streams for the same (seed, count, chunk).
+Sampling has one fixed layout, which defines the sampled bytes: points are
+drawn _CHUNK at a time, each chunk from the stream (seed, chunk index) of a
+SeedSequence spawn key, so outputs are reproducible from (seed, count) and
+the first points do not depend on how many are drawn.
 
 Each Monte Carlo norm has one estimator, batched so that one call covers
 many functions sampled on a shared cloud: lp_norm_mc reduces along the last
@@ -24,7 +24,12 @@ import numpy as np
 
 from .errors import ArgumentError
 
-DEFAULT_CHUNK = 4096
+_CHUNK = 4096  # points per sampling stream
+
+# The cap search of sup_norm_refined: rounds, points per cap, width factor.
+_CAP_ROUNDS = 2
+_CAP_SAMPLES = 256
+_CAP_SHRINK = 0.3
 
 
 def omega(d):
@@ -47,21 +52,19 @@ def _chunk_rng(seed, index):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def sample_points(d, count, seed, chunk=DEFAULT_CHUNK):
+def sample_points(d, count, seed):
     """Uniform i.i.d. points on the unit sphere of C^d, shape (count, d) complex.
 
-    Normalised standard Gaussian vectors in R^(2d). Deterministic for fixed
-    (seed, count, chunk) regardless of how the chunks are scheduled.
+    Normalised standard Gaussian vectors in R^(2d), drawn _CHUNK rows per
+    stream (seed, chunk index).
     """
     if count < 1:
         raise ArgumentError(f"sample count must be >= 1, got {count}")
-    if chunk < 1:
-        raise ArgumentError(f"chunk size must be >= 1, got {chunk}")
     out = np.empty((count, d), dtype=complex)
-    for start in range(0, count, chunk):
-        n = min(chunk, count - start)
+    for start in range(0, count, _CHUNK):
+        n = min(_CHUNK, count - start)
         # (x1, y1, ..., xd, yd) rows read as d complex numbers x + iy
-        z = _chunk_rng(seed, start // chunk).standard_normal((n, 2 * d)).view(complex)
+        z = _chunk_rng(seed, start // _CHUNK).standard_normal((n, 2 * d)).view(complex)
         norms = np.sqrt(np.sum(np.abs(z) ** 2, axis=1, keepdims=True))
         np.divide(z, norms, out=out[start:start + n])
     return out
@@ -125,25 +128,25 @@ def lp_norm_mc(values, p, d):
     return value, stderr[()]
 
 
-def sup_norm_refined(f, points, values, samples, seed, rounds=3, shrink=0.3):
+def sup_norm_refined(f, points, values, seed):
     """Lower bounds for sup |f_b| on the sphere, for a batch of functions f_b.
 
     values (B, N) holds every f_b at the shared points (N, d). Each search
-    starts at its function's largest |value| there, then `rounds` times
-    draws `samples` points from a Gaussian cap around its running maximiser
-    (cap width shrink^(r+1) in round r, drawn from the stream (seed, 9000 + r))
-    and keeps the best. f maps cap points (B, samples, d) to values
-    (B, samples); magnitudes are taken here.
+    starts at its function's largest |value| there, then _CAP_ROUNDS times
+    draws K = _CAP_SAMPLES points from a Gaussian cap around its running
+    maximiser (cap width _CAP_SHRINK^(r+1) in round r, drawn from the stream
+    (seed, 9000 + r)) and keeps the best. f maps cap points (B, K, d) to
+    values (B, K); magnitudes are taken here.
     """
     mags = np.abs(values)
     best = mags.max(axis=1)
     centers = points[mags.argmax(axis=1)]
     batch, d = centers.shape
-    sigma = shrink
-    for r in range(rounds):
+    sigma = _CAP_SHRINK
+    for r in range(_CAP_ROUNDS):
         rng = _chunk_rng(seed, 9000 + r)
-        offsets = rng.standard_normal((batch, samples, d)) \
-            + 1j * rng.standard_normal((batch, samples, d))
+        offsets = rng.standard_normal((batch, _CAP_SAMPLES, d)) \
+            + 1j * rng.standard_normal((batch, _CAP_SAMPLES, d))
         cap = centers[:, None, :] + sigma * offsets
         cap /= np.sqrt(np.sum(np.abs(cap) ** 2, axis=2, keepdims=True))
         cap_vals = np.abs(f(cap))
@@ -151,5 +154,5 @@ def sup_norm_refined(f, points, values, samples, seed, rounds=3, shrink=0.3):
         improved = round_best > best
         centers = np.where(improved[:, None], cap[np.arange(batch), cap_vals.argmax(axis=1)], centers)
         best = np.maximum(best, round_best)
-        sigma *= shrink
+        sigma *= _CAP_SHRINK
     return best

@@ -73,6 +73,21 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("check", "addition", "--d", "2", "--m", "1", "--n", "1", "--samples", "200"), 0),
+    (("check", "gegenbauer", "--d", "2", "--lmax", "2", "--samples", "200"), 0),
+    # the window-(0, 1] sup comparison at p = 4 fails by design
+    (("check", "nikolskii", "--d", "2", "--N", "0", "--lmax", "1", "--p", "4", "--samples", "20"), 1),
+    (("levy", "--d", "2", "--N", "0", "--lmax", "1", "--family", "id", "--p", "2",
+      "--sphere-samples", "100", "--omega-samples", "0"), 0),
+    (("project", "--d", "2", "--m", "1", "--n", "1", "--j", "0", "--samples", "2000"), 0),
+])
+def test_chunk_flag_is_gone(capsys, argv, code):
+    # sampling has one fixed layout; only --seed selects the stream
+    assert run_cli(capsys, *argv, "--seed", "0", "--chunk", "4096")[0] == 2
+    assert run_cli(capsys, *argv, "--seed", "0")[0] == code
+
+
 def test_unwritable_output_exits_1(capsys):
     code, _, err = run_cli(capsys, "dims", "--d", "2", "--lmax", "1",
                            "--out", "/nonexistent-dir/out.csv")

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cspherelab import levy
 from cspherelab.basis import build_basis
 from cspherelab.dimensions import theta
 from cspherelab.errors import ArgumentError
@@ -182,11 +183,22 @@ def test_nikolskii_rejects_bad_arguments():
         nikolskii_check(2, 0, 1, 2, 0, seed=0)
 
 
-def test_levy_mc_outer_chunking_invariant():
+def test_levy_mc_outer_chunking_invariant(monkeypatch):
     problem = LevyProblem(2, 0, 1, exp_analytic(1, 1, "max"), 4)
-    a = levy_mean_mc(problem, 100, 2000, seed=11, chunk=7)
-    b = levy_mean_mc(problem, 100, 2000, seed=11, chunk=64)
+    monkeypatch.setattr(levy, "_OUTER_ROWS", 7)
+    a = levy_mean_mc(problem, 100, 2000, seed=11)
+    monkeypatch.setattr(levy, "_OUTER_ROWS", 64)
+    b = levy_mean_mc(problem, 100, 2000, seed=11)
     assert a.value == b.value and a.stderr == b.stderr
+
+
+def test_nikolskii_cap_passes_invariant(monkeypatch):
+    # 150 trials in passes of 64 (two full, one short) against one pass
+    reports = []
+    for rows in (64, 1000):
+        monkeypatch.setattr(levy, "_OUTER_ROWS", rows)
+        reports.append(nikolskii_check(2, 0, 1, 4, 150, seed=3))
+    assert reports[0] == reports[1]
 
 
 def test_levy_mc_argument_errors():
