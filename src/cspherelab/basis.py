@@ -325,31 +325,34 @@ def verify_addition(d, m, n, samples, seed):
     return max(dev_pairs, dev_diag)
 
 
-def verify_gegenbauer(d, k, samples, seed):
-    """Max deviation between the real-sphere zonal of total degree k (through
-    the identification of C^d with R^(2d)) and the sum of complex zonals with
-    m + n = k, over random point pairs.
+def verify_gegenbauer(d, k_max, samples, seed):
+    """Max deviation, over total degrees k = 0..k_max and random point pairs,
+    between the real-sphere zonal of degree k (through the identification of
+    C^d with R^(2d)) and the sum of complex zonals with m + n = k.
 
-    The left side uses the Gegenbauer polynomial with index d - 1 (the real
-    sphere is S^(2d-1)) evaluated at Re <z, w>; this check pins down the
-    Gegenbauer normalisation used in this package.
+    Every degree is checked on the same pairs. The left side uses the
+    Gegenbauer polynomial with index d - 1 (the real sphere is S^(2d-1))
+    evaluated at Re <z, w>; this check pins down the Gegenbauer
+    normalisation used in this package.
     """
     from .polynomials import gegenbauer_eval
 
-    if k < 0:
-        raise ArgumentError(f"degree must be nonnegative, got {k}")
+    if k_max < 0:
+        raise ArgumentError(f"degree must be nonnegative, got {k_max}")
     if samples < 1:
         raise ArgumentError("need at least one sample pair")
     pts = sample_points(d, 2 * samples, seed)
     zs, ws = pts[:samples], pts[samples:]
     t = np.sum(zs * np.conj(ws), axis=1)
     w = omega(d)
-    lhs = (2 * d + 2 * k - 2) / (w * (2 * d - 2)) * gegenbauer_eval(k, d - 1, t.real)
-    rhs = np.zeros_like(lhs, dtype=complex)
-    for m in range(k + 1):
-        n = k - m
-        rhs += (dim_complex_harmonic(d, m, n) / w) * disk_poly_eval(m, n, d - 2, t)
-    return float(np.max(np.abs(lhs - rhs)))
+    worst = 0.0
+    for k in range(k_max + 1):
+        lhs = (2 * d + 2 * k - 2) / (w * (2 * d - 2)) * gegenbauer_eval(k, d - 1, t.real)
+        rhs = np.zeros_like(lhs, dtype=complex)
+        for m in range(k + 1):
+            rhs += (dim_complex_harmonic(d, m, k - m) / w) * disk_poly_eval(m, k - m, d - 2, t)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
 
 
 def project_mc(f, d, m, n, w, samples, seed):

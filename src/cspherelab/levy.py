@@ -350,7 +350,8 @@ def nikolskii_check(d, m1, m2, p, trials, seed, omega_samples=4096):
     coeffs = rng.standard_normal((trials, s))
 
     pts = sample_points(d, omega_samples, seed + 2)
-    values = coeffs @ system.eval_matrix(pts).T  # (trials, omega_samples)
+    mags = coeffs @ system.eval_matrix(pts).T  # (trials, omega_samples)
+    np.abs(mags, out=mags)
 
     def cap_values(cap):
         out = np.empty(cap.shape[:-1])
@@ -361,20 +362,20 @@ def nikolskii_check(d, m1, m2, p, trials, seed, omega_samples=4096):
         return out
 
     # Lower-bound sup norms: shared-cloud max, then shrinking caps per trial.
-    sup = sup_norm_refined(cap_values, pts, values, seed)
+    sup = sup_norm_refined(cap_values, pts, mags, seed)
 
     # Both norms of each ratio come from the same shared cloud, so the p = 2
     # instance of the p-versus-2 comparison is the exact equality case.
-    magnitudes = np.abs(values)
-    norm2, se_2 = lp_norm_mc(magnitudes, 2, d)
+    norm2, se_2 = lp_norm_mc(mags, 2, d)
     if p == math.inf:
         norm_p, se_p = sup, np.zeros(trials)
     else:
-        norm_p, se_p = lp_norm_mc(magnitudes, p, d)
+        norm_p, se_p = lp_norm_mc(mags, p, d)
 
+    # 1 / inf == 0, so the exponents and the zero se_p cover p = inf.
     bound_sup = (s / w) ** (1.0 / p) * norm_p
     ratio_sup = sup / bound_sup
-    se_ratio_sup = ratio_sup * se_p / norm_p if p != math.inf else np.zeros(trials)
+    se_ratio_sup = ratio_sup * se_p / norm_p
     viol_sup = int(np.sum(ratio_sup > 1.0 + 3.0 * se_ratio_sup))
 
     report = {
@@ -384,7 +385,7 @@ def nikolskii_check(d, m1, m2, p, trials, seed, omega_samples=4096):
     }
     if p >= 2:
         # The p-versus-2 comparison only holds for 2 <= p <= inf.
-        factor = (s / w) ** 0.5 if p == math.inf else (s / w) ** (0.5 - 1.0 / p)
+        factor = (s / w) ** (0.5 - 1.0 / p)
         ratio_p2 = norm_p / (factor * norm2)
         rel_se = np.sqrt((se_p / np.maximum(norm_p, 1e-300)) ** 2
                          + (se_2 / np.maximum(norm2, 1e-300)) ** 2)

@@ -221,7 +221,7 @@ class BetaPlan:
 KCLASS_EXPONENTS = (1.0, 1.5, 2.0)
 
 
-def plan_beta(fam, d, start, eps, kclass_ps=KCLASS_EXPONENTS):
+def plan_beta(fam, d, start, eps):
     """Build the full rank-budget plan for a multiplier family.
 
     Raises DivergenceError when a level, or a ratio theta_k / theta12 of
@@ -241,7 +241,7 @@ def plan_beta(fam, d, start, eps, kclass_ps=KCLASS_EXPONENTS):
 
     ratios = {}
     try:
-        for p in kclass_ps:
+        for p in KCLASS_EXPONENTS:
             total = 0.0
             for k in range(1, M + 1):
                 total += math.exp(-k * (1.0 - eps / 2.0)) * (thetas[k - 1] / theta12) ** (1.0 / p)

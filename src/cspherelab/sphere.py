@@ -12,8 +12,8 @@ the first points do not depend on how many are drawn.
 Each Monte Carlo norm has one estimator, batched so that one call covers
 many functions sampled on a shared cloud: lp_norm_mc reduces along the last
 axis of sampled |f| values and returns the estimates with their delta-method
-standard errors; sup_norm_refined runs the shrinking-cap sup search for a
-batch of functions at once.
+standard errors; sup_norm_refined starts from the same sampled |f| and runs
+the shrinking-cap sup search for a batch of functions at once.
 """
 
 from __future__ import annotations
@@ -37,15 +37,6 @@ def omega(d):
     if d < 1:
         raise ArgumentError(f"dimension d must be >= 1, got {d}")
     return 2.0 * math.pi**d / math.factorial(d - 1)
-
-
-def upsilon(z):
-    """Identify points of C^d with R^(2d): (x1, y1, ..., xd, yd)."""
-    z = np.asarray(z, dtype=complex)
-    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],), dtype=float)
-    out[..., 0::2] = z.real
-    out[..., 1::2] = z.imag
-    return out
 
 
 def _chunk_rng(seed, index):
@@ -128,17 +119,19 @@ def lp_norm_mc(values, p, d):
     return value, stderr[()]
 
 
-def sup_norm_refined(f, points, values, seed):
+def sup_norm_refined(f, points, mags, seed):
     """Lower bounds for sup |f_b| on the sphere, for a batch of functions f_b.
 
-    values (B, N) holds every f_b at the shared points (N, d). Each search
-    starts at its function's largest |value| there, then _CAP_ROUNDS times
-    draws K = _CAP_SAMPLES points from a Gaussian cap around its running
-    maximiser (cap width _CAP_SHRINK^(r+1) in round r, drawn from the stream
-    (seed, 9000 + r)) and keeps the best. f maps cap points (B, K, d) to
-    values (B, K); magnitudes are taken here.
+    mags (B, N) is the real array of |f_b| at the shared points (N, d); a
+    complex mags is refused, since numpy would order it lexicographically.
+    Each search starts at its function's largest mags entry, then
+    _CAP_ROUNDS times draws K = _CAP_SAMPLES points from a Gaussian cap
+    around its running maximiser (cap width _CAP_SHRINK^(r+1) in round r,
+    drawn from the stream (seed, 9000 + r)) and keeps the best. f maps cap
+    points (B, K, d) to values (B, K), whose magnitudes are taken here.
     """
-    mags = np.abs(values)
+    if np.iscomplexobj(mags):
+        raise ArgumentError("sup_norm_refined takes the magnitudes |f|, got complex values")
     best = mags.max(axis=1)
     centers = points[mags.argmax(axis=1)]
     batch, d = centers.shape

@@ -372,15 +372,15 @@ def bound_eval(spec: BoundSpec, m):
 # Grading comparison
 # ---------------------------------------------------------------------------
 
-def grading_compare(fam: MultiplierFamily, d, n_max, lo=None, hi=None):
+def grading_compare(fam: MultiplierFamily, d, n_max):
     """Compare width decay of the same multiplier function under both gradings.
 
     Finitely smooth families decay at the same power rate under either
     grading; analytic families decay at different stretched-exponential
-    constants whose ratio is ((2d-1)!/(d!(d-1)!))^(r/(2d-1)).
+    constants whose ratio is ((2d-1)!/(d!(d-1)!))^(r/(2d-1)). Both fits
+    run over n in 10^3 .. min(n_max, 10^6).
     """
-    lo = 10**3 if lo is None else lo
-    hi = min(n_max, 10**6) if hi is None else hi
+    lo, hi = 10**3, min(n_max, 10**6)
     report = {"family": fam.describe(), "d": d, "n_max": n_max}
     if fam.kind == "identity":
         report["verdict"] = "non-compact, no rates"

@@ -18,7 +18,8 @@ from cspherelab.basis import (
 )
 from cspherelab.dimensions import bidegree_monomials, dim_complex_harmonic
 from cspherelab.errors import ArgumentError
-from cspherelab.sphere import omega, sample_points, upsilon
+from cspherelab.polynomials import disk_poly_eval, gegenbauer_eval
+from cspherelab.sphere import omega, sample_points
 
 
 def test_monomial_inner_total_mass():
@@ -201,12 +202,20 @@ def test_gegenbauer_identity_small_cases():
     assert verify_gegenbauer(3, 2, 1000, seed=0) < 1e-9
 
 
-def test_real_part_bridging():
-    pts = sample_points(2, 200, seed=3)
-    z, w = pts[:100], pts[100:]
-    complex_side = np.real(np.sum(z * np.conj(w), axis=1))
-    real_side = upsilon(z) @ upsilon(w).T
-    assert np.max(np.abs(np.diag(real_side) - complex_side)) < 1e-14
+def test_gegenbauer_one_sample_covers_every_degree():
+    # every degree 0..12 is checked on the pairs of one 2 x 2000 draw
+    d, k_max = 3, 12
+    pts = sample_points(d, 4000, 5)
+    t = np.sum(pts[:2000] * np.conj(pts[2000:]), axis=1)
+    w = omega(d)
+    worst = 0.0
+    for k in range(k_max + 1):
+        lhs = (2 * d + 2 * k - 2) / (w * (2 * d - 2)) * gegenbauer_eval(k, d - 1, t.real)
+        rhs = sum((dim_complex_harmonic(d, m, k - m) / w) * disk_poly_eval(m, k - m, d - 2, t)
+                  for m in range(k + 1))
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    assert verify_gegenbauer(d, k_max, 2000, seed=5) == worst
+    assert worst < 1e-9
 
 
 def test_projection_reproduces_basis_function():

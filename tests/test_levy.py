@@ -289,3 +289,15 @@ def test_levy_mc_memory_stays_one_block_buffer():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_nikolskii_holds_one_cloud_array():
+    # 500 x 4096 cloud magnitudes are 16 MB; the sup search and both L^p
+    # norms read that one array, with no signed copy beside it.
+    tracemalloc.start()
+    try:
+        nikolskii_check(2, 0, 2, 4, 500, 17)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

@@ -14,7 +14,6 @@ from cspherelab.sphere import (
     omega,
     sample_points,
     sup_norm_refined,
-    upsilon,
 )
 
 
@@ -24,11 +23,6 @@ def test_omega_values():
     assert omega(3) == pytest.approx(math.pi**3)
     with pytest.raises(ArgumentError):
         omega(0)
-
-
-def test_upsilon_interleaves_coordinates():
-    z = np.array([1 + 2j, 3 - 4j])
-    assert np.array_equal(upsilon(z), [1.0, 2.0, 3.0, -4.0])
 
 
 def test_samples_lie_on_sphere():
@@ -127,10 +121,17 @@ def test_sup_norm_estimates_from_below():
     values = np.stack([f(pts) for f in funcs])
     assert np.abs(values[0]).max() < 0.99
     best = sup_norm_refined(lambda cap: np.stack([f(c) for f, c in zip(funcs, cap)]),
-                            pts, values, seed=0)
+                            pts, np.abs(values), seed=0)
     assert 0.99 < best[0] <= 1.0 + 1e-12
     assert 0.495 < best[1] <= 0.5 + 1e-12
     assert np.all(best >= np.abs(values).max(axis=1))
+
+
+def test_sup_norm_rejects_complex_magnitudes():
+    # numpy orders complex numbers lexicographically, so a complex max is no |f| max
+    pts = sample_points(2, 8, seed=0)
+    with pytest.raises(ArgumentError):
+        sup_norm_refined(lambda cap: cap[..., 0], pts, pts[None, :, 0], seed=0)
 
 
 def test_normalized_norm_monotonicity():
