@@ -23,6 +23,12 @@ Three structural facts keep the construction cheap:
   polynomial space, so the only zero pivots are the expected rank drops from
   quotienting out the lower bidegree. G is positive semidefinite, so a zero
   pivot comes with a zero row and that row is skipped.
+
+Floating-point evaluation has one path, MonomialMap: a set of polynomials
+is compiled into its distinct monomials and one dense real coefficient
+matrix (orthonormalising factors folded in), and evaluated chunk by chunk
+as one monomial table and one BLAS product. MonomialPoly.eval,
+HarmonicBasis.eval_orthonormal and the real coordinates of levy all use it.
 """
 
 from __future__ import annotations
@@ -52,6 +58,8 @@ MAX_BLOCK_COST = 4 * 10**9
 SECONDS_PER_BLOCK_COST = 1.2e-8
 
 POINT_TOL = 1e-12
+
+_EVAL_ROWS = 2048  # points per pass of a MonomialMap
 
 
 def _moment(d, total):
@@ -134,24 +142,85 @@ class MonomialPoly:
     def eval(self, points):
         """Evaluate at an (N, d) complex array (or a single point) -> complex values."""
         points = np.asarray(points, dtype=complex)
-        single = points.ndim == 1
-        if single:
-            points = points[None, :]
-        out = np.zeros(points.shape[0], dtype=complex)
-        conj_points = np.conj(points)
-        for (a, b), coeff in self.terms.items():
-            term = np.full(points.shape[0], complex(coeff))
-            for j, aj in enumerate(a):
-                if aj:
-                    term = term * points[:, j] ** aj
-            for j, bj in enumerate(b):
-                if bj:
-                    term = term * conj_points[:, j] ** bj
-            out += term
-        return out[0] if single else out
+        values = MonomialMap(self.d, [(self, 1.0, 0.0), (self, 0.0, 1.0)])(np.atleast_2d(points))
+        values = values.view(complex)[:, 0]
+        return values[0] if points.ndim == 1 else values
 
     def __repr__(self):
         return f"MonomialPoly(d={self.d}, {len(self.terms)} terms)"
+
+
+class MonomialMap:
+    """Real linear combinations of Re and Im of polynomials, compiled for evaluation.
+
+    columns lists (poly, re_weight, im_weight), one per output column, whose
+    value is re_weight Re(poly) + im_weight Im(poly). Compiling gathers the
+    K distinct monomials z^a zbar^b of the polynomials and one dense (2K, c)
+    real matrix `weights`, whose rows 2k and 2k + 1 weigh Re and Im of
+    monomial k. Called on (N, d) points, it returns the (N, c) real values
+    mono.view(float) @ weights, where mono is the (N, K) complex monomial
+    table: per chunk and coordinate the powers z_j^k up to the largest
+    exponent are tabulated, each distinct factor z_j^k zbar_j^l is formed
+    once, and each monomial is the product of its gathered factors. Points go
+    _EVAL_ROWS at a time, so the tables never exceed that many rows. The
+    last chunk is padded with zero points: every product then has one
+    shape, so BLAS runs one kernel and a row's value depends on its point
+    only, not on N or on where the chunk boundaries fall.
+    """
+
+    def __init__(self, d, columns):
+        index = {}
+        for poly, _, _ in columns:
+            for key in poly.terms:
+                index.setdefault(key, len(index))
+        self.d = d
+        self.weights = np.zeros((2 * len(index), len(columns)))
+        for col, (poly, re_weight, im_weight) in enumerate(columns):
+            for key, coeff in poly.terms.items():
+                row = 2 * index[key]
+                self.weights[row, col] = float(coeff) * re_weight
+                self.weights[row + 1, col] = float(coeff) * im_weight
+        # per coordinate j: the exponents (k, l) of its distinct factors
+        # z_j^k zbar_j^l and, per monomial, which factor it takes
+        self.factors = []
+        for j in range(d):
+            pairs = [(a[j], b[j]) for a, b in index]
+            distinct = sorted(set(pairs))
+            if distinct in ([], [(0, 0)]):
+                continue  # every monomial is constant in z_j
+            slot = {pair: i for i, pair in enumerate(distinct)}
+            ks, ls = (np.array(e) for e in zip(*distinct))
+            self.factors.append((j, ks, ls, np.array([slot[pair] for pair in pairs])))
+
+    def _monomials(self, pts):
+        mono = None
+        for j, ks, ls, which in self.factors:
+            z = pts[:, j]
+            powers = np.empty((len(pts), max(ks.max(), ls.max()) + 1), dtype=complex)
+            powers[:, 0] = 1.0
+            for k in range(1, powers.shape[1]):
+                np.multiply(powers[:, k - 1], z, out=powers[:, k])
+            factor = np.take(powers, ks, axis=1) * np.conj(np.take(powers, ls, axis=1))
+            if mono is None:
+                mono = np.take(factor, which, axis=1)
+            else:
+                mono *= np.take(factor, which, axis=1)
+        if mono is None:
+            mono = np.ones((len(pts), self.weights.shape[0] // 2), dtype=complex)
+        return mono
+
+    def __call__(self, points):
+        points = np.asarray(points, dtype=complex)
+        if points.ndim != 2 or points.shape[1] != self.d:
+            raise ArgumentError(f"expected (N, {self.d}) points, got shape {points.shape}")
+        out = np.empty((points.shape[0], self.weights.shape[1]))
+        for start in range(0, points.shape[0], _EVAL_ROWS):
+            chunk = points[start:start + _EVAL_ROWS]
+            rows = chunk.shape[0]
+            if rows < _EVAL_ROWS:
+                chunk = np.concatenate([chunk, np.zeros((_EVAL_ROWS - rows, self.d), dtype=complex)])
+            out[start:start + rows] = (self._monomials(chunk).view(float) @ self.weights)[:rows]
+        return out
 
 
 @dataclass(frozen=True)
@@ -175,20 +244,27 @@ class HarmonicBasis:
         return len(self.vectors)
 
     def eval_orthonormal(self, points, j=None):
-        """Orthonormalised values: a single function (j given) or an (N, dim) matrix."""
+        """Orthonormalised values: a single function (j given) or an (N, dim) matrix.
+
+        One MonomialMap with the columns Re Y_k, Im Y_k of each requested
+        vector, so its real values view as the complex ones.
+        """
         points = np.asarray(points, dtype=complex)
         _check_on_sphere(points)
+        if j is not None and not 0 <= j < self.dim:
+            raise ArgumentError(f"basis index {j} out of range [0, {self.dim})")
+        columns = []
+        for k in range(self.dim) if j is None else [j]:
+            scale = self.orthonormal_scale(k)
+            columns += [(self.vectors[k], scale, 0.0), (self.vectors[k], 0.0, scale)]
+        values = MonomialMap(self.d, columns)(np.atleast_2d(points)).view(complex)
         if j is not None:
-            if not 0 <= j < self.dim:
-                raise ArgumentError(f"basis index {j} out of range [0, {self.dim})")
-            scale = 1.0 / math.sqrt(float(self.sq_norms[j]) * omega(self.d))
-            return self.vectors[j].eval(points) * scale
-        single = points.ndim == 1
-        pts = points[None, :] if single else points
-        out = np.empty((pts.shape[0], self.dim), dtype=complex)
-        for k, (vec, q) in enumerate(zip(self.vectors, self.sq_norms)):
-            out[:, k] = vec.eval(pts) / math.sqrt(float(q) * omega(self.d))
-        return out[0] if single else out
+            values = values[:, 0]
+        return values[0] if points.ndim == 1 else values
+
+    def orthonormal_scale(self, j):
+        """1 / sqrt(sq_norms[j] * omega(d)): the factor that makes vectors[j] L^2-orthonormal."""
+        return 1.0 / math.sqrt(float(self.sq_norms[j]) * omega(self.d))
 
 
 def _check_on_sphere(points):
@@ -337,6 +413,8 @@ def verify_gegenbauer(d, k_max, samples, seed):
     """
     from .polynomials import gegenbauer_eval
 
+    if d < 2:
+        raise ArgumentError(f"complex dimension d must be >= 2, got {d}")
     if k_max < 0:
         raise ArgumentError(f"degree must be nonnegative, got {k_max}")
     if samples < 1:

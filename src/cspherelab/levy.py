@@ -21,6 +21,10 @@ basis order, then its Im members. build_basis emits the signature blocks in
 reverse sorted order, so on the diagonal the sigma > -sigma vectors come
 first, then the sigma = 0 ones, then the skipped sigma < -sigma ones.
 
+A window's members are evaluated together: the window is compiled once
+into one basis.MonomialMap, whose (2K, s) real matrix holds each member's
+exact coefficients in the Re or Im rows of the window's K monomials.
+
 Both gradings assign equal multipliers within such a set, so the weighted
 norm of a coefficient vector is well defined. The Levy mean
 (mean of the squared norm over the Euclidean coefficient sphere)^(1/2) is
@@ -33,11 +37,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .basis import build_basis
+from .basis import MonomialMap, _check_on_sphere, build_basis
 from .dimensions import layer_members, theta
 from .errors import ArgumentError, ConsistencyError
 from .multipliers import MultiplierFamily, lambda_value, multiplier_at
@@ -71,21 +75,31 @@ class RealCoordinateSystem:
         self.s = len(self.members)
 
     def eval_matrix(self, points):
-        """Real values of all coordinate functions at (N, d) points -> (N, s)."""
+        """Real values of all coordinate functions at (N, d) points -> (N, s).
+
+        The window's MonomialMap is compiled on first use: column k holds
+        member k's exact coefficients in the Re rows ("re", "real") or the
+        Im rows ("im") of its monomials, times the member's orthonormalising
+        factor (and sqrt(2) for "re" and "im").
+        """
         points = np.asarray(points, dtype=complex)
-        out = np.empty((points.shape[0], self.s), dtype=float)
+        _check_on_sphere(points)
+        return self._map(points)
+
+    @cached_property
+    def _map(self):
         root2 = math.sqrt(2.0)
-        for k, member in enumerate(self.members):
-            if k == 0 or member.bidegree != self.members[k - 1].bidegree:
-                ortho = build_basis(self.d, *member.bidegree).eval_orthonormal(points)
-            y = ortho[:, member.index]
+        columns = []
+        for member in self.members:
+            base = build_basis(self.d, *member.bidegree)
+            vec, scale = base.vectors[member.index], base.orthonormal_scale(member.index)
             if member.part == "re":
-                out[:, k] = root2 * y.real
+                columns.append((vec, root2 * scale, 0.0))
             elif member.part == "im":
-                out[:, k] = root2 * y.imag
+                columns.append((vec, 0.0, root2 * scale))
             else:
-                out[:, k] = y.real
-        return out
+                columns.append((vec, scale, 0.0))
+        return MonomialMap(self.d, columns)
 
     def multiplier_vector(self, fam: MultiplierFamily):
         return np.array([multiplier_at(fam, *member.bidegree) for member in self.members])
@@ -337,7 +351,9 @@ def nikolskii_check(d, m1, m2, p, trials, seed, omega_samples=4096):
     1 + 3 * (its Monte Carlo standard error). The sup norm uses the shared
     cloud plus per-trial cap refinement (a lower bound; caps are evaluated
     _OUTER_ROWS trials per pass). ||t||_p and ||t||_2 come from the same
-    cloud, so the p = 2 instance of the second ratio is the exact equality case.
+    cloud, so the p = 2 instance of the second ratio is the exact equality case;
+    they are reduced _OUTER_ROWS trials at a time. Memory: the (trials,
+    omega_samples) array of |t| on the cloud is the only one of that size.
     """
     if p != math.inf and p < 1:
         raise ArgumentError(f"need p >= 1 or p = inf, got {p}")
@@ -357,20 +373,28 @@ def nikolskii_check(d, m1, m2, p, trials, seed, omega_samples=4096):
         out = np.empty(cap.shape[:-1])
         for start in range(0, trials, _OUTER_ROWS):
             rows = slice(start, start + _OUTER_ROWS)
-            bmat = system.eval_matrix(cap[rows].reshape(-1, d)).reshape(-1, cap.shape[1], s)
-            out[rows] = np.einsum("ts,tns->tn", coeffs[rows], bmat)
+            # one pass's coordinate values at a time, freed before the next pass
+            out[rows] = np.einsum("ts,tns->tn", coeffs[rows], system.eval_matrix(
+                cap[rows].reshape(-1, d)).reshape(-1, cap.shape[1], s))
         return out
 
     # Lower-bound sup norms: shared-cloud max, then shrinking caps per trial.
     sup = sup_norm_refined(cap_values, pts, mags, seed)
 
+    def cloud_norms(q):
+        # _OUTER_ROWS trials at a time: lp_norm_mc reduces each row alone, so
+        # blocking changes no number and bounds its |.|^q copy.
+        parts = [lp_norm_mc(mags[start:start + _OUTER_ROWS], q, d)
+                 for start in range(0, trials, _OUTER_ROWS)]
+        return np.concatenate([v for v, _ in parts]), np.concatenate([e for _, e in parts])
+
     # Both norms of each ratio come from the same shared cloud, so the p = 2
     # instance of the p-versus-2 comparison is the exact equality case.
-    norm2, se_2 = lp_norm_mc(mags, 2, d)
+    norm2, se_2 = cloud_norms(2)
     if p == math.inf:
         norm_p, se_p = sup, np.zeros(trials)
     else:
-        norm_p, se_p = lp_norm_mc(mags, p, d)
+        norm_p, se_p = cloud_norms(p)
 
     # 1 / inf == 0, so the exponents and the zero se_p cover p = inf.
     bound_sup = (s / w) ** (1.0 / p) * norm_p

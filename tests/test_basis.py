@@ -237,3 +237,119 @@ def test_projection_of_constant():
     # constant there, so the estimate is exact and the stderr vanishes
     estimate0, stderr0 = project_mc(ones, 2, 0, 0, w, 20000, seed=8)
     assert abs(estimate0 - 1.0) <= max(4 * stderr0, 1e-12)
+
+
+# Rational points on the unit sphere, as (re, im) Fraction pairs per coordinate.
+_RATIONAL_POINTS = {
+    2: [((Fraction(3, 5), 0), (0, Fraction(4, 5))),
+        ((Fraction(1, 5), Fraction(2, 5)), (Fraction(2, 5), Fraction(4, 5))),
+        ((Fraction(2, 3), Fraction(1, 3)), (0, Fraction(2, 3)))],
+    3: [((Fraction(1, 3), 0), (0, Fraction(2, 3)), (Fraction(2, 3), 0)),
+        ((Fraction(1, 5), Fraction(2, 5)), (Fraction(2, 5), 0), (0, Fraction(4, 5))),
+        ((Fraction(2, 7), Fraction(3, 7)), (Fraction(2, 7), Fraction(4, 7)), (Fraction(4, 7), 0))],
+    4: [((Fraction(1, 2), 0), (0, Fraction(1, 2)), (Fraction(1, 2), 0), (0, Fraction(-1, 2))),
+        ((Fraction(1, 4), Fraction(1, 4)), (Fraction(1, 4), Fraction(-1, 4)),
+         (Fraction(-1, 4), Fraction(1, 4)), (Fraction(1, 4), Fraction(3, 4)))],
+}
+
+
+def _gauss_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _exact_value(poly, point):
+    """poly at a Gaussian-rational point, exactly: (re, im) Fractions, and the
+    sum of |c| |z^a zbar^b|, which bounds the rounding of a float evaluation."""
+    re = im = Fraction(0)
+    size = 0.0
+    for (a, b), coeff in poly.terms.items():
+        term = (Fraction(1), Fraction(0))
+        for (x, y), aj, bj in zip(point, a, b):
+            for _ in range(aj):
+                term = _gauss_mul(term, (x, y))
+            for _ in range(bj):
+                term = _gauss_mul(term, (x, -y))
+        re += coeff * term[0]
+        im += coeff * term[1]
+        size += abs(float(coeff)) * math.hypot(term[0], term[1])
+    return re, im, size
+
+
+def _float_points(d):
+    return np.array([[complex(x, y) for x, y in point] for point in _RATIONAL_POINTS[d]])
+
+
+_ORACLE_BIDEGREES = [(d, m, n) for d in (2, 3) for m in range(5) for n in range(5)] \
+    + [(4, 1, 0), (4, 1, 1), (4, 2, 1), (4, 2, 2), (4, 3, 1)]
+
+
+@pytest.mark.parametrize("d,m,n", _ORACLE_BIDEGREES)
+def test_eval_orthonormal_matches_exact_rational_values(d, m, n):
+    # the compiled evaluator against exact Gaussian-rational arithmetic
+    built = build_basis(d, m, n)
+    got = built.eval_orthonormal(_float_points(d))
+    for i, point in enumerate(_RATIONAL_POINTS[d]):
+        for j, (vec, q) in enumerate(zip(built.vectors, built.sq_norms)):
+            re, im, size = _exact_value(vec, point)
+            scale = 1.0 / math.sqrt(float(q) * omega(d))
+            tol = 1e-14 * (1 + size) * scale
+            assert abs(got[i, j].real - float(re) * scale) <= tol, (i, j)
+            assert abs(got[i, j].imag - float(im) * scale) <= tol, (i, j)
+
+
+@pytest.mark.parametrize("d,m1,m2", [(2, 0, 4), (3, 0, 4), (4, 0, 2)])
+def test_eval_matrix_matches_exact_rational_values(d, m1, m2):
+    from cspherelab.levy import build_real_system
+
+    system = build_real_system(d, m1, m2)
+    got = system.eval_matrix(_float_points(d))
+    for k, member in enumerate(system.members):
+        built = build_basis(d, *member.bidegree)
+        scale = 1.0 / math.sqrt(float(built.sq_norms[member.index]) * omega(d))
+        if member.part != "real":
+            scale *= math.sqrt(2.0)
+        for i, point in enumerate(_RATIONAL_POINTS[d]):
+            re, im, size = _exact_value(built.vectors[member.index], point)
+            want = float(im if member.part == "im" else re) * scale
+            assert abs(got[i, k] - want) <= 1e-14 * (1 + size) * scale, (k, i)
+
+
+def test_monomial_poly_eval_matches_exact_rational_values():
+    poly = MonomialPoly(3, {((0, 0, 0), (0, 0, 0)): Fraction(-7, 3),
+                            ((2, 0, 1), (0, 1, 0)): Fraction(5, 2),
+                            ((0, 3, 0), (1, 0, 2)): Fraction(1, 9)})
+    constant = MonomialPoly(3, {((0, 0, 0), (0, 0, 0)): Fraction(3, 4)})
+    for p in (poly, constant, MonomialPoly(3)):
+        got = p.eval(_float_points(3))
+        for i, point in enumerate(_RATIONAL_POINTS[3]):
+            re, im, size = _exact_value(p, point)
+            assert abs(got[i] - complex(float(re), float(im))) <= 1e-14 * (1 + size)
+            assert p.eval(_float_points(3)[i]) == got[i]
+
+
+def test_eval_rows_do_not_depend_on_the_chunking(monkeypatch):
+    # every chunk is padded to _EVAL_ROWS rows, so a row's value depends on
+    # its point only: neither on N nor on where the chunk boundaries fall
+    from cspherelab import basis
+    from cspherelab.levy import build_real_system
+
+    system = build_real_system(2, 0, 3)
+    built = build_basis(3, 2, 1)
+    pts2, pts3 = sample_points(2, 1000, seed=21), sample_points(3, 1000, seed=22)
+    whole = system.eval_matrix(pts2), built.eval_orthonormal(pts3)
+    assert len(pts2) < basis._EVAL_ROWS
+    monkeypatch.setattr(basis, "_EVAL_ROWS", 300)
+    assert len(pts2) % basis._EVAL_ROWS
+    for bounds in ([0, 1000], [0, 1, 457, 1000], [0, 999, 1000]):
+        spans = list(zip(bounds, bounds[1:]))
+        assert np.array_equal(np.concatenate([system.eval_matrix(pts2[a:b]) for a, b in spans]),
+                              whole[0])
+        assert np.array_equal(np.concatenate([built.eval_orthonormal(pts3[a:b]) for a, b in spans]),
+                              whole[1])
+
+
+def test_gegenbauer_rejects_real_dimension_below_two():
+    # the real-sphere zonal factor divides by 2d - 2
+    for d in (0, 1):
+        with pytest.raises(ArgumentError, match="d must be >= 2"):
+            verify_gegenbauer(d, 2, 10, seed=0)

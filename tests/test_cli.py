@@ -57,6 +57,13 @@ def test_check_gegenbauer(capsys):
     assert json.loads(out)["deviation"] < 1e-9
 
 
+def test_check_gegenbauer_d1_exits_2(capsys):
+    code, out, err = run_cli(capsys, "check", "gegenbauer", "--d", "1", "--lmax", "2",
+                             "--samples", "10", "--seed", "0")
+    assert code == 2 and out == ""
+    assert "d must be >= 2" in err and "Traceback" not in err
+
+
 def test_check_dim_bounds(capsys):
     code, out, _ = run_cli(capsys, "check", "dim-bounds", "--d", "2", "--lmax", "50")
     assert code == 0

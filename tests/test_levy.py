@@ -193,12 +193,14 @@ def test_levy_mc_outer_chunking_invariant(monkeypatch):
 
 
 def test_nikolskii_cap_passes_invariant(monkeypatch):
-    # 150 trials in passes of 64 (two full, one short) against one pass
-    reports = []
-    for rows in (64, 1000):
-        monkeypatch.setattr(levy, "_OUTER_ROWS", rows)
-        reports.append(nikolskii_check(2, 0, 1, 4, 150, seed=3))
-    assert reports[0] == reports[1]
+    # 150 trials in passes of 64 (two full, one short) against one pass: the
+    # cap passes and the cloud norms are both blocked by _OUTER_ROWS
+    for p in (1, 3, 4, math.inf):
+        reports = []
+        for rows in (64, 1000):
+            monkeypatch.setattr(levy, "_OUTER_ROWS", rows)
+            reports.append(nikolskii_check(2, 0, 1, p, 150, seed=3))
+        assert reports[0] == reports[1], p
 
 
 def test_levy_mc_argument_errors():
@@ -301,3 +303,17 @@ def test_nikolskii_holds_one_cloud_array():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_nikolskii_peak_is_bounded_by_blocked_passes():
+    # The 16 MB cloud magnitudes are the one array of (trials x cloud) size:
+    # the cap passes hold one pass of coordinate values at a time, and the
+    # cloud norms copy |t|^p one _OUTER_ROWS block of trials at a time.
+    tracemalloc.start()
+    try:
+        nikolskii_check(2, 0, 2, 4, 500, 17)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 44 * 2**20
+
