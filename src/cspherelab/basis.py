@@ -38,8 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .dimensions import bidegree_monomials, dim_complex_harmonic
 from .errors import ArgumentError, ConsistencyError
 from .polynomials import disk_poly_eval

@@ -14,9 +14,8 @@ import math
 import sys
 import warnings
 
-import numpy as np
-
 from . import basis, dimensions, levy, multipliers, report, widths
+from ._lazy import numpy as np
 from .errors import ArgumentError, HypothesisError, LabError
 
 
@@ -289,9 +288,6 @@ def _cmd_widths_spectrum(args):
     return 0
 
 
-_WIDTH_ROW = np.dtype([("n", np.int64), ("d_n", np.float64)])
-
-
 def _read_width_csv(path):
     """Widths d_0, d_1, ... of a CSV with header 'n,d_n' ('-' reads stdin).
 
@@ -299,6 +295,7 @@ def _read_width_csv(path):
     blank lines are skipped. A malformed row, a rank column that is not
     0, 1, 2, ... or an empty body raises ArgumentError.
     """
+    row = np.dtype([("n", np.int64), ("d_n", np.float64)])
     handle = sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
     try:
         header = handle.readline().strip()
@@ -307,7 +304,7 @@ def _read_width_csv(path):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # an empty body is reported below
             try:
-                rows = np.loadtxt(handle, delimiter=",", dtype=_WIDTH_ROW, ndmin=1)
+                rows = np.loadtxt(handle, delimiter=",", dtype=row, ndmin=1)
             except ValueError as exc:
                 reason = str(exc).partition("; use `usecols`")[0]  # numpy's hint names its API
                 raise ArgumentError(f"malformed width CSV: {reason}") from exc

@@ -174,8 +174,11 @@ def check_dim_bounds(d, l_min, l_max):
     if d == 2:
         report["bidegree_bound"] = {"skipped": "d=2 (the bound divides by (d-2)! with exponent d-2 = 0)"}
     else:
+        # In units of 1/dfac: lower = scaled_lower / dfac, and the candidate
+        # C = (dmn - lower) / denom = (dmn*dfac - scaled_lower) / (dfac*denom),
+        # compared by integer cross-multiplication.
         dfac = factorial(d - 1) * factorial(d - 2)
-        worst_c = Fraction(0)
+        worst_num, worst_den = 0, 1
         lower_ok = True
         skipped = 0
         for l in range(l_min, l_max + 1):
@@ -183,17 +186,17 @@ def check_dim_bounds(d, l_min, l_max):
                 if m == 0 or n == 0:
                     skipped += 1
                     continue
-                dmn = dim_complex_harmonic(d, m, n)
-                lower = Fraction((m + n) * (m * n) ** (d - 2), dfac)
-                if lower > dmn:
+                scaled_lower = (m + n) * (m * n) ** (d - 2)
+                scaled_excess = dim_complex_harmonic(d, m, n) * dfac - scaled_lower
+                if scaled_excess < 0:
                     lower_ok = False
-                excess = dmn - lower
-                denom = (m + n) * m ** (d - 2) * n ** (d - 3) if d >= 3 else 0
-                if denom > 0 and excess > 0:
-                    worst_c = max(worst_c, Fraction(excess, denom))
+                elif scaled_excess > 0:
+                    den = dfac * (m + n) * m ** (d - 2) * n ** (d - 3)
+                    if scaled_excess * worst_den > worst_num * den:
+                        worst_num, worst_den = scaled_excess, den
         report["bidegree_bound"] = {
             "lower_bound_holds": lower_ok,
-            "smallest_admissible_C": float(worst_c),
+            "smallest_admissible_C": float(Fraction(worst_num, worst_den)),
             "skipped_mn_zero": skipped,
         }
     return report

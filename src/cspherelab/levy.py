@@ -39,8 +39,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .basis import MonomialMap, _check_on_sphere, build_basis
 from .dimensions import layer_members, theta
 from .errors import ArgumentError, ConsistencyError

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .errors import ArgumentError
 
 # Round-off allowance above the closed unit disk / interval.

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .errors import ArgumentError
 
 _CHUNK = 4096  # points per sampling stream

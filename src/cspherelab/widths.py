@@ -14,8 +14,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .dimensions import dim_layer
 from .errors import ArgumentError, HypothesisError
 from .multipliers import MultiplierFamily, lambda_value

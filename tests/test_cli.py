@@ -4,13 +4,16 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import cspherelab
 from cspherelab import report
 from cspherelab.basis import build_basis
 from cspherelab.cli import _read_width_csv, run
@@ -352,23 +355,76 @@ def test_project_reproducing_property(capsys):
     assert abs(estimate - expected) < 4 * doc["stderr"]
 
 
-def test_cli_deterministic_across_processes():
-    import os
-    import subprocess
-    import sys
-
-    import cspherelab
-
-    # the child processes import the same package as this one
+def _child_env():
+    """Environment in which a child process imports the same package as this one."""
     src = os.path.dirname(os.path.dirname(cspherelab.__file__))
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+
+
+def test_cli_deterministic_across_processes():
+    env = _child_env()
     cmd = [sys.executable, "-m", "cspherelab.cli", "levy", "--d", "2", "--N", "0",
            "--lmax", "1", "--family", "exp:gamma=1,r=1", "--p", "4",
            "--sphere-samples", "100", "--omega-samples", "2000", "--seed", "3"]
     first = subprocess.run(cmd, capture_output=True, check=True, env=env)
     second = subprocess.run(cmd, capture_output=True, check=True, env=env)
     assert first.stdout == second.stdout
+
+
+# Runs one command in this process, then prints the numpy submodules that
+# were imported. The "numpy" entry itself is no evidence: it is a deferred
+# stub until numpy's initialisation runs, which imports its submodules.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+from cspherelab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("numpy."))]))
+"""
+
+
+def _numpy_after(argv):
+    done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv], capture_output=True,
+                          text=True, check=True, env=_child_env())
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "--d", "2", "--m", "2", "--n", "1"],
+    ["dims", "--d", "3", "--lmax", "20"],
+    ["dims", "--d", "3", "--lmax", "20", "--format", "json"],
+    ["seq", "--d", "2", "--family", "fs:gamma=3", "--N", "2", "--eps", "0.5"],
+    ["check", "dim-bounds", "--d", "3", "--lmax", "10", "--tol", "1"],
+    ["widths", "bounds", "--theorem", "T6.2-upper", "--d", "2", "--gamma", "3", "--nmax", "100"],
+    ["widths", "spectrum", "--d", "2", "--family", "fs:gamma=3", "--nmax", "200"],
+    ["widths", "spectrum", "--d", "2", "--family", "fs:gamma=3", "--nmax", "200",
+     "--format", "json"],
+], ids=["basis", "dims-csv", "dims-json", "seq", "check-dim-bounds", "widths-bounds",
+        "spectrum-csv", "spectrum-json"])
+def test_exact_commands_never_load_numpy(argv):
+    code, loaded = _numpy_after(argv)
+    assert code == 0
+    assert loaded == []
+
+
+def test_numeric_commands_still_load_numpy():
+    code, loaded = _numpy_after(["check", "addition", "--d", "2", "--m", "1", "--n", "1",
+                                 "--samples", "50"])
+    assert code == 0
+    assert "numpy.linalg" in loaded
+
+
+def test_tracer_resolves_every_target_in_a_fresh_process(tmp_path):
+    # The tracer looks its targets up in sys.modules right after importing
+    # cli, so every traced module must come in through cli alone.
+    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    trace = tmp_path / "t.json"
+    done = subprocess.run([sys.executable, str(tracer), str(trace), "basis", "--d", "2",
+                           "--m", "1", "--n", "1"], capture_output=True, text=True,
+                          env=_child_env())
+    assert done.returncode == 0, done.stderr
+    assert "basis.build_basis" in {span[0] for span in json.loads(trace.read_text())["spans"]}
 
 
 def test_infinity_p_parses(capsys):

@@ -1,5 +1,8 @@
 """Dimension combinatorics against the symbolic Laplacian-kernel oracle."""
 
+from fractions import Fraction
+from math import factorial
+
 import pytest
 
 from cspherelab.dimensions import (
@@ -125,6 +128,35 @@ def test_check_dim_bounds_d3():
     assert abs(rep["ratio_last"] / lead - 1.0) < 0.25
     assert rep["bidegree_bound"]["lower_bound_holds"]
     assert rep["bidegree_bound"]["smallest_admissible_C"] > 0
+
+
+def _bidegree_bound_by_fractions(d, l_min, l_max):
+    """The per-bidegree bound report, every comparison made on Fractions."""
+    dfac = factorial(d - 1) * factorial(d - 2)
+    worst_c = Fraction(0)
+    lower_ok = True
+    skipped = 0
+    for l in range(l_min, l_max + 1):
+        for m, n in layer_members(l, "max"):
+            if m == 0 or n == 0:
+                skipped += 1
+                continue
+            dmn = dim_complex_harmonic(d, m, n)
+            lower = Fraction((m + n) * (m * n) ** (d - 2), dfac)
+            if lower > dmn:
+                lower_ok = False
+            excess = dmn - lower
+            if excess > 0:
+                worst_c = max(worst_c, excess / ((m + n) * m ** (d - 2) * n ** (d - 3)))
+    return {"lower_bound_holds": lower_ok, "smallest_admissible_C": float(worst_c),
+            "skipped_mn_zero": skipped}
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("l_min, l_max", [(1, 1), (1, 2), (1, 9), (3, 17), (1, 60)])
+def test_check_dim_bounds_matches_fraction_oracle(d, l_min, l_max):
+    rep = check_dim_bounds(d, l_min, l_max)
+    assert rep["bidegree_bound"] == _bidegree_bound_by_fractions(d, l_min, l_max)
 
 
 def test_check_dim_bounds_rejects_empty_range():
