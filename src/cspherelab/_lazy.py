@@ -1,9 +1,10 @@
 """numpy, loaded on first use.
 
 The exact commands (`dims`, `basis`, `seq`, `check dim-bounds`,
-`widths bounds`, `widths spectrum`) use no floating-point array, yet `cli`
-imports every module, and loading numpy costs more than the rest of the
-package's start-up together. So the modules that need numpy take it from
+`widths bounds`, `widths spectrum`), `widths compare-gradings` and
+`widths fit` on a CSV written by `widths spectrum` use no floating-point
+array, yet `cli` imports every module, and loading numpy costs more than the
+rest of the package's start-up together. So the modules that need numpy take it from
 here: `numpy` below is the real module if numpy is already in
 `sys.modules`; otherwise it is registered there through
 `importlib.util.LazyLoader`, and numpy's own initialisation runs on the first

@@ -10,6 +10,7 @@ arguments.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
 import warnings
@@ -288,29 +289,34 @@ def _cmd_widths_spectrum(args):
     return 0
 
 
-def _read_width_csv(path):
-    """Widths d_0, d_1, ... of a CSV with header 'n,d_n' ('-' reads stdin).
+def _input_bytes(path):
+    """The whole of a file, or of stdin for '-', as bytes."""
+    if path != "-":
+        with open(path, "rb") as handle:
+            return handle.read()
+    stdin = getattr(sys.stdin, "buffer", None)
+    return stdin.read() if stdin is not None else sys.stdin.read().encode("utf-8")
 
-    The body is parsed in one numpy call (values bit-identical to float());
-    blank lines are skipped. A malformed row, a rank column that is not
-    0, 1, 2, ... or an empty body raises ArgumentError.
+
+def _loadtxt_runs(data):
+    """Runs of a width CSV (bytes) in any layout numpy's loadtxt accepts.
+
+    The header must read 'n,d_n' (spaces ignored), blank lines are skipped
+    and values are bit-identical to float(). A malformed row, a rank column
+    that is not 0, 1, 2, ... or an empty body raises ArgumentError.
     """
     row = np.dtype([("n", np.int64), ("d_n", np.float64)])
-    handle = sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
-    try:
-        header = handle.readline().strip()
-        if header.replace(" ", "") != "n,d_n":
-            raise ArgumentError(f"expected header 'n,d_n', got {header!r}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # an empty body is reported below
-            try:
-                rows = np.loadtxt(handle, delimiter=",", dtype=row, ndmin=1)
-            except ValueError as exc:
-                reason = str(exc).partition("; use `usecols`")[0]  # numpy's hint names its API
-                raise ArgumentError(f"malformed width CSV: {reason}") from exc
-    finally:
-        if handle is not sys.stdin:
-            handle.close()
+    handle = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    header = handle.readline().strip()
+    if header.replace(" ", "") != "n,d_n":
+        raise ArgumentError(f"expected header 'n,d_n', got {header!r}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty body is reported below
+        try:
+            rows = np.loadtxt(handle, delimiter=",", dtype=row, ndmin=1)
+        except ValueError as exc:
+            reason = str(exc).partition("; use `usecols`")[0]  # numpy's hint names its API
+            raise ArgumentError(f"malformed width CSV: {reason}") from exc
     if rows.size == 0:
         raise ArgumentError("width CSV has no data rows")
     gaps = np.flatnonzero(rows["n"] != np.arange(rows.size))
@@ -318,12 +324,36 @@ def _read_width_csv(path):
         idx = int(gaps[0])
         raise ArgumentError(
             f"width CSV ranks must be contiguous from 0, got {rows['n'][idx]} at row {idx}")
-    return rows["d_n"]
+    return widths.run_lengths(rows["d_n"].tolist())
+
+
+def _read_width_csv(path):
+    """(value, count) runs of the widths d_0, d_1, ... in a CSV with header 'n,d_n'.
+
+    path '-' reads stdin. The input is read once, as bytes, and takes one of
+    two paths:
+
+    * a file byte for byte as `widths spectrum` writes it is decoded by
+      report.parse_csv_runs, run by run, without numpy and without a float
+      per row;
+    * any other file (hand-written, CRLF line ends, blank lines, values not
+      in %.17g, ...) is parsed by numpy's loadtxt (_loadtxt_runs), which
+      decides what such a file may hold and words the errors.
+
+    An empty body raises ArgumentError on either path. The caller validates
+    the runs with widths.table_from_runs.
+    """
+    data = _input_bytes(path)
+    runs = report.parse_csv_runs(("n", "d_n"), data)
+    if runs is None:
+        return _loadtxt_runs(data)
+    if not runs:
+        raise ArgumentError("width CSV has no data rows")
+    return runs
 
 
 def _cmd_widths_fit(args):
-    values = _read_width_csv(args.input)
-    table = widths.table_from_values(values)
+    table = widths.table_from_runs(_read_width_csv(args.input))
     if args.model == "stretched":
         fit = widths.fit_stretched(table, args.d, args.r, args.N, args.nmax)
     else:

@@ -81,6 +81,76 @@ def csv_runs(header, runs):
     return "".join(out)
 
 
+# Rows regenerated and compared at a time when parse_csv_runs checks a run.
+_CHECK_ROWS = 4096
+
+
+def _digits_below(k):
+    """Total count of decimal digits in the ranks 0 .. k-1."""
+    total, power = k, 10
+    while power < k:
+        total += k - power  # each rank >= power has one more digit
+        power *= 10
+    return total
+
+
+def parse_csv_runs(header, data):
+    """The runs whose csv_runs(header, runs) text is exactly data (bytes), else None.
+
+    None means only that data is not in the writer's canonical form (ranks
+    as %d from 0, values as %.17g, "\\n" line ends); the caller parses it
+    some other way. Each run's first row gives its value and so the byte
+    length L of every ",value\\n" suffix in the run; the line of rank k then
+    starts at a computed offset (the digits of the ranks before it plus
+    k * L), so the run's end is found by galloping and bisecting on single
+    lines. Every row of the run is then compared with regenerated text,
+    _CHECK_ROWS rows at a time, in place: only a run's first value is copied
+    out of data, and the whole text is never built.
+    """
+    head = (",".join(header) + "\n").encode()
+    if not data.startswith(head):
+        return None
+    runs = []
+    pos, rank = len(head), 0
+    while pos < len(data):
+        start = pos + len(b"%d," % rank)  # the run's first value
+        try:
+            value = float(data[start:data.find(b"\n", start)])
+        except ValueError:
+            return None
+        if runs and value == runs[-1][0]:
+            return None  # 0.0 after -0.0: equal values in two runs
+        sep_bytes = ("," + _cell(value) + "\n").encode()
+        line = b"%d" + sep_bytes  # %.17g text holds no "%"
+        base = pos - _digits_below(rank) - rank * len(sep_bytes)
+
+        def offset(k):
+            return base + _digits_below(k) + k * len(sep_bytes)
+
+        def row_matches(k):
+            return data.startswith(line % k, offset(k))
+
+        if not row_matches(rank):
+            return None  # not "rank,value" with the value written as %.17g
+        good, bad = 1, 2  # rows of the run known to match; a count not yet ruled out
+        while row_matches(rank + bad - 1):
+            good, bad = bad, 2 * bad
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            if row_matches(rank + mid - 1):
+                good = mid
+            else:
+                bad = mid
+        end = rank + good
+        for k in range(rank, end, _CHECK_ROWS):
+            ranks = range(k, min(k + _CHECK_ROWS, end))
+            if not data.startswith(line * len(ranks) % tuple(ranks), offset(k)):
+                return None
+        runs.append((value, good))
+        rank, pos = end, offset(end)
+    return tuple(runs)
+
+
 def write_output(text, out_path=None):
     """Write to the given path or stdout; unwritable paths raise OSError."""
     if out_path in (None, "-"):

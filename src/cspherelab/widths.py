@@ -11,7 +11,9 @@ the plateau's first rank, to remove the staircase bias.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from ._lazy import numpy as np
@@ -43,7 +45,7 @@ class WidthTable:
         return np.repeat([v for v, _ in self.runs], [c for _, c in self.runs])
 
     def plateau_points(self, lo, hi):
-        """(rank, value) sampled once per plateau, at its first rank, within [lo, hi].
+        """Lists of ranks and values, once per plateau at its first rank, within [lo, hi].
 
         The first rank of a plateau is where the spectrum matches its
         asymptotic envelope (the cumulative dimension of the preceding
@@ -58,7 +60,7 @@ class WidthTable:
                 out_n.append(start)
                 out_v.append(value)
             start += count
-        return np.asarray(out_n, dtype=float), np.asarray(out_v, dtype=float)
+        return out_n, out_v
 
     def min_positive_rank_cover(self, hi):
         """True if the table has positive entries covering every rank <= hi."""
@@ -131,16 +133,34 @@ def l2_width_table(fam: MultiplierFamily, d, n_max):
     return WidthTable(runs=expand_spectrum(pairs, n_max), warning=warning)
 
 
-def table_from_values(values):
-    """Run-length encode an explicit non-increasing width sequence (e.g. from CSV)."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
+def table_from_runs(runs):
+    """Validate (value, count) runs read from outside (e.g. a CSV) into a WidthTable.
+
+    The values must be non-increasing, an uptick of at most 1e-12 excepted
+    (it starts a run of its own), and no value may be NaN. Errors name the
+    row, i.e. the rank, where the fault begins.
+    """
+    if not runs:
         raise ArgumentError("empty width table")
-    if np.any(np.diff(values) > 1e-12):
-        raise ArgumentError("width values must be non-increasing")
-    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
-    lengths = np.diff(np.append(starts, values.size))
-    return WidthTable(runs=tuple(zip(values[starts].tolist(), lengths.tolist())))
+    rank, previous = 0, math.inf
+    for value, count in runs:
+        if math.isnan(value):
+            raise ArgumentError(f"width value at row {rank} is NaN")
+        if value - previous > 1e-12:
+            raise ArgumentError(
+                f"width values must be non-increasing, but row {rank} rises above row {rank - 1}")
+        rank, previous = rank + count, value
+    return WidthTable(runs=tuple(runs))
+
+
+def run_lengths(values):
+    """(value, count) runs of a float sequence; equal neighbours share a run."""
+    return tuple((value, sum(1 for _ in same)) for value, same in itertools.groupby(map(float, values)))
+
+
+def table_from_values(values):
+    """Run-length encode an explicit width sequence d_0, d_1, ... and validate it."""
+    return table_from_runs(run_lengths(values))
 
 
 @dataclass(frozen=True)
@@ -156,7 +176,7 @@ class FitResult:
     stretch_exponent: float | None = None
 
 
-def _fit_points(table, lo, hi):
+def _fit_points(table, lo, hi, unknowns):
     if lo < 0 or hi <= lo:
         raise ArgumentError(f"bad fit range [{lo}, {hi}]")
     if not table.min_positive_rank_cover(hi):
@@ -164,16 +184,41 @@ def _fit_points(table, lo, hi):
     if hi - lo + 1 < 20:
         raise ArgumentError("fit range must contain at least 20 ranks")
     n, v = table.plateau_points(lo, hi)
-    if n.size < 2:
-        raise ArgumentError("fit range covers fewer than two plateaus")
+    if len(n) < unknowns:
+        raise ArgumentError(f"fit range [{lo}, {hi}] covers {len(n)} plateau(s), fewer than"
+                            f" the model's {unknowns} coefficients")
     return n, v
 
 
+def _dot(x, y):
+    return math.fsum(map(operator.mul, x, y))
+
+
 def _least_squares(columns, y):
-    a = np.column_stack(columns)
-    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-    resid = y - a @ coef
-    return coef, float(np.sqrt(np.mean(resid**2)))
+    """Least-squares coefficients of y ~ columns, and the residual RMS.
+
+    Householder QR on lists: the columns 1, ln n, ln ln n are nearly
+    collinear, so normal equations would square their condition number.
+    The caller ensures at least as many points as columns.
+    """
+    cols = [list(c) for c in columns]
+    rhs = list(y)
+    p = len(cols)
+    for j in range(p):
+        pivot = cols[j]
+        norm = math.sqrt(_dot(pivot[j:], pivot[j:]))
+        alpha = -norm if pivot[j] > 0 else norm  # v[0] = pivot[j] - alpha: no cancellation
+        v = pivot[j:]
+        v[0] -= alpha
+        vv = _dot(v, v)
+        for target in cols[j:] + [rhs]:
+            scale = 2.0 * _dot(v, target[j:]) / vv
+            target[j:] = [t - scale * vi for t, vi in zip(target[j:], v)]
+    coef = [0.0] * p
+    for i in reversed(range(p)):  # R[i][k] = cols[k][i]
+        coef[i] = (rhs[i] - math.fsum(cols[k][i] * coef[k] for k in range(i + 1, p))) / cols[i][i]
+    resid = [yi - _dot(row, coef) for yi, row in zip(y, zip(*columns))]
+    return coef, math.sqrt(_dot(resid, resid) / len(resid))
 
 
 def fit_power(table, lo, hi, with_log_factor=False):
@@ -182,17 +227,18 @@ def fit_power(table, lo, hi, with_log_factor=False):
     The slope estimates the power-decay exponent; with the log factor the
     second coefficient estimates the logarithmic correction exponent.
     """
-    n, v = _fit_points(table, max(lo, 2), hi)
-    y = np.log(v)
-    ln_n = np.log(n)
+    n, v = _fit_points(table, max(lo, 2), hi, 3 if with_log_factor else 2)
+    y = [math.log(x) for x in v]
+    ln_n = [math.log(x) for x in n]
+    ones = [1.0] * len(n)
     if with_log_factor:
-        coef, rms = _least_squares([np.ones_like(n), ln_n, np.log(ln_n)], y)
-        return FitResult(model="power_log", slope=float(coef[1]), intercept=float(coef[0]),
-                         n_lo=lo, n_hi=hi, points=n.size, residual_rms=rms,
-                         loglog_coeff=float(coef[2]))
-    coef, rms = _least_squares([np.ones_like(n), ln_n], y)
-    return FitResult(model="power", slope=float(coef[1]), intercept=float(coef[0]),
-                     n_lo=lo, n_hi=hi, points=n.size, residual_rms=rms)
+        coef, rms = _least_squares([ones, ln_n, [math.log(x) for x in ln_n]], y)
+        return FitResult(model="power_log", slope=coef[1], intercept=coef[0],
+                         n_lo=lo, n_hi=hi, points=len(n), residual_rms=rms,
+                         loglog_coeff=coef[2])
+    coef, rms = _least_squares([ones, ln_n], y)
+    return FitResult(model="power", slope=coef[1], intercept=coef[0],
+                     n_lo=lo, n_hi=hi, points=len(n), residual_rms=rms)
 
 
 def fit_stretched(table, d, r, lo, hi):
@@ -203,11 +249,12 @@ def fit_stretched(table, d, r, lo, hi):
     """
     if r <= 0:
         raise ArgumentError(f"stretch parameter r must be positive, got {r}")
-    n, v = _fit_points(table, lo, hi)
+    n, v = _fit_points(table, lo, hi, 2)
     expo = r / (2.0 * d - 1.0)
-    coef, rms = _least_squares([np.ones_like(n), n**expo], np.log(v))
-    return FitResult(model="stretched", slope=float(coef[1]), intercept=float(coef[0]),
-                     n_lo=lo, n_hi=hi, points=n.size, residual_rms=rms,
+    coef, rms = _least_squares([[1.0] * len(n), [x ** expo for x in n]],
+                               [math.log(x) for x in v])
+    return FitResult(model="stretched", slope=coef[1], intercept=coef[0],
+                     n_lo=lo, n_hi=hi, points=len(n), residual_rms=rms,
                      stretch_exponent=expo)
 
 

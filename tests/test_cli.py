@@ -16,9 +16,9 @@ import pytest
 import cspherelab
 from cspherelab import report
 from cspherelab.basis import build_basis
-from cspherelab.cli import _read_width_csv, run
+from cspherelab.cli import _loadtxt_runs, _read_width_csv, run
 from cspherelab.dimensions import dim_layer
-from cspherelab.multipliers import exp_analytic, identity
+from cspherelab.multipliers import exp_analytic, finite_smooth, identity
 from cspherelab.widths import WidthTable, expand_spectrum, l2_width_table, table_from_values
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
@@ -295,16 +295,88 @@ def test_identity_spectrum_csv(capsys):
     _assert_same_lines(out, _per_row_csv(WRITER_TABLES["identity"]))
 
 
+def _hex_runs(runs):
+    # Bit-level identity of the values: == would not tell -0.0 from 0.0.
+    return [(value.hex(), count) for value, count in runs]
+
+
 def test_spectrum_csv_reads_back_bit_identical(tmp_path, monkeypatch):
     for table in (l2_width_table(exp_analytic(0.5, 0.7), 3, 20000),
                   WRITER_TABLES["exp-subnormal"]):
         text = report.csv_runs(("n", "d_n"), table.runs)
         path = tmp_path / "table.csv"
         path.write_text(text, encoding="utf-8")
-        expected = table.values().tobytes()
-        assert _read_width_csv(str(path)).tobytes() == expected
+        expected = _hex_runs(table.runs)
+        assert _hex_runs(_read_width_csv(str(path))) == expected
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-        assert _read_width_csv("-").tobytes() == expected
+        assert _hex_runs(_read_width_csv("-")) == expected
+
+
+READER_TABLES = {**WRITER_TABLES, "exp-d3": l2_width_table(exp_analytic(0.5, 0.7), 3, 20000)}
+
+
+@pytest.mark.parametrize("name", sorted(READER_TABLES))
+def test_width_csv_fast_path_matches_loadtxt(name):
+    runs = READER_TABLES[name].runs
+    data = report.csv_runs(("n", "d_n"), runs).encode()
+    fast = report.parse_csv_runs(("n", "d_n"), data)
+    assert fast is not None
+    assert _hex_runs(fast) == _hex_runs(_loadtxt_runs(data)) == _hex_runs(runs)
+
+
+@pytest.mark.parametrize("old, new", [("\n5000,0.5\n", "\n5001,0.5\n"),
+                                      ("\n5000,0.5\n", "\n5000,0.6\n")])
+def test_fast_width_reader_checks_every_row(old, new):
+    # one altered row inside a long run, where neither the end search nor
+    # the first row looks
+    data = report.csv_runs(("n", "d_n"), ((1.0, 1), (0.5, 9999), (0.25, 3))).encode()
+    assert report.parse_csv_runs(("n", "d_n"), data) == ((1.0, 1), (0.5, 9999), (0.25, 3))
+    assert data.count(old.encode()) == 1
+    assert report.parse_csv_runs(("n", "d_n"), data.replace(old.encode(), new.encode())) is None
+
+
+CANONICAL_CSV = "n,d_n\n0,1\n1,0.5\n2,0.5\n3,0.25\n"
+
+
+@pytest.mark.parametrize("text", [
+    CANONICAL_CSV.replace("2,0.5", "2,0.50"),      # a value not written as %.17g
+    CANONICAL_CSV.replace("1,0.5", "1, 0.5"),      # a space after the comma
+    CANONICAL_CSV.replace("2,0.5\n", "2,0.5\n\n"),  # a blank line
+    CANONICAL_CSV.replace("\n", "\r\n"),          # CRLF line ends
+    CANONICAL_CSV[:-1],                           # no final newline
+], ids=["0.50", "space", "blank-line", "crlf", "no-final-newline"])
+def test_noncanonical_width_csv_takes_the_fallback(tmp_path, text):
+    data = text.encode()
+    assert report.parse_csv_runs(("n", "d_n"), data) is None
+    path = tmp_path / "table.csv"
+    path.write_bytes(data)
+    expected = report.parse_csv_runs(("n", "d_n"), CANONICAL_CSV.encode())
+    assert expected == ((1.0, 1), (0.5, 2), (0.25, 1))
+    assert _hex_runs(_read_width_csv(str(path))) == _hex_runs(expected)
+
+
+@pytest.mark.parametrize("body", [
+    "0,0.5\n1,nan\n2,nan\n",    # the writer's own text for NaN: read on the fast path
+    "0,0.5\n1,NaN\n2,0.25\n",   # read by loadtxt
+], ids=["writer-nan", "loadtxt-nan"])
+def test_widths_fit_refuses_nan(tmp_path, capsys, body):
+    path = tmp_path / "table.csv"
+    path.write_text("n,d_n\n" + body, encoding="utf-8")
+    code, out, err = run_cli(capsys, "widths", "fit", str(path), "--N", "0", "--nmax", "30")
+    assert code == 2 and out == ""
+    assert err.startswith("error: width value at row 1 is NaN")
+
+
+def test_widths_fit_refuses_more_coefficients_than_plateaus(tmp_path, capsys):
+    # ranks 10 .. 29 hold the plateaus starting at 10 and 20: two points
+    path = tmp_path / "table.csv"
+    path.write_text(report.csv_runs(("n", "d_n"), ((1.0, 10), (0.5, 10), (0.25, 10))))
+    argv = ("widths", "fit", str(path), "--N", "10", "--nmax", "29")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["slope"] == pytest.approx(-1.0, abs=1e-12)
+    code, out, err = run_cli(capsys, *argv, "--model", "power-log")
+    assert code == 2 and out == ""
+    assert "covers 2 plateau(s), fewer than the model's 3 coefficients" in err
 
 
 @pytest.mark.parametrize("body, reason", [
@@ -408,6 +480,28 @@ def test_exact_commands_never_load_numpy(argv):
     assert loaded == []
 
 
+def _writer_csv(tmp_path):
+    path = tmp_path / "spectrum.csv"
+    table = l2_width_table(finite_smooth(3, 0), 2, 20000)
+    path.write_text(report.csv_runs(("n", "d_n"), table.runs), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("model", ["power", "power-log", "stretched"])
+def test_widths_fit_of_a_writer_csv_never_loads_numpy(tmp_path, model):
+    code, loaded = _numpy_after(["widths", "fit", _writer_csv(tmp_path), "--model", model,
+                                 "--nmax", "20000"])
+    assert code == 0
+    assert loaded == []
+
+
+def test_compare_gradings_never_loads_numpy():
+    code, loaded = _numpy_after(["widths", "compare-gradings", "--family", "fs:gamma=3",
+                                 "--d", "2", "--nmax", "20000"])
+    assert code == 0
+    assert loaded == []
+
+
 def test_numeric_commands_still_load_numpy():
     code, loaded = _numpy_after(["check", "addition", "--d", "2", "--m", "1", "--n", "1",
                                  "--samples", "50"])
@@ -425,6 +519,11 @@ def test_tracer_resolves_every_target_in_a_fresh_process(tmp_path):
                           env=_child_env())
     assert done.returncode == 0, done.stderr
     assert "basis.build_basis" in {span[0] for span in json.loads(trace.read_text())["spans"]}
+    done = subprocess.run([sys.executable, str(tracer), str(trace), "widths", "fit",
+                           _writer_csv(tmp_path), "--nmax", "20000"], capture_output=True,
+                          text=True, env=_child_env())
+    assert done.returncode == 0, done.stderr
+    assert "widths.fit" in {span[0] for span in json.loads(trace.read_text())["spans"]}
 
 
 def test_infinity_p_parses(capsys):

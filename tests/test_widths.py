@@ -18,6 +18,7 @@ from cspherelab.widths import (
     fit_stretched,
     grading_compare,
     l2_width_table,
+    table_from_runs,
     table_from_values,
 )
 
@@ -39,6 +40,14 @@ def test_expand_spectrum_hand_oracle():
     assert table_from_values([1.0, 0.5, up, up, 0.25]).runs == ((1.0, 1), (0.5, 1), (up, 2), (0.25, 1))
     with pytest.raises(ArgumentError):
         table_from_values([1.0, 0.5, 0.5 + 1e-9])
+
+
+def test_table_from_runs_refuses_nan():
+    # NaN compares false both ways, so the non-increasing check alone lets it through
+    with pytest.raises(ArgumentError, match="row 2 is NaN"):
+        table_from_values([1.0, 0.5, math.nan, 0.25])
+    with pytest.raises(ArgumentError, match="row 3 is NaN"):
+        table_from_runs(((1.0, 1), (0.5, 2), (math.nan, 4)))
 
 
 def test_expand_spectrum_truncates_at_rank():
@@ -163,6 +172,68 @@ def test_fit_stretched_synthetic_exact():
     values = np.concatenate([[1.0], np.exp(-2.0 * ranks ** (1 / 3))])
     fit = fit_stretched(table_from_values(values), 2, 1.0, 100, 4999)
     assert fit.slope == pytest.approx(-2.0, abs=1e-10)
+
+
+def _lstsq_fit(table, lo, hi, model, d=2, r=1.0):
+    # The numpy fit that the Householder QR replaced, kept as its oracle:
+    # (coefficients, residual RMS) of numpy.linalg.lstsq on the same points.
+    n, v = table.plateau_points(lo if model == "stretched" else max(lo, 2), hi)
+    n = np.asarray(n, dtype=float)
+    ln_n = np.log(n)
+    columns = {"power": [np.ones_like(n), ln_n],
+               "power_log": [np.ones_like(n), ln_n, np.log(ln_n)],
+               "stretched": [np.ones_like(n), n ** (r / (2.0 * d - 1.0))]}[model]
+    a, y = np.column_stack(columns), np.log(v)
+    coef = np.linalg.lstsq(a, y, rcond=None)[0]
+    return coef.tolist(), float(np.sqrt(np.mean((y - a @ coef) ** 2)))
+
+
+# (family, d, grading, n_max, model): the benchmark's fit-fs3-d2, fit-sobolev-d3
+# and compare-fs3-d2 (both gradings) fits, then a log factor and stretched fits.
+ORACLE_FITS = [
+    (finite_smooth(3, 0, "max"), 2, 500000, "power"),
+    (sobolev(2, 3, "star"), 3, 500000, "power_log"),
+    (finite_smooth(3, 0, "star"), 2, 10**6, "power"),
+    (finite_smooth(3, 0, "max"), 2, 10**6, "power"),
+    (finite_smooth(3, 2, "max"), 2, 10**6, "power_log"),
+    (exp_analytic(1, 1, "max"), 2, 10**6, "stretched"),
+    (exp_analytic(1, 1, "star"), 3, 10**6, "stretched"),
+    (exp_analytic(0.5, 0.7, "max"), 3, 10**5, "stretched"),
+]
+
+
+@pytest.mark.parametrize("fam, d, n_max, model", ORACLE_FITS,
+                         ids=[f"{f.describe()}-{f.grading}-d{d}-{m}" for f, d, _, m in ORACLE_FITS])
+def test_fits_match_the_lstsq_oracle(fam, d, n_max, model):
+    table = l2_width_table(fam, d, n_max)
+    if model == "stretched":
+        fit = fit_stretched(table, d, fam.r, 10**3, n_max)
+        coef = [fit.intercept, fit.slope]
+    else:
+        fit = fit_power(table, 10**3, n_max, with_log_factor=model == "power_log")
+        coef = [fit.intercept, fit.slope] + ([fit.loglog_coeff] if model == "power_log" else [])
+    want, rms = _lstsq_fit(table, 10**3, n_max, model, d, fam.r)
+    # relative to the largest coefficient: an intercept near 0 has no
+    # relative accuracy of its own in either solver
+    scale = max(abs(c) for c in want)
+    assert all(abs(got - ref) <= 1e-12 * scale for got, ref in zip(coef, want)), (coef, want)
+    # an exact fit's residual (exp at max grading) is rounding noise, about 1e-14
+    assert math.isclose(fit.residual_rms, rms, rel_tol=1e-12, abs_tol=1e-13)
+
+
+@pytest.mark.parametrize("model, runs, lo, hi", [
+    ("power", ((1.0, 5), (0.5, 40)), 5, 44),
+    ("stretched", ((1.0, 5), (0.5, 40)), 5, 44),
+    ("power_log", ((1.0, 10), (0.5, 10), (0.25, 10)), 10, 29),
+])
+def test_fits_refuse_fewer_plateaus_than_coefficients(model, runs, lo, hi):
+    table = WidthTable(runs=runs)
+    need = 3 if model == "power_log" else 2
+    with pytest.raises(ArgumentError, match=f"fewer than the model's {need} coefficients"):
+        if model == "stretched":
+            fit_stretched(table, 2, 1.0, lo, hi)
+        else:
+            fit_power(table, lo, hi, with_log_factor=model == "power_log")
 
 
 def test_fit_power_range_errors():
