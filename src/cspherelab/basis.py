@@ -42,7 +42,7 @@ from ._lazy import numpy as np
 from .dimensions import bidegree_monomials, dim_complex_harmonic
 from .errors import ArgumentError, ConsistencyError
 from .polynomials import disk_poly_eval
-from .sphere import omega, sample_points
+from .sphere import _CHUNK, omega, sample_points
 
 # Combinatorial growth guard for exact basis construction.
 MAX_BIDEGREE = 8
@@ -438,17 +438,23 @@ def project_mc(f, d, m, n, w, samples, seed):
 
     Integrates f(z) * conj(zonal_w(z)) over the sphere: returns
     (omega(d) * mean, stderr) where the stderr combines the real and
-    imaginary sample variances of the integrand.
+    imaginary sample variances of the integrand. f and the zonal kernel are
+    evaluated one sampling chunk of points at a time, into one integrand
+    array.
     """
     if samples < 2:
         raise ArgumentError("need at least two samples for a standard error")
     pts = sample_points(d, samples, seed)
-    fvals = np.asarray(f(pts), dtype=complex)
-    if not np.all(np.isfinite(fvals)):
-        from .errors import DataError
+    integrand = np.empty(samples, dtype=complex)
+    for start in range(0, samples, _CHUNK):
+        chunk = pts[start:start + _CHUNK]
+        fvals = np.asarray(f(chunk), dtype=complex)
+        if not np.all(np.isfinite(fvals)):
+            from .errors import DataError
 
-        raise DataError("f produced non-finite values at sample points")
-    integrand = fvals * np.conj(zonal_eval(d, m, n, w, pts))
+            raise DataError("f produced non-finite values at sample points")
+        zonal = zonal_eval(d, m, n, w, chunk)
+        np.multiply(fvals, np.conj(zonal), out=integrand[start:start + len(chunk)])
     wd = omega(d)
     estimate = wd * complex(integrand.mean())
     var = integrand.real.var(ddof=1) + integrand.imag.var(ddof=1)

@@ -285,7 +285,9 @@ def _cmd_widths_spectrum(args):
         return 0
     if table.warning:
         print(f"warning: {table.warning}", file=sys.stderr)
-    report.write_output(report.csv_runs(("n", "d_n"), table.runs), args.out)
+    with report.open_output(args.out) as handle:
+        for piece in report.csv_runs(("n", "d_n"), table.runs):
+            report.write_output(piece, handle)
     return 0
 
 

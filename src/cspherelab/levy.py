@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from ._lazy import numpy as np
-from .basis import MonomialMap, _check_on_sphere, build_basis
+from .basis import _EVAL_ROWS, MonomialMap, _check_on_sphere, build_basis
 from .dimensions import layer_members, theta
 from .errors import ArgumentError, ConsistencyError
 from .multipliers import MultiplierFamily, lambda_value, multiplier_at
@@ -49,6 +49,16 @@ from .sphere import _chunk_rng, abs_power_inplace, lp_norm_mc, omega, sample_poi
 # The fixed Monte Carlo layout: rows per pass, and cloud blocks for the cloud error.
 _OUTER_ROWS = 200
 _CLOUD_BLOCKS = 8
+
+# Cost guard of the Monte Carlo Levy mean: its cloud products cost
+# 2 * sphere_samples * s * omega_samples flops. A whole cloud-path call took
+# 2.6e-11 to 3.0e-11 s per such flop on a 2-vCPU x86-64 VM with OpenBLAS
+# (s = 63 to 342, 1000 to 4000 outer rows, 5e4 to 1e5 points), so the
+# ceiling refuses inputs that would take more than about a minute, e.g.
+# d=3 (0, 6] (s = 3919) at 1000 x 10^6. Windows with s below about 20 take
+# longer per flop: their |.|^p reductions cost more than their products.
+MAX_CLOUD_FLOPS = 2 * 10**12
+SECONDS_PER_CLOUD_FLOP = 3e-11
 
 
 @dataclass(frozen=True)
@@ -155,11 +165,15 @@ def _real_members(d, m, n):
     return re + im
 
 
+def _check_window(m1, m2):
+    if not 0 <= m1 < m2:
+        raise ArgumentError(f"need 0 <= M1 < M2, got ({m1}, {m2})")
+
+
 @lru_cache(maxsize=None)
 def build_real_system(d, m1, m2):
     """Real orthonormal coordinates of the levels m1+1 .. m2 (max grading)."""
-    if not 0 <= m1 < m2:
-        raise ArgumentError(f"need 0 <= M1 < M2, got ({m1}, {m2})")
+    _check_window(m1, m2)
     members = []
     for level in range(m1 + 1, m2 + 1):
         seen = set()
@@ -207,6 +221,52 @@ def levy_mean_parseval(prob: LevyProblem):
     return math.sqrt(float(np.mean(lam**2)))
 
 
+def _weighted_rows(rng, lam, out):
+    """Fill out (rows, s) with uniform points of the coefficient sphere, times lam."""
+    rng.standard_normal(out=out)
+    out /= np.linalg.norm(out, axis=1, keepdims=True)
+    out *= lam
+    return out
+
+
+def _cloud_blocks(system, points, per_block):
+    """The cloud's consecutive (per_block, s) coordinate blocks, in one reused buffer.
+
+    The points are evaluated _EVAL_ROWS at a time from the first, as one
+    eval_matrix call on the whole cloud would chunk them, so each block
+    holds the same rows as that call's matrix. The caller must be done
+    with a block before asking for the next.
+    """
+    block = np.empty((per_block, system.s))
+    filled = 0
+    for start in range(0, len(points), _EVAL_ROWS):
+        values = system.eval_matrix(points[start:start + _EVAL_ROWS])
+        while len(values):
+            take = min(per_block - filled, len(values))
+            block[filled:filled + take] = values[:take]
+            values = values[take:]
+            filled += take
+            if filled == per_block:
+                yield block
+                filled = 0
+
+
+def check_cloud_cost(prob: LevyProblem, sphere_samples, omega_samples):
+    """Refuse a Monte Carlo Levy mean whose cloud products cost over MAX_CLOUD_FLOPS.
+
+    The cost is 2 * sphere_samples * s * omega_samples flops, with s the
+    window size from the dimension formula, so nothing is built to find it.
+    """
+    _check_window(prob.m1, prob.m2)
+    s = theta(prob.d, prob.m1, prob.m2, "max")
+    cost = 2 * sphere_samples * s * omega_samples
+    if cost > MAX_CLOUD_FLOPS:
+        raise ArgumentError(
+            f"Levy mean for d={prob.d}, window ({prob.m1}, {prob.m2}] refused: its cloud"
+            f" products cost 2 x {sphere_samples} x {s} x {omega_samples} = {cost:.2e} flops"
+            f" > {MAX_CLOUD_FLOPS:.0e}, an estimated {cost * SECONDS_PER_CLOUD_FLOP:.0f} s")
+
+
 def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
     """Monte Carlo Levy mean of the weighted p-norm on the coefficient sphere.
 
@@ -221,52 +281,58 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
 
     Outer samples are drawn, normalised and weighted _OUTER_ROWS rows per
     pass from one stream, so the rows do not depend on the pass size; the
-    cloud's _CLOUD_BLOCKS equal blocks give stderr_cloud. Memory: besides
-    the (omega_samples, s) matrix of the cloud's coordinate values, the only
-    array of cloud size is one (_OUTER_ROWS, omega_samples / _CLOUD_BLOCKS)
-    buffer, which each pass fills one cloud block at a time and reduces in
-    place (|.|^p, or max |.| at p = inf) to that block's row means.
+    cloud's _CLOUD_BLOCKS equal blocks give stderr_cloud. Inputs whose cloud
+    products cost more than MAX_CLOUD_FLOPS are refused before any basis is
+    built (check_cloud_cost).
+
+    Memory: the cloud path holds the (sphere_samples, s) outer rows and the
+    cloud's points, never the cloud's coordinate matrix. It evaluates one
+    (omega_samples / _CLOUD_BLOCKS, s) cloud block at a time into one
+    buffer, multiplies every pass of outer rows into one (_OUTER_ROWS,
+    omega_samples / _CLOUD_BLOCKS) buffer and reduces that in place (|.|^p,
+    or max |.| at p = inf) to the block's row means. The points and those
+    two buffers are the arrays that grow with omega_samples: exact row means
+    need a whole block row at once. The exact path holds one pass of outer
+    rows.
     """
     if sphere_samples < 2:
         raise ArgumentError("need at least two coefficient-sphere samples")
     p = prob.p
     if p != math.inf and p < 1:
         raise ArgumentError(f"need p >= 1 or p = inf, got {p}")
-    system = prob.system()
-    lam = system.multiplier_vector(prob.fam)
-    rng = _chunk_rng(seed, 777)
     exact = p == 2 and omega_samples == 0
-
-    if exact:
-        sq = np.empty(sphere_samples)
-    else:
+    if not exact:
         if omega_samples < 10**3:
             raise ArgumentError("inner estimation needs omega_samples >= 1000 (or 0 at p = 2)")
         omega_samples -= omega_samples % _CLOUD_BLOCKS
-        pts = sample_points(prob.d, omega_samples, seed + 1)
-        bmat = system.eval_matrix(pts)
-        per_block = omega_samples // _CLOUD_BLOCKS
-        blocks = [bmat[b * per_block:(b + 1) * per_block].T for b in range(_CLOUD_BLOCKS)]
-        buf = np.empty((min(_OUTER_ROWS, sphere_samples), per_block))
-        block_stat = np.empty((sphere_samples, _CLOUD_BLOCKS))
-    for start in range(0, sphere_samples, _OUTER_ROWS):
-        rows = min(_OUTER_ROWS, sphere_samples - start)
-        x = rng.standard_normal((rows, system.s))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        x *= lam
-        if exact:
-            sq[start:start + rows] = np.sum(x**2, axis=1)
-            continue
-        for b, block in enumerate(blocks):
-            v = np.matmul(x, block, out=buf[:rows])
-            if p == math.inf:
-                block_stat[start:start + rows, b] = np.maximum(v.max(axis=1), -v.min(axis=1))
-            else:
-                block_stat[start:start + rows, b] = abs_power_inplace(v, p).mean(axis=1)
+        check_cloud_cost(prob, sphere_samples, omega_samples)
+    system = prob.system()
+    lam = system.multiplier_vector(prob.fam)
+    rng = _chunk_rng(seed, 777)
+    passes = [(start, min(_OUTER_ROWS, sphere_samples - start))
+              for start in range(0, sphere_samples, _OUTER_ROWS)]
 
     if exact:
+        sq = np.empty(sphere_samples)
+        x = np.empty((passes[0][1], system.s))
+        for start, rows in passes:
+            sq[start:start + rows] = np.sum(_weighted_rows(rng, lam, x[:rows]) ** 2, axis=1)
         se_cloud = 0.0
     else:
+        x = np.empty((sphere_samples, system.s))
+        for start, rows in passes:
+            _weighted_rows(rng, lam, x[start:start + rows])
+        pts = sample_points(prob.d, omega_samples, seed + 1)
+        per_block = omega_samples // _CLOUD_BLOCKS
+        buf = np.empty((passes[0][1], per_block))
+        block_stat = np.empty((sphere_samples, _CLOUD_BLOCKS))
+        for b, block in enumerate(_cloud_blocks(system, pts, per_block)):
+            for start, rows in passes:
+                v = np.matmul(x[start:start + rows], block.T, out=buf[:rows])
+                if p == math.inf:
+                    block_stat[start:start + rows, b] = np.maximum(v.max(axis=1), -v.min(axis=1))
+                else:
+                    block_stat[start:start + rows, b] = abs_power_inplace(v, p).mean(axis=1)
         w = omega(prob.d)
         if p == math.inf:
             sq = block_stat.max(axis=1) ** 2
@@ -348,11 +414,15 @@ def nikolskii_check(d, m1, m2, p, trials, seed, omega_samples=4096):
     sup|t| / ((s/omega)^(1/p) ||t||_p) and ||t||_p / ((s/omega)^(1/2-1/p) ||t||_2)
     are compared against 1; a violation is a ratio exceeding
     1 + 3 * (its Monte Carlo standard error). The sup norm uses the shared
-    cloud plus per-trial cap refinement (a lower bound; caps are evaluated
-    _OUTER_ROWS trials per pass). ||t||_p and ||t||_2 come from the same
-    cloud, so the p = 2 instance of the second ratio is the exact equality case;
-    they are reduced _OUTER_ROWS trials at a time. Memory: the (trials,
-    omega_samples) array of |t| on the cloud is the only one of that size.
+    cloud plus per-trial cap refinement (a lower bound). ||t||_p and ||t||_2
+    come from the same cloud, so the p = 2 instance of the second ratio is
+    the exact equality case.
+
+    Memory: the (s, omega_samples) coordinate values of the cloud are the
+    only array of cloud size that lives through the check. |t| on the cloud
+    is formed _OUTER_ROWS trials per pass; each pass gives its trials' cloud
+    maxima, the points where they lie and both cloud norms, and is then
+    dropped. The caps are evaluated _OUTER_ROWS trials per pass too.
     """
     if p != math.inf and p < 1:
         raise ArgumentError(f"need p >= 1 or p = inf, got {p}")
@@ -365,8 +435,22 @@ def nikolskii_check(d, m1, m2, p, trials, seed, omega_samples=4096):
     coeffs = rng.standard_normal((trials, s))
 
     pts = sample_points(d, omega_samples, seed + 2)
-    mags = coeffs @ system.eval_matrix(pts).T  # (trials, omega_samples)
-    np.abs(mags, out=mags)
+    cloud = system.eval_matrix(pts).T  # (s, omega_samples)
+    best, centers = np.empty(trials), np.empty((trials, d), dtype=complex)
+    norm2, se_2 = np.empty(trials), np.empty(trials)
+    norm_p, se_p = np.empty(trials), np.zeros(trials)
+    for start in range(0, trials, _OUTER_ROWS):
+        rows = slice(start, start + _OUTER_ROWS)
+        mags = np.matmul(coeffs[rows], cloud)
+        np.abs(mags, out=mags)
+        best[rows] = mags.max(axis=1)
+        centers[rows] = pts[mags.argmax(axis=1)]
+        # Both norms of each ratio come from the same shared cloud, so the
+        # p = 2 instance of the p-versus-2 comparison is the exact equality case.
+        norm2[rows], se_2[rows] = lp_norm_mc(mags, 2, d)
+        if p != math.inf:
+            norm_p[rows], se_p[rows] = lp_norm_mc(mags, p, d)
+    del mags  # the last pass, so it is not held through the cap search
 
     def cap_values(cap):
         out = np.empty(cap.shape[:-1])
@@ -378,22 +462,9 @@ def nikolskii_check(d, m1, m2, p, trials, seed, omega_samples=4096):
         return out
 
     # Lower-bound sup norms: shared-cloud max, then shrinking caps per trial.
-    sup = sup_norm_refined(cap_values, pts, mags, seed)
-
-    def cloud_norms(q):
-        # _OUTER_ROWS trials at a time: lp_norm_mc reduces each row alone, so
-        # blocking changes no number and bounds its |.|^q copy.
-        parts = [lp_norm_mc(mags[start:start + _OUTER_ROWS], q, d)
-                 for start in range(0, trials, _OUTER_ROWS)]
-        return np.concatenate([v for v, _ in parts]), np.concatenate([e for _, e in parts])
-
-    # Both norms of each ratio come from the same shared cloud, so the p = 2
-    # instance of the p-versus-2 comparison is the exact equality case.
-    norm2, se_2 = cloud_norms(2)
+    sup = sup_norm_refined(cap_values, best, centers, seed)
     if p == math.inf:
-        norm_p, se_p = sup, np.zeros(trials)
-    else:
-        norm_p, se_p = cloud_norms(p)
+        norm_p = sup
 
     # 1 / inf == 0, so the exponents and the zero se_p cover p = inf.
     bound_sup = (s / w) ** (1.0 / p) * norm_p

@@ -9,6 +9,8 @@ rendered as "p/q" strings.
 from __future__ import annotations
 
 import math
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .errors import ArgumentError
@@ -52,6 +54,10 @@ def dumps(value, indent=0):
     raise ArgumentError(f"cannot serialise value of type {type(value).__name__}")
 
 
+# Rows per piece of csv_runs, so a written spectrum is never held whole.
+_WRITE_ROWS = 4096
+
+
 def _cell(x):
     if isinstance(x, float):
         return "%.17g" % x
@@ -66,19 +72,22 @@ def csv_lines(header, rows):
 
 
 def csv_runs(header, runs):
-    """CSV text of a run-length encoded column: one "rank,value" row per rank.
+    """CSV text of a run-length encoded column, as consecutive pieces.
 
-    runs holds (value, count) pairs with positive counts; ranks count from 0.
-    The text equals csv_lines over the expanded (rank, value) rows, but each
-    run's value is formatted once and its ranks are joined in one call.
+    runs holds (value, count) pairs with positive counts; ranks count from 0
+    and each gets one "rank,value" row. The pieces are the header line, then
+    at most _WRITE_ROWS rows each; joined, they equal csv_lines over the
+    expanded (rank, value) rows. Each run's value is formatted once and a
+    piece's ranks are joined in one call.
     """
-    out = [",".join(header) + "\n"]
+    yield ",".join(header) + "\n"
     rank = 0
     for value, count in runs:
         sep = "," + _cell(value) + "\n"
-        out.append(sep.join(map(str, range(rank, rank + count))) + sep)
+        for start in range(rank, rank + count, _WRITE_ROWS):
+            stop = min(start + _WRITE_ROWS, rank + count)
+            yield sep.join(map(str, range(start, stop))) + sep
         rank += count
-    return "".join(out)
 
 
 # Rows regenerated and compared at a time when parse_csv_runs checks a run.
@@ -95,7 +104,7 @@ def _digits_below(k):
 
 
 def parse_csv_runs(header, data):
-    """The runs whose csv_runs(header, runs) text is exactly data (bytes), else None.
+    """The runs whose joined csv_runs(header, runs) text is exactly data (bytes), else None.
 
     None means only that data is not in the writer's canonical form (ranks
     as %d from 0, values as %.17g, "\\n" line ends); the caller parses it
@@ -151,16 +160,23 @@ def parse_csv_runs(header, data):
     return tuple(runs)
 
 
-def write_output(text, out_path=None):
-    """Write to the given path or stdout; unwritable paths raise OSError."""
-    if out_path in (None, "-"):
-        import sys
+@contextmanager
+def open_output(out=None):
+    """The destination of out: stdout for None or "-", a path opened for
+    writing (unwritable paths raise OSError), or an open text handle, which
+    is left open."""
+    if out in (None, "-"):
+        yield sys.stdout
+    elif isinstance(out, str):
+        with open(out, "w", encoding="utf-8") as handle:
+            yield handle
+    else:
+        yield out
 
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-        return
-    with open(out_path, "w", encoding="utf-8") as handle:
+
+def write_output(text, out=None):
+    """Write text, and a final newline if it lacks one, to out (see open_output)."""
+    with open_output(out) as handle:
         handle.write(text)
         if not text.endswith("\n"):
             handle.write("\n")

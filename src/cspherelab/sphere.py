@@ -12,8 +12,9 @@ the first points do not depend on how many are drawn.
 Each Monte Carlo norm has one estimator, batched so that one call covers
 many functions sampled on a shared cloud: lp_norm_mc reduces along the last
 axis of sampled |f| values and returns the estimates with their delta-method
-standard errors; sup_norm_refined starts from the same sampled |f| and runs
-the shrinking-cap sup search for a batch of functions at once.
+standard errors; sup_norm_refined starts from the largest sampled |f| of
+each function and its point, and runs the shrinking-cap sup search for a
+batch of functions at once.
 """
 
 from __future__ import annotations
@@ -118,28 +119,32 @@ def lp_norm_mc(values, p, d):
     return value, stderr[()]
 
 
-def sup_norm_refined(f, points, mags, seed):
+def sup_norm_refined(f, best, centers, seed):
     """Lower bounds for sup |f_b| on the sphere, for a batch of functions f_b.
 
-    mags (B, N) is the real array of |f_b| at the shared points (N, d); a
-    complex mags is refused, since numpy would order it lexicographically.
-    Each search starts at its function's largest mags entry, then
+    Each search starts from its function's best sampled magnitude best[b]
+    (real; a complex best is refused, since numpy would order it
+    lexicographically) at the point centers[b] of the sphere of C^d. It then
     _CAP_ROUNDS times draws K = _CAP_SAMPLES points from a Gaussian cap
     around its running maximiser (cap width _CAP_SHRINK^(r+1) in round r,
     drawn from the stream (seed, 9000 + r)) and keeps the best. f maps cap
     points (B, K, d) to values (B, K), whose magnitudes are taken here.
+
+    Memory: one (B, K, d) complex cap array serves every round. Each round
+    draws the real parts of its offsets into it, then the imaginary parts,
+    and scales, shifts and normalises them in place.
     """
-    if np.iscomplexobj(mags):
+    if np.iscomplexobj(best):
         raise ArgumentError("sup_norm_refined takes the magnitudes |f|, got complex values")
-    best = mags.max(axis=1)
-    centers = points[mags.argmax(axis=1)]
     batch, d = centers.shape
+    cap = np.empty((batch, _CAP_SAMPLES, d), dtype=complex)
     sigma = _CAP_SHRINK
     for r in range(_CAP_ROUNDS):
         rng = _chunk_rng(seed, 9000 + r)
-        offsets = rng.standard_normal((batch, _CAP_SAMPLES, d)) \
-            + 1j * rng.standard_normal((batch, _CAP_SAMPLES, d))
-        cap = centers[:, None, :] + sigma * offsets
+        cap.real = rng.standard_normal(cap.shape)
+        cap.imag = rng.standard_normal(cap.shape)
+        cap *= sigma
+        cap += centers[:, None, :]
         cap /= np.sqrt(np.sum(np.abs(cap) ** 2, axis=2, keepdims=True))
         cap_vals = np.abs(f(cap))
         round_best = cap_vals.max(axis=1)

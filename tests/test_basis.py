@@ -17,7 +17,7 @@ from cspherelab.basis import (
     zonal_eval,
 )
 from cspherelab.dimensions import bidegree_monomials, dim_complex_harmonic
-from cspherelab.errors import ArgumentError
+from cspherelab.errors import ArgumentError, DataError
 from cspherelab.polynomials import disk_poly_eval, gegenbauer_eval
 from cspherelab.sphere import omega, sample_points
 
@@ -237,6 +237,36 @@ def test_projection_of_constant():
     # constant there, so the estimate is exact and the stderr vanishes
     estimate0, stderr0 = project_mc(ones, 2, 0, 0, w, 20000, seed=8)
     assert abs(estimate0 - 1.0) <= max(4 * stderr0, 1e-12)
+
+
+def _full_array_project_oracle(f, d, m, n, w, samples, seed):
+    """The earlier project_mc: f and the zonal kernel on all points at once."""
+    pts = sample_points(d, samples, seed)
+    integrand = np.asarray(f(pts), dtype=complex) * np.conj(zonal_eval(d, m, n, w, pts))
+    wd = omega(d)
+    var = integrand.real.var(ddof=1) + integrand.imag.var(ddof=1)
+    return wd * complex(integrand.mean()), wd * math.sqrt(var / samples)
+
+
+# 200000 points end in a short sampling chunk of 3392; 4097 in one of a single point.
+@pytest.mark.parametrize("d, m, n, j, samples", [(2, 3, 3, 0, 200000), (3, 2, 1, 2, 12345),
+                                                 (2, 1, 0, 1, 4097)])
+def test_project_mc_equals_full_array_oracle(d, m, n, j, samples):
+    built = build_basis(d, m, n)
+    pole = sample_points(d, 1, seed=2)[0]
+    f = lambda pts: built.eval_orthonormal(pts, j)  # noqa: E731
+    assert project_mc(f, d, m, n, pole, samples, seed=3) == \
+        _full_array_project_oracle(f, d, m, n, pole, samples, seed=3)
+
+
+def test_project_mc_refuses_non_finite_values():
+    def f(pts):
+        values = np.ones(len(pts), dtype=complex)
+        values[-1] = np.nan
+        return values
+
+    with pytest.raises(DataError):
+        project_mc(f, 2, 1, 0, sample_points(2, 1, seed=6)[0], 5000, seed=7)
 
 
 # Rational points on the unit sphere, as (re, im) Fraction pairs per coordinate.

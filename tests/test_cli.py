@@ -8,13 +8,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import cspherelab
-from cspherelab import report
+from cspherelab import levy, report
 from cspherelab.basis import build_basis
 from cspherelab.cli import _loadtxt_runs, _read_width_csv, run
 from cspherelab.dimensions import dim_layer
@@ -119,6 +120,20 @@ def test_byte_identical_reruns(capsys):
     code2, out2, _ = run_cli(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_levy_refused_by_its_cost_exits_2(capsys, monkeypatch):
+    # 2 x 1000 x 3919 x 10^6 flops on d = 3, window (0, 6]; the basis would
+    # take gigabytes, so building one fails the test at once.
+    def refuse(*args):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(levy, "build_real_system", refuse)
+    code, out, err = run_cli(capsys, "levy", "--d", "3", "--N", "0", "--lmax", "6", "--family",
+                             "fs:gamma=3,xi=0", "--p", "4", "--omega-samples", "1000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: Levy mean for d=3, window (0, 6] refused")
+    assert "2 x 1000 x 3919 x 1000000 = 7.84e+12 flops > 2e+12, an estimated 235 s" in err
 
 
 def test_levy_json_schema(capsys):
@@ -248,6 +263,10 @@ def test_spectrum_and_seq_match_benchmark_goldens(tmp_path, capsys):
             (ops[name]["bytes"], ops[name]["sha256"]), name
 
 
+def _csv_text(runs):
+    return "".join(report.csv_runs(("n", "d_n"), runs))
+
+
 def _per_row_csv(table):
     # The per-row writer that csv_runs replaced, kept as its oracle.
     rows = ((n, float(v)) for n, v in enumerate(table.values()))
@@ -276,7 +295,23 @@ WRITER_TABLES = {
 @pytest.mark.parametrize("name", sorted(WRITER_TABLES))
 def test_spectrum_writer_matches_per_row_formatter(name):
     table = WRITER_TABLES[name]
-    _assert_same_lines(report.csv_runs(("n", "d_n"), table.runs), _per_row_csv(table))
+    _assert_same_lines(_csv_text(table.runs), _per_row_csv(table))
+
+
+def test_spectrum_csv_is_written_in_bounded_pieces(tmp_path, capsys):
+    # The 5.5 MiB file of 200001 rows goes out at most _WRITE_ROWS rows at a
+    # time; building the whole text first took an 11 MiB peak.
+    path = tmp_path / "spectrum.csv"
+    argv = ("widths", "spectrum", "--family", "fs:gamma=3,xi=0", "--d", "2", "--nmax", "200000",
+            "--out", str(path))
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and path.stat().st_size > 5 * 2**20
+    assert peak < 2 * 2**20
 
 
 def test_spectrum_writer_cases_cover_their_edges():
@@ -303,7 +338,7 @@ def _hex_runs(runs):
 def test_spectrum_csv_reads_back_bit_identical(tmp_path, monkeypatch):
     for table in (l2_width_table(exp_analytic(0.5, 0.7), 3, 20000),
                   WRITER_TABLES["exp-subnormal"]):
-        text = report.csv_runs(("n", "d_n"), table.runs)
+        text = _csv_text(table.runs)
         path = tmp_path / "table.csv"
         path.write_text(text, encoding="utf-8")
         expected = _hex_runs(table.runs)
@@ -318,7 +353,7 @@ READER_TABLES = {**WRITER_TABLES, "exp-d3": l2_width_table(exp_analytic(0.5, 0.7
 @pytest.mark.parametrize("name", sorted(READER_TABLES))
 def test_width_csv_fast_path_matches_loadtxt(name):
     runs = READER_TABLES[name].runs
-    data = report.csv_runs(("n", "d_n"), runs).encode()
+    data = _csv_text(runs).encode()
     fast = report.parse_csv_runs(("n", "d_n"), data)
     assert fast is not None
     assert _hex_runs(fast) == _hex_runs(_loadtxt_runs(data)) == _hex_runs(runs)
@@ -329,7 +364,7 @@ def test_width_csv_fast_path_matches_loadtxt(name):
 def test_fast_width_reader_checks_every_row(old, new):
     # one altered row inside a long run, where neither the end search nor
     # the first row looks
-    data = report.csv_runs(("n", "d_n"), ((1.0, 1), (0.5, 9999), (0.25, 3))).encode()
+    data = _csv_text(((1.0, 1), (0.5, 9999), (0.25, 3))).encode()
     assert report.parse_csv_runs(("n", "d_n"), data) == ((1.0, 1), (0.5, 9999), (0.25, 3))
     assert data.count(old.encode()) == 1
     assert report.parse_csv_runs(("n", "d_n"), data.replace(old.encode(), new.encode())) is None
@@ -370,7 +405,7 @@ def test_widths_fit_refuses_nan(tmp_path, capsys, body):
 def test_widths_fit_refuses_more_coefficients_than_plateaus(tmp_path, capsys):
     # ranks 10 .. 29 hold the plateaus starting at 10 and 20: two points
     path = tmp_path / "table.csv"
-    path.write_text(report.csv_runs(("n", "d_n"), ((1.0, 10), (0.5, 10), (0.25, 10))))
+    path.write_text(_csv_text(((1.0, 10), (0.5, 10), (0.25, 10))))
     argv = ("widths", "fit", str(path), "--N", "10", "--nmax", "29")
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and json.loads(out)["slope"] == pytest.approx(-1.0, abs=1e-12)
@@ -483,7 +518,7 @@ def test_exact_commands_never_load_numpy(argv):
 def _writer_csv(tmp_path):
     path = tmp_path / "spectrum.csv"
     table = l2_width_table(finite_smooth(3, 0), 2, 20000)
-    path.write_text(report.csv_runs(("n", "d_n"), table.runs), encoding="utf-8")
+    path.write_text(_csv_text(table.runs), encoding="utf-8")
     return str(path)
 
 

@@ -11,15 +11,26 @@ from cspherelab.basis import build_basis
 from cspherelab.dimensions import theta
 from cspherelab.errors import ArgumentError
 from cspherelab.levy import (
+    LevyEstimate,
     LevyProblem,
     build_real_system,
+    check_cloud_cost,
     levy_bounds,
     levy_mean_mc,
     levy_mean_parseval,
     nikolskii_check,
 )
 from cspherelab.multipliers import exp_analytic, finite_smooth, identity, parse_family, sobolev
-from cspherelab.sphere import _chunk_rng, omega, sample_points
+from cspherelab.sphere import (
+    _CAP_ROUNDS,
+    _CAP_SAMPLES,
+    _CAP_SHRINK,
+    _chunk_rng,
+    abs_power_inplace,
+    lp_norm_mc,
+    omega,
+    sample_points,
+)
 
 
 def test_real_system_sizes():
@@ -279,9 +290,11 @@ def test_levy_exact_path_equals_one_shot_draw(fam, count):
 
 
 def test_levy_mc_memory_stays_one_block_buffer():
-    # 1000 x 50000 at p = 4 on a window with s = 63: the full product would
-    # be 400 MB and one 200-row chunk of it 80 MB; one block buffer is 10 MB
-    # and the cloud's coordinate matrix 25 MB.
+    # 1000 x 50000 at p = 4 on a window with s = 63. The (omega_samples, s)
+    # cloud matrix (25 MB) is never held: the outer rows are 0.5 MB, the
+    # points 1.6 MB, one cloud block 3.2 MB and the pass buffer 10 MB; the
+    # peak is about 20 MiB, also when the call compiles the window's
+    # MonomialMap.
     problem = LevyProblem(2, 0, 3, parse_family("fs:gamma=3,xi=0", 2, "max"), 4)
     assert problem.system().s == 63
     tracemalloc.start()
@@ -290,12 +303,32 @@ def test_levy_mc_memory_stays_one_block_buffer():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 24 * 2**20
+
+
+def test_levy_mc_peak_grows_by_one_cloud_block():
+    # Doubling omega_samples from 24000 to 48000 adds 3000 rows to the
+    # cloud block buffer (s = 63 columns) and 3000 columns to the pass
+    # buffer (200 rows), plus 24000 complex points; a held (omega_samples,
+    # s) cloud matrix would add 12 MB more. Exact row means need a whole
+    # block row at once, so these buffers must grow with omega_samples.
+    problem = LevyProblem(2, 0, 3, parse_family("fs:gamma=3,xi=0", 2, "max"), 4)
+    levy_mean_mc(problem, 2, 1000, seed=0)  # compile the window first
+    peaks = []
+    for omega_samples in (24000, 48000):
+        tracemalloc.start()
+        try:
+            levy_mean_mc(problem, 1000, omega_samples, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    streamed = 3000 * (63 + 200) * 8 + 24000 * 2 * 16
+    assert peaks[1] - peaks[0] <= streamed + 2**18
 
 
 def test_nikolskii_holds_one_cloud_array():
-    # 500 x 4096 cloud magnitudes are 16 MB; the sup search and both L^p
-    # norms read that one array, with no signed copy beside it.
+    # The (s, 4096) cloud coordinate values are the one array of cloud size
+    # that lives through the check; |t| is formed 200 trials per pass.
     tracemalloc.start()
     try:
         nikolskii_check(2, 0, 2, 4, 500, 17)
@@ -306,14 +339,171 @@ def test_nikolskii_holds_one_cloud_array():
 
 
 def test_nikolskii_peak_is_bounded_by_blocked_passes():
-    # The 16 MB cloud magnitudes are the one array of (trials x cloud) size:
-    # the cap passes hold one pass of coordinate values at a time, and the
-    # cloud norms copy |t|^p one _OUTER_ROWS block of trials at a time.
+    # One pass of 200 trials holds its 6.5 MB of |t| on the 4096-point
+    # cloud, and lp_norm_mc's |t|^q copy and deviations beside it; the cap
+    # passes hold one pass of coordinate values at a time. No (trials,
+    # omega_samples) array is formed. The peak is about 20 MiB.
     tracemalloc.start()
     try:
         nikolskii_check(2, 0, 2, 4, 500, 17)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 44 * 2**20
+    assert peak < 24 * 2**20
 
+
+def _full_matrix_levy_oracle(prob, sphere_samples, omega_samples, seed):
+    """The earlier levy_mean_mc: the whole (omega_samples, s) cloud matrix, passes outside."""
+    p = prob.p
+    system = prob.system()
+    lam = system.multiplier_vector(prob.fam)
+    rng = _chunk_rng(seed, 777)
+    omega_samples -= omega_samples % levy._CLOUD_BLOCKS
+    pts = sample_points(prob.d, omega_samples, seed + 1)
+    bmat = system.eval_matrix(pts)
+    per_block = omega_samples // levy._CLOUD_BLOCKS
+    blocks = [bmat[b * per_block:(b + 1) * per_block].T for b in range(levy._CLOUD_BLOCKS)]
+    buf = np.empty((min(levy._OUTER_ROWS, sphere_samples), per_block))
+    block_stat = np.empty((sphere_samples, levy._CLOUD_BLOCKS))
+    for start in range(0, sphere_samples, levy._OUTER_ROWS):
+        rows = min(levy._OUTER_ROWS, sphere_samples - start)
+        x = rng.standard_normal((rows, system.s))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        x *= lam
+        for b, block in enumerate(blocks):
+            v = np.matmul(x, block, out=buf[:rows])
+            if p == math.inf:
+                block_stat[start:start + rows, b] = np.maximum(v.max(axis=1), -v.min(axis=1))
+            else:
+                block_stat[start:start + rows, b] = abs_power_inplace(v, p).mean(axis=1)
+    w = omega(prob.d)
+    if p == math.inf:
+        sq = block_stat.max(axis=1) ** 2
+        block_means = np.sqrt(np.mean(block_stat**2, axis=0))
+    else:
+        norms = (w * block_stat.mean(axis=1)) ** (1.0 / p)
+        sq = norms**2
+        block_means = np.sqrt(np.mean((w * block_stat) ** (2.0 / p), axis=0))
+    se_cloud = float(np.std(block_means, ddof=1)) / math.sqrt(levy._CLOUD_BLOCKS)
+    value = math.sqrt(float(np.mean(sq)))
+    se_outer = float(np.std(sq, ddof=1)) / math.sqrt(sphere_samples)
+    se_outer = se_outer / (2.0 * value) if value > 0 else 0.0
+    return LevyEstimate(value=value, stderr=math.hypot(se_outer, se_cloud),
+                        stderr_outer=se_outer, stderr_cloud=se_cloud,
+                        sphere_samples=sphere_samples, omega_samples=omega_samples)
+
+
+# 4004 points: blocks of 500, four to one 2048-point evaluation chunk;
+# 20005 points: blocks of 2500, each straddling a chunk boundary, and a
+# short last chunk of 1568.
+@pytest.mark.parametrize("omega_samples", [4004, 20005])
+@pytest.mark.parametrize("p", [1, 2, 2.5, 3, 4, math.inf])
+def test_levy_mc_equals_full_matrix_oracle(p, omega_samples):
+    # 450 outer rows: two full passes of 200 and a short one of 50
+    problem = LevyProblem(2, 0, 2, finite_smooth(3, 0, "max"), p)
+    est = levy_mean_mc(problem, 450, omega_samples, seed=5)
+    assert est == _full_matrix_levy_oracle(problem, 450, omega_samples, seed=5)
+
+
+def _full_mags_sup_oracle(f, points, mags, seed):
+    """The earlier sup_norm_refined: starts from the full (B, N) mags; fresh cap arrays per round."""
+    best = mags.max(axis=1)
+    centers = points[mags.argmax(axis=1)]
+    batch, d = centers.shape
+    sigma = _CAP_SHRINK
+    for r in range(_CAP_ROUNDS):
+        rng = _chunk_rng(seed, 9000 + r)
+        offsets = rng.standard_normal((batch, _CAP_SAMPLES, d)) \
+            + 1j * rng.standard_normal((batch, _CAP_SAMPLES, d))
+        cap = centers[:, None, :] + sigma * offsets
+        cap /= np.sqrt(np.sum(np.abs(cap) ** 2, axis=2, keepdims=True))
+        cap_vals = np.abs(f(cap))
+        round_best = cap_vals.max(axis=1)
+        improved = round_best > best
+        centers = np.where(improved[:, None], cap[np.arange(batch), cap_vals.argmax(axis=1)], centers)
+        best = np.maximum(best, round_best)
+        sigma *= _CAP_SHRINK
+    return best
+
+
+def _full_array_nikolskii_oracle(d, m1, m2, p, trials, seed, omega_samples=4096):
+    """The earlier nikolskii_check: the whole (trials, omega_samples) array of |t|."""
+    system = build_real_system(d, m1, m2)
+    s = system.s
+    w = omega(d)
+    coeffs = _chunk_rng(seed, 555).standard_normal((trials, s))
+    pts = sample_points(d, omega_samples, seed + 2)
+    mags = coeffs @ system.eval_matrix(pts).T
+    np.abs(mags, out=mags)
+    rows_per_pass = levy._OUTER_ROWS
+
+    def cap_values(cap):
+        out = np.empty(cap.shape[:-1])
+        for start in range(0, trials, rows_per_pass):
+            rows = slice(start, start + rows_per_pass)
+            out[rows] = np.einsum("ts,tns->tn", coeffs[rows], system.eval_matrix(
+                cap[rows].reshape(-1, d)).reshape(-1, cap.shape[1], s))
+        return out
+
+    sup = _full_mags_sup_oracle(cap_values, pts, mags, seed)
+
+    def cloud_norms(q):
+        parts = [lp_norm_mc(mags[start:start + rows_per_pass], q, d)
+                 for start in range(0, trials, rows_per_pass)]
+        return np.concatenate([v for v, _ in parts]), np.concatenate([e for _, e in parts])
+
+    norm2, se_2 = cloud_norms(2)
+    if p == math.inf:
+        norm_p, se_p = sup, np.zeros(trials)
+    else:
+        norm_p, se_p = cloud_norms(p)
+    ratio_sup = sup / ((s / w) ** (1.0 / p) * norm_p)
+    se_ratio_sup = ratio_sup * se_p / norm_p
+    report = {
+        "d": d, "window": [m1, m2], "p": p, "trials": trials, "s": s,
+        "violations_sup": int(np.sum(ratio_sup > 1.0 + 3.0 * se_ratio_sup)),
+        "worst_ratio_sup": float(ratio_sup.max()),
+    }
+    if p >= 2:
+        ratio_p2 = norm_p / ((s / w) ** (0.5 - 1.0 / p) * norm2)
+        rel_se = np.sqrt((se_p / np.maximum(norm_p, 1e-300)) ** 2
+                         + (se_2 / np.maximum(norm2, 1e-300)) ** 2)
+        report["violations_p_vs_2"] = int(np.sum(ratio_p2 > 1.0 + 3.0 * ratio_p2 * rel_se))
+        report["worst_ratio_p_vs_2"] = float(ratio_p2.max())
+    else:
+        report["violations_p_vs_2"] = None
+        report["worst_ratio_p_vs_2"] = None
+    return report
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, math.inf])
+def test_nikolskii_equals_full_array_oracle(p):
+    # 450 trials: two full passes of 200 and a short one of 50
+    report = nikolskii_check(2, 0, 2, p, 450, seed=13)
+    assert report == _full_array_nikolskii_oracle(2, 0, 2, p, 450, seed=13)
+
+
+def test_levy_cost_guard_refuses_before_any_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(levy, "build_real_system", refuse)
+    monkeypatch.setattr(levy, "build_basis", refuse)
+    # d = 3, window (0, 6]: s = 3919, so 2 x 1000 x 3919 x 10^6 flops
+    problem = LevyProblem(3, 0, 6, finite_smooth(3, 0, "max"), 4)
+    assert theta(3, 0, 6, "max") == 3919
+    with pytest.raises(ArgumentError, match=r"= 7\.84e\+12 flops > 2e\+12"):
+        levy_mean_mc(problem, 1000, 10**6, seed=0)
+    with pytest.raises(ArgumentError, match="refused"):
+        check_cloud_cost(problem, 1000, 10**6)
+    check_cloud_cost(problem, 1000, 10**5)  # 7.8e11 flops, about 24 s: accepted
+
+
+# The benchmark's levy command lines, as (d, N, lmax, sphere samples, omega samples).
+BENCHMARK_LEVY_OPS = [(2, 0, 3, 1000, 50000), (3, 0, 2, 1000, 25000), (2, 1, 4, 1000, 25000),
+                      (2, 0, 3, 100000, 0)]
+
+
+@pytest.mark.parametrize("d, m1, m2, sphere_samples, omega_samples", BENCHMARK_LEVY_OPS)
+def test_benchmark_levy_ops_pass_the_cost_guard(d, m1, m2, sphere_samples, omega_samples):
+    check_cloud_cost(LevyProblem(d, m1, m2, identity("max"), 4), sphere_samples, omega_samples)
