@@ -15,9 +15,15 @@ import math
 import sys
 import warnings
 
-from . import basis, dimensions, levy, multipliers, report, widths
-from ._lazy import numpy as np
+from ._lazy import _deferred, numpy as np
 from .errors import ArgumentError, HypothesisError, LabError
+
+# Each module runs when a command first uses it (see _lazy). polynomials and
+# sphere, which no handler names, are registered too: the tracer wraps
+# functions only in the modules that are in sys.modules when it starts.
+basis, dimensions, levy, multipliers, polynomials, report, sphere, widths = (
+    _deferred(f"{__package__}.{name}") for name in
+    ("basis", "dimensions", "levy", "multipliers", "polynomials", "report", "sphere", "widths"))
 
 
 def _float_or_inf(text):

@@ -60,6 +60,15 @@ _CLOUD_BLOCKS = 8
 MAX_CLOUD_FLOPS = 2 * 10**12
 SECONDS_PER_CLOUD_FLOP = 3e-11
 
+# Memory guard of the same path: the arrays that grow with the sample counts
+# are the (sphere_samples, s) outer rows, one (omega_samples / _CLOUD_BLOCKS,
+# s) cloud block, the (_OUTER_ROWS, omega_samples / _CLOUD_BLOCKS) pass
+# buffer (fewer rows if sphere_samples is smaller) and the (omega_samples,
+# d) complex points. Inputs whose sum of those exceeds the ceiling, a quarter
+# of an 8 GB machine, are refused; a small sphere_samples can keep the flops
+# low while the cloud block alone takes tens of gigabytes.
+MAX_CLOUD_BYTES = 2 * 10**9
+
 
 @dataclass(frozen=True)
 class RealBasisMember:
@@ -252,19 +261,31 @@ def _cloud_blocks(system, points, per_block):
 
 
 def check_cloud_cost(prob: LevyProblem, sphere_samples, omega_samples):
-    """Refuse a Monte Carlo Levy mean whose cloud products cost over MAX_CLOUD_FLOPS.
+    """Refuse a Monte Carlo Levy mean over MAX_CLOUD_FLOPS or MAX_CLOUD_BYTES.
 
-    The cost is 2 * sphere_samples * s * omega_samples flops, with s the
-    window size from the dimension formula, so nothing is built to find it.
+    The cost is 2 * sphere_samples * s * omega_samples flops and the bytes
+    of the arrays named at MAX_CLOUD_BYTES, with s the window size from the
+    dimension formula, so nothing is built to find them. The evaluation's
+    per-chunk arrays (_EVAL_ROWS points) are not counted: they do not grow
+    with the sample counts.
     """
     _check_window(prob.m1, prob.m2)
+    refused = f"Levy mean for d={prob.d}, window ({prob.m1}, {prob.m2}] refused"
     s = theta(prob.d, prob.m1, prob.m2, "max")
     cost = 2 * sphere_samples * s * omega_samples
     if cost > MAX_CLOUD_FLOPS:
         raise ArgumentError(
-            f"Levy mean for d={prob.d}, window ({prob.m1}, {prob.m2}] refused: its cloud"
-            f" products cost 2 x {sphere_samples} x {s} x {omega_samples} = {cost:.2e} flops"
-            f" > {MAX_CLOUD_FLOPS:.0e}, an estimated {cost * SECONDS_PER_CLOUD_FLOP:.0f} s")
+            f"{refused}: its cloud products cost 2 x {sphere_samples} x {s} x {omega_samples}"
+            f" = {cost:.2e} flops > {MAX_CLOUD_FLOPS:.0e}, an estimated"
+            f" {cost * SECONDS_PER_CLOUD_FLOP:.0f} s")
+    per_block = omega_samples // _CLOUD_BLOCKS
+    rows = min(_OUTER_ROWS, sphere_samples)
+    nbytes = 8 * (sphere_samples * s + per_block * s + rows * per_block) + 16 * omega_samples * prob.d
+    if nbytes > MAX_CLOUD_BYTES:
+        raise ArgumentError(
+            f"{refused}: its cloud arrays take an estimated {nbytes / 1e9:.1f} GB (outer rows"
+            f" {sphere_samples} x {s}, cloud block {per_block} x {s}, pass buffer {rows} x"
+            f" {per_block}, points {omega_samples} x {prob.d} complex) > {MAX_CLOUD_BYTES / 1e9:.0f} GB")
 
 
 def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
@@ -282,8 +303,9 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
     Outer samples are drawn, normalised and weighted _OUTER_ROWS rows per
     pass from one stream, so the rows do not depend on the pass size; the
     cloud's _CLOUD_BLOCKS equal blocks give stderr_cloud. Inputs whose cloud
-    products cost more than MAX_CLOUD_FLOPS are refused before any basis is
-    built (check_cloud_cost).
+    products cost more than MAX_CLOUD_FLOPS, or whose cloud arrays take more
+    than MAX_CLOUD_BYTES, are refused before any basis is built
+    (check_cloud_cost).
 
     Memory: the cloud path holds the (sphere_samples, s) outer rows and the
     cloud's points, never the cloud's coordinate matrix. It evaluates one
@@ -420,9 +442,10 @@ def nikolskii_check(d, m1, m2, p, trials, seed, omega_samples=4096):
 
     Memory: the (s, omega_samples) coordinate values of the cloud are the
     only array of cloud size that lives through the check. |t| on the cloud
-    is formed _OUTER_ROWS trials per pass; each pass gives its trials' cloud
-    maxima, the points where they lie and both cloud norms, and is then
-    dropped. The caps are evaluated _OUTER_ROWS trials per pass too.
+    is formed _OUTER_ROWS trials per pass into one reused buffer; each pass
+    gives its trials' cloud maxima, the points where they lie and both
+    cloud norms, whose |t|^q and deviations share a second pass buffer. The
+    caps are evaluated _OUTER_ROWS trials per pass too.
     """
     if p != math.inf and p < 1:
         raise ArgumentError(f"need p >= 1 or p = inf, got {p}")
@@ -439,18 +462,20 @@ def nikolskii_check(d, m1, m2, p, trials, seed, omega_samples=4096):
     best, centers = np.empty(trials), np.empty((trials, d), dtype=complex)
     norm2, se_2 = np.empty(trials), np.empty(trials)
     norm_p, se_p = np.empty(trials), np.zeros(trials)
+    mag_buf, work_buf = (np.empty((min(_OUTER_ROWS, trials), omega_samples)) for _ in range(2))
     for start in range(0, trials, _OUTER_ROWS):
         rows = slice(start, start + _OUTER_ROWS)
-        mags = np.matmul(coeffs[rows], cloud)
+        n = min(_OUTER_ROWS, trials - start)
+        mags = np.matmul(coeffs[rows], cloud, out=mag_buf[:n])
         np.abs(mags, out=mags)
         best[rows] = mags.max(axis=1)
         centers[rows] = pts[mags.argmax(axis=1)]
         # Both norms of each ratio come from the same shared cloud, so the
         # p = 2 instance of the p-versus-2 comparison is the exact equality case.
-        norm2[rows], se_2[rows] = lp_norm_mc(mags, 2, d)
+        norm2[rows], se_2[rows] = lp_norm_mc(mags, 2, d, out=work_buf[:n])
         if p != math.inf:
-            norm_p[rows], se_p[rows] = lp_norm_mc(mags, p, d)
-    del mags  # the last pass, so it is not held through the cap search
+            norm_p[rows], se_p[rows] = lp_norm_mc(mags, p, d, out=work_buf[:n])
+    del mags, mag_buf, work_buf  # not held through the cap search
 
     def cap_values(cap):
         out = np.empty(cap.shape[:-1])

@@ -61,15 +61,17 @@ def sample_points(d, count, seed):
     return out
 
 
-def abs_power_inplace(v, p):
+def abs_power_inplace(v, p, base=None):
     """Overwrite the float array v with |v|^p, for finite p >= 1; returns v.
 
     Integer p is raised by left-to-right binary powering: one squaring per
     binary digit after the leading one, and for each set digit one
     multiplication by a saved copy of the input, so p = 2^k costs k
-    squarings and no copy. |v| is taken first only for odd p, since an even
-    power ends in a squaring. Other p use np.abs and np.power. This is the
-    one |.|^p rule of the Monte Carlo norms (lp_norm_mc and the Levy mean).
+    squarings and no copy. A caller that holds |v| in another array can
+    pass it as base, which is then read in place of that copy. |v| is taken
+    first only for odd p, since an even power ends in a squaring. Other p
+    use np.abs and np.power. This is the one |.|^p rule of the Monte Carlo
+    norms (lp_norm_mc and the Levy mean).
     """
     if not float(p).is_integer():
         np.abs(v, out=v)
@@ -78,7 +80,8 @@ def abs_power_inplace(v, p):
     if k % 2:
         np.abs(v, out=v)
     digits = bin(k)[3:]
-    base = v.copy() if "1" in digits else None
+    if base is None and "1" in digits:
+        base = v.copy()
     for digit in digits:
         np.square(v, out=v)
         if digit == "1":
@@ -86,7 +89,7 @@ def abs_power_inplace(v, p):
     return v
 
 
-def lp_norm_mc(values, p, d):
+def lp_norm_mc(values, p, d, out=None):
     """L^p(Omega_d) norm estimates from |f| sampled at uniform points.
 
     The samples run along the last axis of `values`; returns (value, stderr),
@@ -94,11 +97,17 @@ def lp_norm_mc(values, p, d):
     For finite p the value is (omega(d) * mean(|f|^p))^(1/p) with its
     delta-method standard error. For p = inf the value is max(values), a
     lower-biased estimate of the essential sup, with stderr 0.
+
+    Memory: |f|^p and then its deviations from the mean (numpy's
+    std(ddof=1), formed in place) take one array of the size of `values`: a
+    copy, or `out`, a float array of that shape which the caller reuses.
+    With `out`, the nonnegative `values` are also the multiplier of the
+    powering (abs_power_inplace's base), so no other copy is made.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ArgumentError("cannot estimate a norm from zero samples")
-    if not np.all(np.isfinite(values)):
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):  # NaN propagates; no mask
         raise ArgumentError("sampled |f| values must be finite")
     if p != math.inf and p < 1:
         raise ArgumentError(f"need p >= 1 or p = inf, got {p}")
@@ -107,12 +116,18 @@ def lp_norm_mc(values, p, d):
         value = values.max(axis=-1)
         return value, np.zeros_like(value)[()]
     w = omega(d)
-    powers = abs_power_inplace(values.copy(), p)
+    if out is None:
+        powers = abs_power_inplace(values.copy(), p)
+    else:
+        np.copyto(out, values)
+        powers = abs_power_inplace(out, p, base=values)
     mean = powers.mean(axis=-1)
     value = (w * mean) ** (1.0 / p)
     stderr = np.zeros_like(value)
     if n > 1:
-        se_mean = powers.std(axis=-1, ddof=1) / math.sqrt(n)
+        np.subtract(powers, mean[..., None], out=powers)
+        np.square(powers, out=powers)
+        se_mean = np.sqrt(powers.sum(axis=-1) / (n - 1)) / math.sqrt(n)
         with np.errstate(divide="ignore", invalid="ignore"):
             delta = (1.0 / p) * (w * mean) ** (1.0 / p - 1.0) * w * se_mean
         stderr = np.where(mean > 0, delta, 0.0)

@@ -136,6 +136,21 @@ def test_levy_refused_by_its_cost_exits_2(capsys, monkeypatch):
     assert "2 x 1000 x 3919 x 1000000 = 7.84e+12 flops > 2e+12, an estimated 235 s" in err
 
 
+def test_levy_refused_by_its_memory_exits_2(capsys, monkeypatch):
+    # 1.6e11 flops pass the flop guard; the (1250000, 3919) cloud block would
+    # take 39 GB, so the estimate refuses it before anything is built.
+    def refuse(*args):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(levy, "build_real_system", refuse)
+    code, out, err = run_cli(capsys, "levy", "--d", "3", "--N", "0", "--lmax", "6", "--family",
+                             "fs:gamma=3,xi=0", "--p", "4", "--sphere-samples", "2",
+                             "--omega-samples", "10000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: Levy mean for d=3, window (0, 6] refused")
+    assert "cloud arrays take an estimated 39.7 GB" in err and err.rstrip().endswith("> 2 GB")
+
+
 def test_levy_json_schema(capsys):
     code, out, _ = run_cli(capsys, "levy", "--d", "2", "--N", "0", "--lmax", "1",
                            "--family", "id", "--p", "2", "--sphere-samples", "100",
@@ -479,20 +494,29 @@ def test_cli_deterministic_across_processes():
     assert first.stdout == second.stdout
 
 
-# Runs one command in this process, then prints the numpy submodules that
-# were imported. The "numpy" entry itself is no evidence: it is a deferred
-# stub until numpy's initialisation runs, which imports its submodules.
-_NUMPY_PROBE = """
-import contextlib, io, json, sys
+# Runs the command in argv in this process (with no argv, only imports cli),
+# then prints the numpy submodules that were imported and the package
+# modules whose code has run. The "numpy" entry itself is no evidence: it is
+# a deferred stub until numpy's initialisation runs, which imports its
+# submodules. Likewise a package module registered through _lazy that nothing
+# has used yet is not of type types.ModuleType; type() does not run it, as
+# vars() or any attribute access would.
+_PROBE = """
+import contextlib, io, json, sys, types
 from cspherelab import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.run(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("numpy."))]))
+code = 0
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("numpy.")),
+                  sorted(name[len("cspherelab."):] for name, module in sys.modules.items()
+                         if name.startswith("cspherelab.") and type(module) is types.ModuleType)]))
 """
 
 
-def _numpy_after(argv):
-    done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv], capture_output=True,
+def _loaded_after(argv):
+    """(exit code, numpy submodules imported, package modules run) of one command."""
+    done = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True,
                           text=True, check=True, env=_child_env())
     return json.loads(done.stdout)
 
@@ -510,7 +534,7 @@ def _numpy_after(argv):
 ], ids=["basis", "dims-csv", "dims-json", "seq", "check-dim-bounds", "widths-bounds",
         "spectrum-csv", "spectrum-json"])
 def test_exact_commands_never_load_numpy(argv):
-    code, loaded = _numpy_after(argv)
+    code, loaded, _ = _loaded_after(argv)
     assert code == 0
     assert loaded == []
 
@@ -524,29 +548,57 @@ def _writer_csv(tmp_path):
 
 @pytest.mark.parametrize("model", ["power", "power-log", "stretched"])
 def test_widths_fit_of_a_writer_csv_never_loads_numpy(tmp_path, model):
-    code, loaded = _numpy_after(["widths", "fit", _writer_csv(tmp_path), "--model", model,
-                                 "--nmax", "20000"])
+    code, loaded, _ = _loaded_after(["widths", "fit", _writer_csv(tmp_path), "--model", model,
+                                    "--nmax", "20000"])
     assert code == 0
     assert loaded == []
 
 
 def test_compare_gradings_never_loads_numpy():
-    code, loaded = _numpy_after(["widths", "compare-gradings", "--family", "fs:gamma=3",
-                                 "--d", "2", "--nmax", "20000"])
+    code, loaded, _ = _loaded_after(["widths", "compare-gradings", "--family", "fs:gamma=3",
+                                    "--d", "2", "--nmax", "20000"])
     assert code == 0
     assert loaded == []
 
 
 def test_numeric_commands_still_load_numpy():
-    code, loaded = _numpy_after(["check", "addition", "--d", "2", "--m", "1", "--n", "1",
-                                 "--samples", "50"])
+    code, loaded, _ = _loaded_after(["check", "addition", "--d", "2", "--m", "1", "--n", "1",
+                                    "--samples", "50"])
     assert code == 0
     assert "numpy.linalg" in loaded
 
 
+_PACKAGE_MODULES = {"basis", "dimensions", "levy", "multipliers", "polynomials", "report",
+                    "sphere", "widths"}
+
+
+def test_importing_cli_runs_no_package_module():
+    code, _, executed = _loaded_after([])
+    assert code == 0
+    assert executed == ["_lazy", "cli", "errors"]
+
+
+@pytest.mark.parametrize("argv, never", [
+    (["dims", "--d", "3", "--lmax", "20"], {"basis", "levy", "widths", "sphere", "polynomials"}),
+    (["check", "dim-bounds", "--d", "3", "--lmax", "10", "--tol", "1"],
+     {"basis", "levy", "widths", "sphere", "polynomials"}),
+    (["seq", "--d", "2", "--family", "fs:gamma=3", "--N", "2", "--eps", "0.5"],
+     {"basis", "levy"}),
+    (["widths", "spectrum", "--d", "2", "--family", "fs:gamma=3", "--nmax", "200"],
+     {"basis", "levy"}),
+    (["basis", "--d", "2", "--m", "2", "--n", "1"], {"levy", "widths", "multipliers"}),
+], ids=["dims", "check-dim-bounds", "seq", "spectrum", "basis"])
+def test_commands_run_only_the_modules_they_use(argv, never):
+    code, _, executed = _loaded_after(argv)
+    assert code == 0
+    assert never <= _PACKAGE_MODULES
+    assert not never & set(executed)
+
+
 def test_tracer_resolves_every_target_in_a_fresh_process(tmp_path):
-    # The tracer looks its targets up in sys.modules right after importing
-    # cli, so every traced module must come in through cli alone.
+    # The tracer lists the package's modules in sys.modules right after
+    # importing cli and then resolves its targets in them, which runs each
+    # deferred module; so every package module must be registered by cli.
     tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     trace = tmp_path / "t.json"
     done = subprocess.run([sys.executable, str(tracer), str(trace), "basis", "--d", "2",
@@ -559,6 +611,14 @@ def test_tracer_resolves_every_target_in_a_fresh_process(tmp_path):
                           text=True, env=_child_env())
     assert done.returncode == 0, done.stderr
     assert "widths.fit" in {span[0] for span in json.loads(trace.read_text())["spans"]}
+    # polynomials and sphere are first run inside Tracer.install(), and are still wrapped
+    done = subprocess.run([sys.executable, str(tracer), str(trace), "check", "gegenbauer",
+                           "--d", "2", "--lmax", "2", "--samples", "200"], capture_output=True,
+                          text=True, env=_child_env())
+    assert done.returncode == 0, done.stderr
+    spans = {span[0] for span in json.loads(trace.read_text())["spans"]}
+    assert {"polynomials.gegenbauer_eval", "polynomials.disk_poly_eval",
+            "sphere.sample_points"} <= spans
 
 
 def test_infinity_p_parses(capsys):

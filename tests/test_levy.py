@@ -339,10 +339,10 @@ def test_nikolskii_holds_one_cloud_array():
 
 
 def test_nikolskii_peak_is_bounded_by_blocked_passes():
-    # One pass of 200 trials holds its 6.5 MB of |t| on the 4096-point
-    # cloud, and lp_norm_mc's |t|^q copy and deviations beside it; the cap
-    # passes hold one pass of coordinate values at a time. No (trials,
-    # omega_samples) array is formed. The peak is about 20 MiB.
+    # One pass of 200 trials holds its 6.25 MiB of |t| on the 4096-point
+    # cloud and one work buffer of that size for |t|^q and its deviations;
+    # the cap passes hold one pass of coordinate values at a time and set
+    # the peak of about 18.5 MiB. No (trials, omega_samples) array is formed.
     tracemalloc.start()
     try:
         nikolskii_check(2, 0, 2, 4, 500, 17)
@@ -350,6 +350,25 @@ def test_nikolskii_peak_is_bounded_by_blocked_passes():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
+
+
+def test_nikolskii_pass_holds_two_cloud_size_arrays():
+    # Per cloud point a pass holds |t| and the one work buffer of both
+    # norms, 2 x 200 x 8 bytes, besides the cloud values and the points. A
+    # third pass array (a |t|^q copy, or std's deviations beside it) would
+    # exceed the bound by 12.5 MiB at 8192 more points.
+    s = build_real_system(2, 0, 2).s
+    nikolskii_check(2, 0, 2, 3, 200, 17, omega_samples=1000)  # compiles the window's map
+    peaks = []
+    for omega_samples in (8192, 16384):
+        tracemalloc.start()
+        try:
+            nikolskii_check(2, 0, 2, 3, 200, 17, omega_samples=omega_samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    per_point = 2 * 200 * 8 + s * 8 + 2 * 16  # two pass arrays, the cloud, the points
+    assert peaks[1] - peaks[0] <= 8192 * per_point + 2**18
 
 
 def _full_matrix_levy_oracle(prob, sphere_samples, omega_samples, seed):
@@ -497,6 +516,29 @@ def test_levy_cost_guard_refuses_before_any_basis(monkeypatch):
     with pytest.raises(ArgumentError, match="refused"):
         check_cloud_cost(problem, 1000, 10**6)
     check_cloud_cost(problem, 1000, 10**5)  # 7.8e11 flops, about 24 s: accepted
+
+
+def test_levy_memory_guard_refuses_before_any_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(levy, "build_real_system", refuse)
+    monkeypatch.setattr(levy, "build_basis", refuse)
+    # d = 3, window (0, 6] at 2 x 10^7: 1.6e11 flops pass the flop guard, but
+    # the (1250000, 3919) cloud block alone is 39 GB. Only the estimate runs.
+    problem = LevyProblem(3, 0, 6, finite_smooth(3, 0, "max"), 4)
+    assert 2 * 2 * 3919 * 10**7 <= levy.MAX_CLOUD_FLOPS
+    want = 8 * (2 * 3919 + 1250000 * 3919 + 2 * 1250000) + 16 * 10**7 * 3
+    assert f"{want / 1e9:.1f}" == "39.7"
+    with pytest.raises(ArgumentError, match=r"take an estimated 39\.7 GB .*cloud block"
+                                            r" 1250000 x 3919.* > 2 GB"):
+        levy_mean_mc(problem, 2, 10**7, seed=0)
+    with pytest.raises(ArgumentError, match="refused"):
+        check_cloud_cost(problem, 2, 10**7)
+    # just under (1.97e9 B) and just over (2.006e9 B) the ceiling, at 200 outer rows
+    check_cloud_cost(problem, 200, 472000)
+    with pytest.raises(ArgumentError, match="estimated 2.0 GB"):
+        check_cloud_cost(problem, 200, 480000)
 
 
 # The benchmark's levy command lines, as (d, N, lmax, sphere samples, omega samples).

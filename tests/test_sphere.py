@@ -87,6 +87,46 @@ def test_abs_power_inplace(p):
         assert np.array_equal(out, want)
 
 
+@pytest.mark.parametrize("p", [3, 5, 6, 7])
+def test_abs_power_inplace_with_base_equals_its_copy(p):
+    mags = np.abs(np.random.default_rng(4).standard_normal((30, 70)))
+    want = abs_power_inplace(mags.copy(), p)
+    out = mags.copy()
+    assert abs_power_inplace(out, p, base=mags) is out
+    assert out.tobytes() == want.tobytes()
+
+
+def _numpy_lp_norm(values, p, d):
+    """The estimate with numpy's own std: |f|^p on a copy, then std(ddof=1) beside it."""
+    values = np.asarray(values, dtype=float)
+    if p == math.inf:
+        value = values.max(axis=-1)
+        return value, np.zeros_like(value)[()]
+    n, w = values.shape[-1], omega(d)
+    powers = abs_power_inplace(values.copy(), p)
+    mean = powers.mean(axis=-1)
+    value = (w * mean) ** (1.0 / p)
+    stderr = np.zeros_like(value)
+    if n > 1:
+        se_mean = powers.std(axis=-1, ddof=1) / math.sqrt(n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = (1.0 / p) * (w * mean) ** (1.0 / p - 1.0) * w * se_mean
+        stderr = np.where(mean > 0, delta, 0.0)
+    return value, stderr[()]
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (4097,), (3, 1), (7, 2048), (200, 4103)])
+@pytest.mark.parametrize("p", [1, 2, 2.5, 3, 4, 7, math.inf])
+def test_lp_norm_in_place_deviations_equal_numpy_std(shape, p):
+    # The deviations are formed in place of the powers; the bytes must be
+    # those of numpy's std, with and without a reused work buffer.
+    mags = np.abs(np.random.default_rng(5).standard_normal(shape)) * 3.0
+    want = _numpy_lp_norm(mags, p, 2)
+    work = np.full(shape, np.nan)
+    for got in (lp_norm_mc(mags, p, 2), lp_norm_mc(mags, p, 2, out=work)):
+        assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want]
+
+
 def test_lp_norm_constant_function():
     values = np.ones(500)
     value, stderr = lp_norm_mc(values, 3, d=2)
@@ -155,5 +195,8 @@ def test_lp_norm_argument_errors():
         lp_norm_mc([], 2, d=2)
     with pytest.raises(ArgumentError):
         lp_norm_mc([1.0], 0.5, d=2)
-    with pytest.raises(ArgumentError):
-        lp_norm_mc([float("inf")], 2, d=2)
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ArgumentError):
+            lp_norm_mc([1.0, bad, 2.0], 2, d=2)
+        with pytest.raises(ArgumentError):
+            lp_norm_mc([[1.0, 2.0], [bad, 0.0]], 3, d=2, out=np.empty((2, 2)))
