@@ -63,10 +63,15 @@ SECONDS_PER_CLOUD_FLOP = 3e-11
 # Memory guard of the same path: the arrays that grow with the sample counts
 # are the (sphere_samples, s) outer rows, one (omega_samples / _CLOUD_BLOCKS,
 # s) cloud block, the (_OUTER_ROWS, omega_samples / _CLOUD_BLOCKS) pass
-# buffer (fewer rows if sphere_samples is smaller) and the (omega_samples,
-# d) complex points. Inputs whose sum of those exceeds the ceiling, a quarter
-# of an 8 GB machine, are refused; a small sphere_samples can keep the flops
-# low while the cloud block alone takes tens of gigabytes.
+# buffer (fewer rows if sphere_samples is smaller), the (omega_samples, d)
+# complex points, and per outer sample the (sphere_samples, _CLOUD_BLOCKS)
+# block statistics, the two temporaries of that size which the closing
+# reduction makes while the outer rows are held, and the norms and their
+# squares.
+# Inputs whose sum of those exceeds the ceiling, a quarter of an 8 GB
+# machine, are refused; a small sphere_samples can keep the flops low while
+# the cloud block alone takes tens of gigabytes, and a small window can do
+# the same while the block statistics outgrow the outer rows.
 MAX_CLOUD_BYTES = 2 * 10**9
 
 
@@ -280,12 +285,16 @@ def check_cloud_cost(prob: LevyProblem, sphere_samples, omega_samples):
             f" {cost * SECONDS_PER_CLOUD_FLOP:.0f} s")
     per_block = omega_samples // _CLOUD_BLOCKS
     rows = min(_OUTER_ROWS, sphere_samples)
-    nbytes = 8 * (sphere_samples * s + per_block * s + rows * per_block) + 16 * omega_samples * prob.d
+    per_sample = 3 * _CLOUD_BLOCKS + 2  # block statistics, their 2 closing temporaries, norms, sq
+    nbytes = (8 * (sphere_samples * (s + per_sample) + per_block * s + rows * per_block)
+              + 16 * omega_samples * prob.d)
     if nbytes > MAX_CLOUD_BYTES:
         raise ArgumentError(
             f"{refused}: its cloud arrays take an estimated {nbytes / 1e9:.1f} GB (outer rows"
             f" {sphere_samples} x {s}, cloud block {per_block} x {s}, pass buffer {rows} x"
-            f" {per_block}, points {omega_samples} x {prob.d} complex) > {MAX_CLOUD_BYTES / 1e9:.0f} GB")
+            f" {per_block}, points {omega_samples} x {prob.d} complex, block statistics"
+            f" {sphere_samples} x {_CLOUD_BLOCKS} x 3, norms {sphere_samples} x 2)"
+            f" > {MAX_CLOUD_BYTES / 1e9:.0f} GB")
 
 
 def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
@@ -307,8 +316,9 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
     than MAX_CLOUD_BYTES, are refused before any basis is built
     (check_cloud_cost).
 
-    Memory: the cloud path holds the (sphere_samples, s) outer rows and the
-    cloud's points, never the cloud's coordinate matrix. It evaluates one
+    Memory: the cloud path holds the (sphere_samples, s) outer rows, their
+    (sphere_samples, _CLOUD_BLOCKS) block statistics and the cloud's points,
+    never the cloud's coordinate matrix. It evaluates one
     (omega_samples / _CLOUD_BLOCKS, s) cloud block at a time into one
     buffer, multiplies every pass of outer rows into one (_OUTER_ROWS,
     omega_samples / _CLOUD_BLOCKS) buffer and reduces that in place (|.|^p,

@@ -98,17 +98,18 @@ def lp_norm_mc(values, p, d, out=None):
     delta-method standard error. For p = inf the value is max(values), a
     lower-biased estimate of the essential sup, with stderr 0.
 
+    `values` must be finite and nonnegative: they are the multiplier of the
+    powering (abs_power_inplace's base), so no copy of them is made.
+
     Memory: |f|^p and then its deviations from the mean (numpy's
-    std(ddof=1), formed in place) take one array of the size of `values`: a
-    copy, or `out`, a float array of that shape which the caller reuses.
-    With `out`, the nonnegative `values` are also the multiplier of the
-    powering (abs_power_inplace's base), so no other copy is made.
+    std(ddof=1), formed in place) take one array of the size of `values`:
+    `out` if given, a float array of that shape which the caller reuses.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ArgumentError("cannot estimate a norm from zero samples")
-    if not (np.isfinite(values.min()) and np.isfinite(values.max())):  # NaN propagates; no mask
-        raise ArgumentError("sampled |f| values must be finite")
+    if not (values.min() >= 0 and np.isfinite(values.max())):  # NaN propagates; no mask
+        raise ArgumentError("sampled |f| values must be finite and nonnegative")
     if p != math.inf and p < 1:
         raise ArgumentError(f"need p >= 1 or p = inf, got {p}")
     n = values.shape[-1]
@@ -116,11 +117,9 @@ def lp_norm_mc(values, p, d, out=None):
         value = values.max(axis=-1)
         return value, np.zeros_like(value)[()]
     w = omega(d)
-    if out is None:
-        powers = abs_power_inplace(values.copy(), p)
-    else:
-        np.copyto(out, values)
-        powers = abs_power_inplace(out, p, base=values)
+    powers = np.empty_like(values) if out is None else out
+    np.copyto(powers, values)
+    abs_power_inplace(powers, p, base=values)
     mean = powers.mean(axis=-1)
     value = (w * mean) ** (1.0 / p)
     stderr = np.zeros_like(value)

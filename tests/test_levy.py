@@ -528,7 +528,7 @@ def test_levy_memory_guard_refuses_before_any_basis(monkeypatch):
     # the (1250000, 3919) cloud block alone is 39 GB. Only the estimate runs.
     problem = LevyProblem(3, 0, 6, finite_smooth(3, 0, "max"), 4)
     assert 2 * 2 * 3919 * 10**7 <= levy.MAX_CLOUD_FLOPS
-    want = 8 * (2 * 3919 + 1250000 * 3919 + 2 * 1250000) + 16 * 10**7 * 3
+    want = 8 * (2 * (3919 + 26) + 1250000 * 3919 + 2 * 1250000) + 16 * 10**7 * 3
     assert f"{want / 1e9:.1f}" == "39.7"
     with pytest.raises(ArgumentError, match=r"take an estimated 39\.7 GB .*cloud block"
                                             r" 1250000 x 3919.* > 2 GB"):
@@ -539,6 +539,16 @@ def test_levy_memory_guard_refuses_before_any_basis(monkeypatch):
     check_cloud_cost(problem, 200, 472000)
     with pytest.raises(ArgumentError, match="estimated 2.0 GB"):
         check_cloud_cost(problem, 200, 480000)
+    # d = 2, window (0, 1] has s = 7: at 3.5 x 10^7 outer samples the outer rows
+    # take 1.96 GB, but the (3.5e7, 8) block statistics, the closing reduction's
+    # two temporaries of that size, the norms and their squares add 26 floats
+    # per sample, 9.2 GB in all, at 4.9e11 flops.
+    small = LevyProblem(2, 0, 1, finite_smooth(3, 0, "max"), 4)
+    assert 2 * 35 * 10**6 * 7 * 1000 <= levy.MAX_CLOUD_FLOPS
+    assert 8 * 35 * 10**6 * 7 < levy.MAX_CLOUD_BYTES
+    with pytest.raises(ArgumentError, match=r"estimated 9\.2 GB .*block statistics"
+                                            r" 35000000 x 8 x 3, norms 35000000 x 2\)"):
+        levy_mean_mc(small, 35 * 10**6, 1000, seed=0)
 
 
 # The benchmark's levy command lines, as (d, N, lmax, sphere samples, omega samples).

@@ -195,7 +195,7 @@ def test_lp_norm_argument_errors():
         lp_norm_mc([], 2, d=2)
     with pytest.raises(ArgumentError):
         lp_norm_mc([1.0], 0.5, d=2)
-    for bad in (float("inf"), float("-inf"), float("nan")):
+    for bad in (float("inf"), float("-inf"), float("nan"), -1.0):
         with pytest.raises(ArgumentError):
             lp_norm_mc([1.0, bad, 2.0], 2, d=2)
         with pytest.raises(ArgumentError):
