@@ -40,8 +40,8 @@ from functools import lru_cache
 
 from ._lazy import numpy as np
 from .dimensions import bidegree_monomials, dim_complex_harmonic
-from .errors import ArgumentError, ConsistencyError
-from .polynomials import disk_poly_eval
+from .errors import ArgumentError, ConsistencyError, DataError
+from .polynomials import disk_poly_eval, gegenbauer_eval
 from .sphere import _CHUNK, omega, sample_points
 
 # Combinatorial growth guard for exact basis construction.
@@ -410,8 +410,6 @@ def verify_gegenbauer(d, k_max, samples, seed):
     evaluated at Re <z, w>; this check pins down the Gegenbauer
     normalisation used in this package.
     """
-    from .polynomials import gegenbauer_eval
-
     if d < 2:
         raise ArgumentError(f"complex dimension d must be >= 2, got {d}")
     if k_max < 0:
@@ -450,8 +448,6 @@ def project_mc(f, d, m, n, w, samples, seed):
         chunk = pts[start:start + _CHUNK]
         fvals = np.asarray(f(chunk), dtype=complex)
         if not np.all(np.isfinite(fvals)):
-            from .errors import DataError
-
             raise DataError("f produced non-finite values at sample points")
         zonal = zonal_eval(d, m, n, w, chunk)
         np.multiply(fvals, np.conj(zonal), out=integrand[start:start + len(chunk)])

@@ -162,6 +162,8 @@ def _family_from(args):
 
 
 def _cmd_dims(args):
+    if args.lmax < 0:
+        raise ArgumentError(f"need --lmax >= 0, got {args.lmax}")
     rows = []
     for l in range(args.lmax + 1):
         summary = dimensions.layer(args.d, l, args.grading)

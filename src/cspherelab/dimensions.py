@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from .errors import ArgumentError, ConsistencyError
 
@@ -131,7 +131,7 @@ def check_dim_bounds(d, l_min, l_max):
 
     For each level l the layer dimension behaves like
     lead * l^(2d-2) with lead = 2(2d-1)/(d! (d-1)!); this reports the ratio
-    d_l / l^(2d-2) per level and the smallest constants C1, C2 with
+    d_l / l^(2d-2) at l_min and l_max and the smallest constants C1, C2 with
     lead*l^(2d-2) - C1*l^(2d-3) <= d_l <= lead*l^(2d-2) + C2*l^(2d-3)
     over the range. It also reports the smallest admissible constant in the
     per-bidegree bound
@@ -144,31 +144,25 @@ def check_dim_bounds(d, l_min, l_max):
     if l_min < 1 or l_min > l_max:
         raise ArgumentError(f"need 1 <= l_min <= l_max, got [{l_min}, {l_max}]")
 
-    from math import factorial
-
     lead = Fraction(2 * (2 * d - 1), factorial(d) * factorial(d - 1))
-    rows = []
     c1 = Fraction(0)
     c2 = Fraction(0)
     for l in range(l_min, l_max + 1):
         d_l = dim_layer(d, l, "max")
-        ratio = Fraction(d_l, l ** (2 * d - 2))
         gap = d_l - lead * l ** (2 * d - 2)
         if gap >= 0:
             c2 = max(c2, Fraction(gap, l ** (2 * d - 3)))
         else:
             c1 = max(c1, Fraction(-gap, l ** (2 * d - 3)))
-        rows.append({"l": l, "d_l": d_l, "ratio": float(ratio)})
 
     report = {
         "d": d,
         "l_range": [l_min, l_max],
         "leading_coefficient": float(lead),
-        "ratio_first": rows[0]["ratio"],
-        "ratio_last": rows[-1]["ratio"],
+        "ratio_first": float(Fraction(dim_layer(d, l_min, "max"), l_min ** (2 * d - 2))),
+        "ratio_last": float(Fraction(dim_layer(d, l_max, "max"), l_max ** (2 * d - 2))),
         "C1": float(c1),
         "C2": float(c2),
-        "rows": rows,
     }
 
     if d == 2:

@@ -40,11 +40,12 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from ._lazy import numpy as np
-from .basis import _EVAL_ROWS, MonomialMap, _check_on_sphere, build_basis
+from .basis import MonomialMap, _check_on_sphere, build_basis
 from .dimensions import layer_members, theta
 from .errors import ArgumentError, ConsistencyError
 from .multipliers import MultiplierFamily, lambda_value, multiplier_at
-from .sphere import _chunk_rng, abs_power_inplace, lp_norm_mc, omega, sample_points, sup_norm_refined
+from .sphere import (_chunk_rng, abs_power_inplace, check_exponent, lp_norm_mc, omega, sample_points,
+                     sup_norm_refined)
 
 # The fixed Monte Carlo layout: rows per pass, and cloud blocks for the cloud error.
 _OUTER_ROWS = 200
@@ -243,36 +244,14 @@ def _weighted_rows(rng, lam, out):
     return out
 
 
-def _cloud_blocks(system, points, per_block):
-    """The cloud's consecutive (per_block, s) coordinate blocks, in one reused buffer.
-
-    The points are evaluated _EVAL_ROWS at a time from the first, as one
-    eval_matrix call on the whole cloud would chunk them, so each block
-    holds the same rows as that call's matrix. The caller must be done
-    with a block before asking for the next.
-    """
-    block = np.empty((per_block, system.s))
-    filled = 0
-    for start in range(0, len(points), _EVAL_ROWS):
-        values = system.eval_matrix(points[start:start + _EVAL_ROWS])
-        while len(values):
-            take = min(per_block - filled, len(values))
-            block[filled:filled + take] = values[:take]
-            values = values[take:]
-            filled += take
-            if filled == per_block:
-                yield block
-                filled = 0
-
-
 def check_cloud_cost(prob: LevyProblem, sphere_samples, omega_samples):
     """Refuse a Monte Carlo Levy mean over MAX_CLOUD_FLOPS or MAX_CLOUD_BYTES.
 
     The cost is 2 * sphere_samples * s * omega_samples flops and the bytes
     of the arrays named at MAX_CLOUD_BYTES, with s the window size from the
-    dimension formula, so nothing is built to find them. The evaluation's
-    per-chunk arrays (_EVAL_ROWS points) are not counted: they do not grow
-    with the sample counts.
+    dimension formula, so nothing is built to find them. The evaluator's
+    per-chunk arrays (MonomialMap's fixed chunk of points) are not counted:
+    they do not grow with the sample counts.
     """
     _check_window(prob.m1, prob.m2)
     refused = f"Levy mean for d={prob.d}, window ({prob.m1}, {prob.m2}] refused"
@@ -318,20 +297,20 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
 
     Memory: the cloud path holds the (sphere_samples, s) outer rows, their
     (sphere_samples, _CLOUD_BLOCKS) block statistics and the cloud's points,
-    never the cloud's coordinate matrix. It evaluates one
-    (omega_samples / _CLOUD_BLOCKS, s) cloud block at a time into one
-    buffer, multiplies every pass of outer rows into one (_OUTER_ROWS,
-    omega_samples / _CLOUD_BLOCKS) buffer and reduces that in place (|.|^p,
-    or max |.| at p = inf) to the block's row means. The points and those
-    two buffers are the arrays that grow with omega_samples: exact row means
-    need a whole block row at once. The exact path holds one pass of outer
-    rows.
+    never the cloud's coordinate matrix. Each (omega_samples / _CLOUD_BLOCKS,
+    s) cloud block is one eval_matrix call on its slice of the points, freed
+    before the next block is evaluated; a row's values depend on its point
+    only, not on where the slice starts. Every pass of outer rows is
+    multiplied into one (_OUTER_ROWS, omega_samples / _CLOUD_BLOCKS) buffer,
+    reduced in place (|.|^p, or max |.| at p = inf) to the block's row
+    means. The points, the block and that buffer are the arrays that grow
+    with omega_samples: exact row means need a whole block row at once. The
+    exact path holds one pass of outer rows.
     """
     if sphere_samples < 2:
         raise ArgumentError("need at least two coefficient-sphere samples")
     p = prob.p
-    if p != math.inf and p < 1:
-        raise ArgumentError(f"need p >= 1 or p = inf, got {p}")
+    check_exponent(p)
     exact = p == 2 and omega_samples == 0
     if not exact:
         if omega_samples < 10**3:
@@ -358,13 +337,15 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
         per_block = omega_samples // _CLOUD_BLOCKS
         buf = np.empty((passes[0][1], per_block))
         block_stat = np.empty((sphere_samples, _CLOUD_BLOCKS))
-        for b, block in enumerate(_cloud_blocks(system, pts, per_block)):
+        for b in range(_CLOUD_BLOCKS):
+            block = system.eval_matrix(pts[b * per_block:(b + 1) * per_block])
             for start, rows in passes:
                 v = np.matmul(x[start:start + rows], block.T, out=buf[:rows])
                 if p == math.inf:
                     block_stat[start:start + rows, b] = np.maximum(v.max(axis=1), -v.min(axis=1))
                 else:
                     block_stat[start:start + rows, b] = abs_power_inplace(v, p).mean(axis=1)
+            del block  # freed before the next block is evaluated
         w = omega(prob.d)
         if p == math.inf:
             sq = block_stat.max(axis=1) ** 2
@@ -457,8 +438,7 @@ def nikolskii_check(d, m1, m2, p, trials, seed, omega_samples=4096):
     cloud norms, whose |t|^q and deviations share a second pass buffer. The
     caps are evaluated _OUTER_ROWS trials per pass too.
     """
-    if p != math.inf and p < 1:
-        raise ArgumentError(f"need p >= 1 or p = inf, got {p}")
+    check_exponent(p)
     if trials < 1:
         raise ArgumentError("need at least one trial")
     system = build_real_system(d, m1, m2)

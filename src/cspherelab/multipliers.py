@@ -78,32 +78,46 @@ def identity(grading="max"):
 
 
 def parse_family(spec, d, grading):
-    """Parse a family spec string: sobolev:gamma=G | fs:gamma=G,xi=X | exp:gamma=G,r=R | id."""
+    """Parse a family spec string: sobolev:gamma=G | fs:gamma=G,xi=X | exp:gamma=G,r=R | id.
+
+    A key the family does not take, a repeated key and a non-finite value
+    are refused, so every argument given is an argument used.
+    """
     spec = spec.strip()
     name, _, argstr = spec.partition(":")
     args = {}
     if argstr:
         for piece in argstr.split(","):
             key, _, val = piece.partition("=")
+            key = key.strip()
             if not val:
                 raise ArgumentError(f"malformed family argument {piece!r} in {spec!r}")
+            if key in args:
+                raise ArgumentError(f"repeated family argument {key!r} in {spec!r}")
             try:
-                args[key.strip()] = float(val)
+                args[key] = float(val)
             except ValueError as exc:
                 raise ArgumentError(f"non-numeric family argument {piece!r}") from exc
+            if not math.isfinite(args[key]):
+                raise ArgumentError(f"non-finite family argument {piece!r} in {spec!r}")
     name = name.strip().lower()
+    takes = {"sobolev": ("gamma",), "fs": ("gamma", "xi"), "exp": ("gamma", "r"), "id": ()}
+    if name not in takes:
+        raise ArgumentError(f"unknown family spec {spec!r} (expected sobolev:/fs:/exp:/id)")
+    unused = [key for key in args if key not in takes[name]]
+    if unused:
+        raise ArgumentError(f"family {name!r} takes no argument {unused[0]!r}"
+                            f" (it takes: {', '.join(takes[name]) or 'none'})")
     try:
         if name == "sobolev":
-            return sobolev(args.pop("gamma"), d, grading)
+            return sobolev(args["gamma"], d, grading)
         if name == "fs":
-            return finite_smooth(args.pop("gamma"), args.pop("xi", 0.0), grading)
+            return finite_smooth(args["gamma"], args.get("xi", 0.0), grading)
         if name == "exp":
-            return exp_analytic(args.pop("gamma"), args.pop("r"), grading)
-        if name == "id":
-            return identity(grading)
+            return exp_analytic(args["gamma"], args["r"], grading)
+        return identity(grading)
     except KeyError as exc:
         raise ArgumentError(f"family {name!r} is missing required argument {exc}") from exc
-    raise ArgumentError(f"unknown family spec {spec!r} (expected sobolev:/fs:/exp:/id)")
 
 
 def lambda_value(fam, t):
@@ -227,7 +241,7 @@ def plan_beta(fam, d, start, eps):
     Raises DivergenceError when a level, or a ratio theta_k / theta12 of
     the sequence-class sum, is beyond the float range.
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN too
         raise ArgumentError(f"eps must be positive, got {eps}")
     first_two = build_level_sequence(fam, start, 2)
     theta12 = theta(d, first_two[0], first_two[1], fam.grading)

@@ -39,6 +39,12 @@ def omega(d):
     return 2.0 * math.pi**d / math.factorial(d - 1)
 
 
+def check_exponent(p):
+    """Refuse an L^p exponent outside 1 <= p <= inf; NaN fails the comparison."""
+    if not p >= 1:
+        raise ArgumentError(f"need p >= 1 or p = inf, got {p}")
+
+
 def _chunk_rng(seed, index):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
@@ -110,8 +116,7 @@ def lp_norm_mc(values, p, d, out=None):
         raise ArgumentError("cannot estimate a norm from zero samples")
     if not (values.min() >= 0 and np.isfinite(values.max())):  # NaN propagates; no mask
         raise ArgumentError("sampled |f| values must be finite and nonnegative")
-    if p != math.inf and p < 1:
-        raise ArgumentError(f"need p >= 1 or p = inf, got {p}")
+    check_exponent(p)
     n = values.shape[-1]
     if p == math.inf:
         value = values.max(axis=-1)

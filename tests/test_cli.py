@@ -122,6 +122,40 @@ def test_byte_identical_reruns(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "nikolskii", "--d", "2", "--N", "0", "--lmax", "1", "--p", "nan", "--samples", "10"),
+    ("levy", "--d", "2", "--N", "0", "--lmax", "1", "--family", "id", "--p", "nan",
+     "--sphere-samples", "100", "--omega-samples", "2000"),
+], ids=["nikolskii", "levy"])
+def test_nan_p_exits_2_before_any_basis(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(levy, "build_real_system", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: need p >= 1 or p = inf, got nan\n"
+
+
+@pytest.mark.parametrize("family, named", [
+    ("fs:gamma=3,gama=9", "'gama'"),
+    ("exp:gamma=1,r=1,xi=7", "'xi'"),
+    ("fs:gamma=nan", "'gamma=nan'"),
+])
+def test_family_arguments_it_does_not_use_exit_2(capsys, family, named):
+    code, out, err = run_cli(capsys, "seq", "--d", "2", "--family", family, "--N", "3",
+                             "--eps", "0.5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
+def test_dims_negative_lmax_exits_2(capsys):
+    code, out, err = run_cli(capsys, "dims", "--d", "2", "--lmax", "-3")
+    assert code == 2 and out == ""
+    assert err == "error: need --lmax >= 0, got -3\n"
+    assert run_cli(capsys, "dims", "--d", "2", "--lmax", "0")[1] == "l,a_l,d_l,cum_dim\n0,1,1,1\n"
+
+
 def test_levy_refused_by_its_cost_exits_2(capsys, monkeypatch):
     # 2 x 1000 x 3919 x 10^6 flops on d = 3, window (0, 6]; the basis would
     # take gigabytes, so building one fails the test at once.

@@ -224,6 +224,17 @@ def test_levy_mc_argument_errors():
         levy_mean_mc(LevyProblem(2, 0, 1, identity("max"), 0.5), 100, 4000, seed=0)
 
 
+def test_nan_exponent_is_refused():
+    # NaN fails every comparison, so "p < 1" let it through; "not p >= 1" does not
+    with pytest.raises(ArgumentError, match="need p >= 1"):
+        levy_mean_mc(LevyProblem(2, 0, 1, identity("max"), math.nan), 100, 4000, seed=0)
+    with pytest.raises(ArgumentError, match="need p >= 1"):
+        nikolskii_check(2, 0, 1, math.nan, 10, seed=0)
+    with pytest.raises(ArgumentError, match="need p >= 1"):
+        lp_norm_mc(np.ones((2, 10)), math.nan, 2)
+    assert lp_norm_mc(np.ones(10), math.inf, 2) == (1.0, 0.0)
+
+
 def _chunked_levy_oracle(prob, sphere_samples, omega_samples, seed, chunk=200, cloud_blocks=8):
     """The earlier levy_mean_mc: one-shot outer draw, np.abs and ** on each chunk's full product.
 
@@ -324,6 +335,24 @@ def test_levy_mc_peak_grows_by_one_cloud_block():
             tracemalloc.stop()
     streamed = 3000 * (63 + 200) * 8 + 24000 * 2 * 16
     assert peaks[1] - peaks[0] <= streamed + 2**18
+
+
+def test_levy_mc_block_is_one_evaluation_call():
+    # levy-d2-sobolev-p1: d = 2, window (1, 4], s = 117, 1000 x 25000 at p = 1.
+    # Each (3125, 117) cloud block is one eval_matrix call, freed before the
+    # next is evaluated; the peak is about 15.3 MiB. Copying evaluation chunks
+    # into a reused block buffer, which keeps the last (2048, 117) chunk alive
+    # beside the block through the pass products, peaks near 18.9 MiB.
+    problem = LevyProblem(2, 1, 4, parse_family("sobolev:gamma=2", 2, "max"), 1)
+    assert problem.system().s == 117
+    levy_mean_mc(problem, 1000, 25000, seed=0)  # compile the window first
+    tracemalloc.start()
+    try:
+        levy_mean_mc(problem, 1000, 25000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 17 * 2**20
 
 
 def test_nikolskii_holds_one_cloud_array():

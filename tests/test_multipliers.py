@@ -158,6 +158,12 @@ def test_plan_beta_finite_smooth():
     assert all(v > 0 and math.isfinite(v) for v in plan.kclass_ratio.values())
 
 
+def test_plan_beta_refuses_nonpositive_or_nan_eps():
+    for eps in (0.0, -1.0, math.nan):
+        with pytest.raises(ArgumentError, match="eps must be positive"):
+            plan_beta(finite_smooth(3, 0, "max"), 2, 3, eps)
+
+
 def test_plan_beta_propagates_divergence():
     with pytest.raises(DivergenceError):
         plan_beta(identity(), 2, 3, 0.5)
@@ -174,6 +180,21 @@ def test_parse_family():
     for bad in ("exp", "exp:gamma=1", "nope:x=1", "fs:gamma"):
         with pytest.raises(ArgumentError):
             parse_family(bad, 2, "max")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("fs:gamma=3,gama=9", "family 'fs' takes no argument 'gama' (it takes: gamma, xi)"),
+    ("exp:gamma=1,r=1,xi=7", "family 'exp' takes no argument 'xi' (it takes: gamma, r)"),
+    ("id:gamma=1", "family 'id' takes no argument 'gamma' (it takes: none)"),
+    ("fs:gamma=nan", "non-finite family argument 'gamma=nan'"),
+    ("exp:gamma=1,r=inf", "non-finite family argument 'r=inf'"),
+    ("sobolev:gamma=1e400", "non-finite family argument 'gamma=1e400'"),
+    ("fs:gamma=3,gamma=4", "repeated family argument 'gamma'"),
+])
+def test_parse_family_refuses_arguments_it_does_not_use(spec, message):
+    with pytest.raises(ArgumentError) as info:
+        parse_family(spec, 2, "max")
+    assert message in str(info.value)
 
 
 FAMILY_SPECS = {"sobolev": "sobolev:gamma=2.5", "finite_smooth": "fs:gamma=3,xi=0.5",
