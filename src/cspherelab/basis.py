@@ -34,15 +34,16 @@ HarmonicBasis.eval_orthonormal and the real coordinates of levy all use it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
+# Modules, not their functions: a name imported from a module runs it, and
+# the basis command uses neither.
+from . import polynomials, sphere
 from ._lazy import numpy as np
 from .dimensions import bidegree_monomials, dim_complex_harmonic
 from .errors import ArgumentError, ConsistencyError, DataError
-from .polynomials import disk_poly_eval, gegenbauer_eval
-from .sphere import _CHUNK, omega, sample_points
 
 # Combinatorial growth guard for exact basis construction.
 MAX_BIDEGREE = 8
@@ -222,8 +223,7 @@ class MonomialMap:
         return out
 
 
-@dataclass(frozen=True)
-class HarmonicBasis:
+class HarmonicBasis(namedtuple("HarmonicBasis", "d m n vectors sq_norms")):
     """Exact orthogonal basis of one bidegree harmonic space.
 
     vectors are pairwise orthogonal (exactly, in rational arithmetic) and
@@ -232,11 +232,7 @@ class HarmonicBasis:
     function is vectors[j] / sqrt(sq_norms[j] * omega(d)).
     """
 
-    d: int
-    m: int
-    n: int
-    vectors: tuple
-    sq_norms: tuple
+    __slots__ = ()
 
     @property
     def dim(self):
@@ -263,7 +259,7 @@ class HarmonicBasis:
 
     def orthonormal_scale(self, j):
         """1 / sqrt(sq_norms[j] * omega(d)): the factor that makes vectors[j] L^2-orthonormal."""
-        return 1.0 / math.sqrt(float(self.sq_norms[j]) * omega(self.d))
+        return 1.0 / math.sqrt(float(self.sq_norms[j]) * sphere.omega(self.d))
 
 
 def _check_on_sphere(points):
@@ -374,7 +370,8 @@ def zonal_eval(d, m, n, w, z):
     z = np.asarray(z, dtype=complex)
     _check_on_sphere(z)
     t = z @ np.conj(w) if z.ndim > 1 else np.dot(z, np.conj(w))
-    return (dim_complex_harmonic(d, m, n) / omega(d)) * disk_poly_eval(m, n, d - 2, t)
+    return ((dim_complex_harmonic(d, m, n) / sphere.omega(d))
+            * polynomials.disk_poly_eval(m, n, d - 2, t))
 
 
 def verify_addition(d, m, n, samples, seed):
@@ -386,17 +383,17 @@ def verify_addition(d, m, n, samples, seed):
     if samples < 1:
         raise ArgumentError("need at least one sample pair")
     basis_ = build_basis(d, m, n)
-    pts = sample_points(d, 2 * samples, seed)
+    pts = sphere.sample_points(d, 2 * samples, seed)
     zs, ws = pts[:samples], pts[samples:]
     ez = basis_.eval_orthonormal(zs)
     ew = basis_.eval_orthonormal(ws)
     lhs = np.sum(np.conj(ew) * ez, axis=1)
     dmn = dim_complex_harmonic(d, m, n)
     t = np.sum(zs * np.conj(ws), axis=1)
-    rhs = (dmn / omega(d)) * disk_poly_eval(m, n, d - 2, t)
+    rhs = (dmn / sphere.omega(d)) * polynomials.disk_poly_eval(m, n, d - 2, t)
     dev_pairs = float(np.max(np.abs(lhs - rhs)))
     diag = np.sum(np.abs(ez) ** 2, axis=1)
-    dev_diag = float(np.max(np.abs(diag - dmn / omega(d))))
+    dev_diag = float(np.max(np.abs(diag - dmn / sphere.omega(d))))
     return max(dev_pairs, dev_diag)
 
 
@@ -416,16 +413,18 @@ def verify_gegenbauer(d, k_max, samples, seed):
         raise ArgumentError(f"degree must be nonnegative, got {k_max}")
     if samples < 1:
         raise ArgumentError("need at least one sample pair")
-    pts = sample_points(d, 2 * samples, seed)
+    pts = sphere.sample_points(d, 2 * samples, seed)
     zs, ws = pts[:samples], pts[samples:]
     t = np.sum(zs * np.conj(ws), axis=1)
-    w = omega(d)
+    w = sphere.omega(d)
     worst = 0.0
     for k in range(k_max + 1):
-        lhs = (2 * d + 2 * k - 2) / (w * (2 * d - 2)) * gegenbauer_eval(k, d - 1, t.real)
+        lhs = ((2 * d + 2 * k - 2) / (w * (2 * d - 2))
+               * polynomials.gegenbauer_eval(k, d - 1, t.real))
         rhs = np.zeros_like(lhs, dtype=complex)
         for m in range(k + 1):
-            rhs += (dim_complex_harmonic(d, m, k - m) / w) * disk_poly_eval(m, k - m, d - 2, t)
+            rhs += ((dim_complex_harmonic(d, m, k - m) / w)
+                    * polynomials.disk_poly_eval(m, k - m, d - 2, t))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
@@ -442,16 +441,16 @@ def project_mc(f, d, m, n, w, samples, seed):
     """
     if samples < 2:
         raise ArgumentError("need at least two samples for a standard error")
-    pts = sample_points(d, samples, seed)
+    pts = sphere.sample_points(d, samples, seed)
     integrand = np.empty(samples, dtype=complex)
-    for start in range(0, samples, _CHUNK):
-        chunk = pts[start:start + _CHUNK]
+    for start in range(0, samples, sphere._CHUNK):
+        chunk = pts[start:start + sphere._CHUNK]
         fvals = np.asarray(f(chunk), dtype=complex)
         if not np.all(np.isfinite(fvals)):
             raise DataError("f produced non-finite values at sample points")
         zonal = zonal_eval(d, m, n, w, chunk)
         np.multiply(fvals, np.conj(zonal), out=integrand[start:start + len(chunk)])
-    wd = omega(d)
+    wd = sphere.omega(d)
     estimate = wd * complex(integrand.mean())
     var = integrand.real.var(ddof=1) + integrand.imag.var(ddof=1)
     stderr = wd * math.sqrt(var / samples)

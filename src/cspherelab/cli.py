@@ -35,6 +35,13 @@ def _float_or_inf(text):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
 
 
+def _tolerance(text):
+    tol = _float_or_inf(text)
+    if math.isnan(tol):
+        raise argparse.ArgumentTypeError("NaN is not a tolerance: every comparison with it is false")
+    return tol
+
+
 def _add_common(parser, *names, seed=True):
     if "d" in names:
         parser.add_argument("--d", type=int, required=True, help="complex dimension of the ambient space")
@@ -73,14 +80,14 @@ def build_parser():
     c.add_argument("--m", type=int, required=True)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--samples", type=int, default=1000, help="random point pairs")
-    c.add_argument("--tol", type=float, default=1e-9)
+    c.add_argument("--tol", type=_tolerance, default=1e-9)
 
     c = check_sub.add_parser("gegenbauer",
                              help="real-sphere zonal vs sum of complex zonals, degrees 0..lmax")
     _add_common(c, "d")
     c.add_argument("--lmax", type=int, required=True, help="largest total degree to check")
     c.add_argument("--samples", type=int, default=1000, help="random point pairs, shared by every degree")
-    c.add_argument("--tol", type=float, default=1e-9)
+    c.add_argument("--tol", type=_tolerance, default=1e-9)
 
     c = check_sub.add_parser("nikolskii", help="norm comparison inequalities on random polynomials")
     _add_common(c, "d")
@@ -89,12 +96,12 @@ def build_parser():
     c.add_argument("--p", type=_float_or_inf, default=2.0)
     c.add_argument("--samples", type=int, default=1000, help="random polynomial trials")
     c.add_argument("--omega-samples", type=int, default=4096)
-    c.add_argument("--tol", type=float, default=0.0, help="allowed number of violations")
+    c.add_argument("--tol", type=_tolerance, default=0.0, help="allowed number of violations")
 
     c = check_sub.add_parser("dim-bounds", help="two-sided layer-dimension bound slack")
     _add_common(c, "d", seed=False)
     c.add_argument("--lmax", type=int, required=True)
-    c.add_argument("--tol", type=float, default=0.1,
+    c.add_argument("--tol", type=_tolerance, default=0.1,
                    help="allowed relative gap of the last ratio to the leading coefficient")
 
     p = sub.add_parser("levy", help="Levy mean of a weighted norm on a coefficient sphere")

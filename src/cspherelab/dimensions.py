@@ -8,7 +8,7 @@ decompositions and hence different cumulative dimension counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -66,15 +66,10 @@ def layer_members(l, grading):
     return sorted(members)
 
 
-@dataclass(frozen=True)
-class LayerSummary:
+class LayerSummary(namedtuple("LayerSummary", "l members a_l d_l cum_dim")):
     """One grading layer: its members, their count and dimension totals."""
 
-    l: int
-    members: tuple
-    a_l: int
-    d_l: int
-    cum_dim: int
+    __slots__ = ()
 
 
 def dim_layer_by_members(d, l, grading):

@@ -36,7 +36,7 @@ Monte Carlo otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 from ._lazy import numpy as np
@@ -72,12 +72,15 @@ SECONDS_PER_CLOUD_FLOP = 3e-11
 # Inputs whose sum of those exceeds the ceiling, a quarter of an 8 GB
 # machine, are refused; a small sphere_samples can keep the flops low while
 # the cloud block alone takes tens of gigabytes, and a small window can do
-# the same while the block statistics outgrow the outer rows.
+# the same while the block statistics outgrow the outer rows. The exact
+# p = 2 path has no cloud: it holds the squared norms, one per outer sample,
+# the temporary of the same size that their standard deviation makes, and
+# one (_OUTER_ROWS, s) pass of outer rows with its square; the same ceiling
+# applies to those.
 MAX_CLOUD_BYTES = 2 * 10**9
 
 
-@dataclass(frozen=True)
-class RealBasisMember:
+class RealBasisMember(namedtuple("RealBasisMember", "bidegree index part")):
     """One real orthonormal coordinate function of the window.
 
     With Y the orthonormal function `index` of the `bidegree` basis, the
@@ -85,9 +88,7 @@ class RealBasisMember:
     ("real", for a real Y).
     """
 
-    bidegree: tuple
-    index: int
-    part: str
+    __slots__ = ()
 
 
 class RealCoordinateSystem:
@@ -206,28 +207,18 @@ def build_real_system(d, m1, m2):
     return system
 
 
-@dataclass(frozen=True)
-class LevyProblem:
-    d: int
-    m1: int
-    m2: int
-    fam: MultiplierFamily
-    p: float
+class LevyProblem(namedtuple("LevyProblem", "d m1 m2 fam p")):
+    __slots__ = ()
 
     def system(self):
         return build_real_system(self.d, self.m1, self.m2)
 
 
-@dataclass(frozen=True)
-class LevyEstimate:
+class LevyEstimate(namedtuple(
+        "LevyEstimate", "value stderr stderr_outer stderr_cloud sphere_samples omega_samples")):
     """A Levy-mean estimate; stderr = hypot(stderr_outer, stderr_cloud)."""
 
-    value: float
-    stderr: float
-    stderr_outer: float
-    stderr_cloud: float
-    sphere_samples: int
-    omega_samples: int
+    __slots__ = ()
 
 
 def levy_mean_parseval(prob: LevyProblem):
@@ -245,13 +236,14 @@ def _weighted_rows(rng, lam, out):
 
 
 def check_cloud_cost(prob: LevyProblem, sphere_samples, omega_samples):
-    """Refuse a Monte Carlo Levy mean over MAX_CLOUD_FLOPS or MAX_CLOUD_BYTES.
+    """Refuse a Levy mean over MAX_CLOUD_FLOPS or MAX_CLOUD_BYTES.
 
     The cost is 2 * sphere_samples * s * omega_samples flops and the bytes
     of the arrays named at MAX_CLOUD_BYTES, with s the window size from the
-    dimension formula, so nothing is built to find them. The evaluator's
-    per-chunk arrays (MonomialMap's fixed chunk of points) are not counted:
-    they do not grow with the sample counts.
+    dimension formula, so nothing is built to find them. omega_samples = 0
+    is the exact p = 2 path, which has no cloud. The evaluator's per-chunk
+    arrays (MonomialMap's fixed chunk of points) are not counted: they do
+    not grow with the sample counts.
     """
     _check_window(prob.m1, prob.m2)
     refused = f"Levy mean for d={prob.d}, window ({prob.m1}, {prob.m2}] refused"
@@ -262,18 +254,22 @@ def check_cloud_cost(prob: LevyProblem, sphere_samples, omega_samples):
             f"{refused}: its cloud products cost 2 x {sphere_samples} x {s} x {omega_samples}"
             f" = {cost:.2e} flops > {MAX_CLOUD_FLOPS:.0e}, an estimated"
             f" {cost * SECONDS_PER_CLOUD_FLOP:.0f} s")
-    per_block = omega_samples // _CLOUD_BLOCKS
     rows = min(_OUTER_ROWS, sphere_samples)
-    per_sample = 3 * _CLOUD_BLOCKS + 2  # block statistics, their 2 closing temporaries, norms, sq
-    nbytes = (8 * (sphere_samples * (s + per_sample) + per_block * s + rows * per_block)
-              + 16 * omega_samples * prob.d)
+    if omega_samples == 0:
+        nbytes = 8 * 2 * (sphere_samples + rows * s)
+        arrays = (f"outer-sample arrays take an estimated {nbytes / 1e9:.1f} GB (squared norms"
+                  f" {sphere_samples} x 2, outer rows {rows} x {s} x 2)")
+    else:
+        per_block = omega_samples // _CLOUD_BLOCKS
+        per_sample = 3 * _CLOUD_BLOCKS + 2  # block statistics, 2 closing temporaries, norms, sq
+        nbytes = (8 * (sphere_samples * (s + per_sample) + per_block * s + rows * per_block)
+                  + 16 * omega_samples * prob.d)
+        arrays = (f"cloud arrays take an estimated {nbytes / 1e9:.1f} GB (outer rows"
+                  f" {sphere_samples} x {s}, cloud block {per_block} x {s}, pass buffer {rows} x"
+                  f" {per_block}, points {omega_samples} x {prob.d} complex, block statistics"
+                  f" {sphere_samples} x {_CLOUD_BLOCKS} x 3, norms {sphere_samples} x 2)")
     if nbytes > MAX_CLOUD_BYTES:
-        raise ArgumentError(
-            f"{refused}: its cloud arrays take an estimated {nbytes / 1e9:.1f} GB (outer rows"
-            f" {sphere_samples} x {s}, cloud block {per_block} x {s}, pass buffer {rows} x"
-            f" {per_block}, points {omega_samples} x {prob.d} complex, block statistics"
-            f" {sphere_samples} x {_CLOUD_BLOCKS} x 3, norms {sphere_samples} x 2)"
-            f" > {MAX_CLOUD_BYTES / 1e9:.0f} GB")
+        raise ArgumentError(f"{refused}: its {arrays} > {MAX_CLOUD_BYTES / 1e9:.0f} GB")
 
 
 def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
@@ -291,8 +287,8 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
     Outer samples are drawn, normalised and weighted _OUTER_ROWS rows per
     pass from one stream, so the rows do not depend on the pass size; the
     cloud's _CLOUD_BLOCKS equal blocks give stderr_cloud. Inputs whose cloud
-    products cost more than MAX_CLOUD_FLOPS, or whose cloud arrays take more
-    than MAX_CLOUD_BYTES, are refused before any basis is built
+    products cost more than MAX_CLOUD_FLOPS, or whose arrays take more than
+    MAX_CLOUD_BYTES (on either path), are refused before any basis is built
     (check_cloud_cost).
 
     Memory: the cloud path holds the (sphere_samples, s) outer rows, their
@@ -305,7 +301,7 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
     reduced in place (|.|^p, or max |.| at p = inf) to the block's row
     means. The points, the block and that buffer are the arrays that grow
     with omega_samples: exact row means need a whole block row at once. The
-    exact path holds one pass of outer rows.
+    exact path holds one pass of outer rows and the squared norms.
     """
     if sphere_samples < 2:
         raise ArgumentError("need at least two coefficient-sphere samples")
@@ -316,7 +312,7 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
         if omega_samples < 10**3:
             raise ArgumentError("inner estimation needs omega_samples >= 1000 (or 0 at p = 2)")
         omega_samples -= omega_samples % _CLOUD_BLOCKS
-        check_cloud_cost(prob, sphere_samples, omega_samples)
+    check_cloud_cost(prob, sphere_samples, omega_samples)
     system = prob.system()
     lam = system.multiplier_vector(prob.fam)
     rng = _chunk_rng(seed, 777)
@@ -364,14 +360,8 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
                         sphere_samples=sphere_samples, omega_samples=omega_samples)
 
 
-@dataclass(frozen=True)
-class LevyBounds:
-    case: str
-    lower: float
-    upper: float
-    upper_known: bool
-    inconsistent: bool
-    monotone: str
+class LevyBounds(namedtuple("LevyBounds", "case lower upper upper_known inconsistent monotone")):
+    __slots__ = ()
 
 
 def levy_bounds(prob: LevyProblem):

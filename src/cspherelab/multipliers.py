@@ -19,7 +19,7 @@ factor e, and budgets approximation ranks geometrically between them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .dimensions import _check_grading, cum_dim, theta
 from .errors import ArgumentError, DivergenceError
@@ -27,19 +27,24 @@ from .errors import ArgumentError, DivergenceError
 FAMILY_KINDS = ("sobolev", "finite_smooth", "exp_analytic", "identity")
 
 
-@dataclass(frozen=True)
-class MultiplierFamily:
-    kind: str
-    grading: str
-    gamma: float = 0.0
-    xi: float = 0.0
-    r: float = 0.0
-    d: int = 0
+class MultiplierFamily(namedtuple("MultiplierFamily", "kind grading gamma xi r d")):
+    """A multiplier kind and grading with the kind's parameters.
 
-    def __post_init__(self):
-        _check_grading(self.grading)
-        if self.kind not in FAMILY_KINDS:
-            raise ArgumentError(f"unknown multiplier family kind {self.kind!r}")
+    Every construction checks the kind and the grading: _make, and so
+    _replace, goes through __new__ too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind, grading, gamma=0.0, xi=0.0, r=0.0, d=0):
+        _check_grading(grading)
+        if kind not in FAMILY_KINDS:
+            raise ArgumentError(f"unknown multiplier family kind {kind!r}")
+        return super().__new__(cls, kind, grading, gamma, xi, r, d)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def describe(self):
         if self.kind == "sobolev":
@@ -209,8 +214,7 @@ def build_level_sequence(fam, start, count):
     return levels
 
 
-@dataclass(frozen=True)
-class BetaPlan:
+class BetaPlan(namedtuple("BetaPlan", "d N eps Nk M mk beta theta12 kclass_ratio plateau")):
     """Rank budget across the level sequence.
 
     Nk holds N_1 .. N_(M+1); mk holds m_0 .. m_M with m_0 the dimension of
@@ -220,16 +224,7 @@ class BetaPlan:
     empirical stand-in for the sequence-class constant.
     """
 
-    d: int
-    N: int
-    eps: float
-    Nk: tuple
-    M: int
-    mk: tuple
-    beta: int
-    theta12: int
-    kclass_ratio: dict
-    plateau: bool
+    __slots__ = ()
 
 
 KCLASS_EXPONENTS = (1.0, 1.5, 2.0)

@@ -24,34 +24,84 @@ def fmt_float(x):
     return "%.17g" % x
 
 
+def _quote(text):
+    escaped = text.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{escaped}"'
+
+
+def _fraction(value):
+    return f'"{value.numerator}/{value.denominator}"'
+
+
+# The formatter of each scalar leaf, by exact type. A subclass of one of
+# these types (numpy.float64 is a float) takes the formatter of the first
+# type in this order that it is an instance of.
+_SCALARS = {
+    type(None): lambda value: "null",
+    bool: lambda value: "true" if value else "false",
+    int: str,
+    float: fmt_float,
+    Fraction: _fraction,
+    str: _quote,
+}
+
+
 def dumps(value, indent=0):
-    """Stable JSON rendering with controlled float formatting."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return fmt_float(value)
-    if isinstance(value, Fraction):
-        return f'"{value.numerator}/{value.denominator}"'
-    if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        rows = [f'{inner}{dumps(str(k))}: {dumps(v, indent + 1)}' for k, v in value.items()]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        rows = [f"{inner}{dumps(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    raise ArgumentError(f"cannot serialise value of type {type(value).__name__}")
+    """Stable JSON rendering with controlled float formatting.
+
+    A dict or list (or tuple) puts one member per line, indented two spaces
+    per level, starting from indent levels; empty ones are {} and []. Dict
+    keys are written as str(key). Leaves are None, bools, ints, floats
+    (fmt_float), Fractions ("p/q") and strings; any other type raises
+    ArgumentError.
+    """
+    out = []
+    _write(value, "\n" + "  " * indent, out)
+    return "".join(out)
+
+
+def _write(value, pad, out):
+    """Append the text of value to out; pad is a newline and value's indentation.
+
+    Leaves inside a container are formatted in place through _SCALARS, so
+    only containers and subclasses of the leaf types reach this function.
+    """
+    cls = type(value)
+    if cls is not dict and cls is not list and cls is not tuple:
+        for base, fmt in _SCALARS.items():
+            if isinstance(value, base):
+                out.append(fmt(value))
+                return
+        if isinstance(value, dict):
+            cls = dict
+        elif not isinstance(value, (list, tuple)):
+            raise ArgumentError(f"cannot serialise value of type {cls.__name__}")
+    if not value:
+        out.append("{}" if cls is dict else "[]")
+        return
+    inner = pad + "  "
+    sep, comma = ("{" if cls is dict else "[") + inner, "," + inner
+    append, scalar = out.append, _SCALARS.get
+    if cls is dict:
+        for key, item in value.items():
+            fmt = scalar(type(item))
+            if fmt is None:
+                append(f"{sep}{_quote(str(key))}: ")
+                _write(item, inner, out)
+            else:
+                append(f"{sep}{_quote(str(key))}: {fmt(item)}")
+            sep = comma
+        append(pad + "}")
+    else:
+        for item in value:
+            fmt = scalar(type(item))
+            if fmt is None:
+                append(sep)
+                _write(item, inner, out)
+            else:
+                append(sep + fmt(item))
+            sep = comma
+        append(pad + "]")
 
 
 # Rows per piece of csv_runs, so a written spectrum is never held whole.

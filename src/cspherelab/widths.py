@@ -10,11 +10,10 @@ the plateau's first rank, to remove the staircase bias.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._lazy import numpy as np
 from .dimensions import dim_layer
@@ -25,16 +24,14 @@ from .multipliers import MultiplierFamily, lambda_value
 LEVEL_CAP = 1000
 
 
-@dataclass(frozen=True)
-class WidthTable:
+class WidthTable(namedtuple("WidthTable", "runs warning", defaults=("",))):
     """Non-increasing width sequence d_0 >= d_1 >= ... stored as runs.
 
     runs is a tuple of (value, count) with strictly decreasing values; the
     table covers ranks 0 .. size - 1.
     """
 
-    runs: tuple
-    warning: str = ""
+    __slots__ = ()
 
     @property
     def size(self):
@@ -163,17 +160,10 @@ def table_from_values(values):
     return table_from_runs(run_lengths(values))
 
 
-@dataclass(frozen=True)
-class FitResult:
-    model: str
-    slope: float
-    intercept: float
-    n_lo: float
-    n_hi: float
-    points: int
-    residual_rms: float
-    loglog_coeff: float | None = None
-    stretch_exponent: float | None = None
+class FitResult(namedtuple(
+        "FitResult", "model slope intercept n_lo n_hi points residual_rms loglog_coeff stretch_exponent",
+        defaults=(None, None))):
+    __slots__ = ()
 
 
 def _fit_points(table, lo, hi, unknowns):
@@ -262,8 +252,8 @@ def fit_stretched(table, d, r, lo, hi):
 # Structural bound factors (modulo the theorems' unknowable absolute constants)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundSpec:
+class BoundSpec(namedtuple("BoundSpec", "theorem d gamma xi r p q side",
+                           defaults=(0.0, 0.0, 0.0, 2.0, 2.0, ""))):
     """Which bound formula to evaluate, with its parameters.
 
     theorem ids: T3.4a .. T3.4i (smoothness-class width rates; the bracketed
@@ -271,14 +261,7 @@ class BoundSpec:
     T6.3-lower, T6.4, T6.5-upper, Tstar-R*.
     """
 
-    theorem: str
-    d: int
-    gamma: float = 0.0
-    xi: float = 0.0
-    r: float = 0.0
-    p: float = 2.0
-    q: float = 2.0
-    side: str = ""
+    __slots__ = ()
 
 
 def _require(cond, inequality):
@@ -431,8 +414,8 @@ def grading_compare(fam: MultiplierFamily, d, n_max):
     if fam.kind == "identity":
         report["verdict"] = "non-compact, no rates"
         return report
-    star = l2_width_table(dataclasses.replace(fam, grading="star"), d, n_max)
-    mx = l2_width_table(dataclasses.replace(fam, grading="max"), d, n_max)
+    star = l2_width_table(fam._replace(grading="star"), d, n_max)
+    mx = l2_width_table(fam._replace(grading="max"), d, n_max)
     if fam.kind == "exp_analytic":
         f_star = fit_stretched(star, d, fam.r, lo, hi)
         f_max = fit_stretched(mx, d, fam.r, lo, hi)

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import cspherelab
-from cspherelab import levy, report
+from cspherelab import basis, dimensions, levy, report
 from cspherelab.basis import build_basis
 from cspherelab.cli import _loadtxt_runs, _read_width_csv, run
 from cspherelab.dimensions import dim_layer
@@ -137,6 +137,26 @@ def test_nan_p_exits_2_before_any_basis(capsys, monkeypatch, argv):
     assert err == "error: need p >= 1 or p = inf, got nan\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "addition", "--d", "2", "--m", "1", "--n", "1", "--samples", "10"),
+    ("check", "gegenbauer", "--d", "2", "--lmax", "2", "--samples", "10"),
+    ("check", "nikolskii", "--d", "2", "--N", "0", "--lmax", "1", "--samples", "10"),
+    ("check", "dim-bounds", "--d", "2", "--lmax", "10"),
+], ids=["addition", "gegenbauer", "nikolskii", "dim-bounds"])
+def test_nan_tol_exits_2_at_parse_time(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the check ran")
+
+    for name in ("verify_addition", "verify_gegenbauer"):
+        monkeypatch.setattr(basis, name, refuse)
+    monkeypatch.setattr(levy, "nikolskii_check", refuse)
+    monkeypatch.setattr(dimensions, "check_dim_bounds", refuse)
+    code, out, err = run_cli(capsys, *argv, "--tol", "nan")
+    assert code == 2 and out == ""
+    assert err.endswith("error: argument --tol: NaN is not a tolerance: every comparison with it"
+                        " is false\n")
+
+
 @pytest.mark.parametrize("family, named", [
     ("fs:gamma=3,gama=9", "'gama'"),
     ("exp:gamma=1,r=1,xi=7", "'xi'"),
@@ -168,6 +188,20 @@ def test_levy_refused_by_its_cost_exits_2(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err.startswith("error: Levy mean for d=3, window (0, 6] refused")
     assert "2 x 1000 x 3919 x 1000000 = 7.84e+12 flops > 2e+12, an estimated 235 s" in err
+
+
+def test_levy_exact_path_refused_by_its_memory_exits_2(capsys, monkeypatch):
+    # p = 2 with no cloud: 10^9 squared norms and their standard deviation's
+    # temporary would take 16 GB, so the estimate refuses before any basis.
+    def refuse(*args):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(levy, "build_real_system", refuse)
+    code, out, err = run_cli(capsys, "levy", "--d", "2", "--N", "0", "--lmax", "3", "--family", "id",
+                             "--p", "2", "--omega-samples", "0", "--sphere-samples", "1000000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: Levy mean for d=2, window (0, 3] refused: its outer-sample arrays"
+                          " take an estimated 16.0 GB")
 
 
 def test_levy_refused_by_its_memory_exits_2(capsys, monkeypatch):
@@ -529,12 +563,12 @@ def test_cli_deterministic_across_processes():
 
 
 # Runs the command in argv in this process (with no argv, only imports cli),
-# then prints the numpy submodules that were imported and the package
-# modules whose code has run. The "numpy" entry itself is no evidence: it is
-# a deferred stub until numpy's initialisation runs, which imports its
-# submodules. Likewise a package module registered through _lazy that nothing
-# has used yet is not of type types.ModuleType; type() does not run it, as
-# vars() or any attribute access would.
+# then prints the numpy submodules that were imported, the package modules
+# whose code has run and every module imported. The "numpy" entry itself is
+# no evidence: it is a deferred stub until numpy's initialisation runs, which
+# imports its submodules. Likewise a package module registered through
+# _lazy that nothing has used yet is not of type types.ModuleType; type()
+# does not run it, as vars() or any attribute access would.
 _PROBE = """
 import contextlib, io, json, sys, types
 from cspherelab import cli
@@ -544,12 +578,13 @@ if sys.argv[1:]:
         code = cli.run(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("numpy.")),
                   sorted(name[len("cspherelab."):] for name, module in sys.modules.items()
-                         if name.startswith("cspherelab.") and type(module) is types.ModuleType)]))
+                         if name.startswith("cspherelab.") and type(module) is types.ModuleType),
+                  sorted(sys.modules)]))
 """
 
 
 def _loaded_after(argv):
-    """(exit code, numpy submodules imported, package modules run) of one command."""
+    """(exit code, numpy submodules imported, package modules run, modules imported) of one command."""
     done = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True,
                           text=True, check=True, env=_child_env())
     return json.loads(done.stdout)
@@ -568,7 +603,7 @@ def _loaded_after(argv):
 ], ids=["basis", "dims-csv", "dims-json", "seq", "check-dim-bounds", "widths-bounds",
         "spectrum-csv", "spectrum-json"])
 def test_exact_commands_never_load_numpy(argv):
-    code, loaded, _ = _loaded_after(argv)
+    code, loaded, *_ = _loaded_after(argv)
     assert code == 0
     assert loaded == []
 
@@ -582,22 +617,22 @@ def _writer_csv(tmp_path):
 
 @pytest.mark.parametrize("model", ["power", "power-log", "stretched"])
 def test_widths_fit_of_a_writer_csv_never_loads_numpy(tmp_path, model):
-    code, loaded, _ = _loaded_after(["widths", "fit", _writer_csv(tmp_path), "--model", model,
-                                    "--nmax", "20000"])
+    code, loaded, *_ = _loaded_after(["widths", "fit", _writer_csv(tmp_path), "--model", model,
+                                     "--nmax", "20000"])
     assert code == 0
     assert loaded == []
 
 
 def test_compare_gradings_never_loads_numpy():
-    code, loaded, _ = _loaded_after(["widths", "compare-gradings", "--family", "fs:gamma=3",
-                                    "--d", "2", "--nmax", "20000"])
+    code, loaded, *_ = _loaded_after(["widths", "compare-gradings", "--family", "fs:gamma=3",
+                                     "--d", "2", "--nmax", "20000"])
     assert code == 0
     assert loaded == []
 
 
 def test_numeric_commands_still_load_numpy():
-    code, loaded, _ = _loaded_after(["check", "addition", "--d", "2", "--m", "1", "--n", "1",
-                                    "--samples", "50"])
+    code, loaded, *_ = _loaded_after(["check", "addition", "--d", "2", "--m", "1", "--n", "1",
+                                     "--samples", "50"])
     assert code == 0
     assert "numpy.linalg" in loaded
 
@@ -607,7 +642,7 @@ _PACKAGE_MODULES = {"basis", "dimensions", "levy", "multipliers", "polynomials",
 
 
 def test_importing_cli_runs_no_package_module():
-    code, _, executed = _loaded_after([])
+    code, _, executed, _ = _loaded_after([])
     assert code == 0
     assert executed == ["_lazy", "cli", "errors"]
 
@@ -620,13 +655,34 @@ def test_importing_cli_runs_no_package_module():
      {"basis", "levy"}),
     (["widths", "spectrum", "--d", "2", "--family", "fs:gamma=3", "--nmax", "200"],
      {"basis", "levy"}),
-    (["basis", "--d", "2", "--m", "2", "--n", "1"], {"levy", "widths", "multipliers"}),
+    (["basis", "--d", "2", "--m", "2", "--n", "1"],
+     {"levy", "widths", "multipliers", "sphere", "polynomials"}),
 ], ids=["dims", "check-dim-bounds", "seq", "spectrum", "basis"])
 def test_commands_run_only_the_modules_they_use(argv, never):
-    code, _, executed = _loaded_after(argv)
+    code, _, executed, _ = _loaded_after(argv)
     assert code == 0
     assert never <= _PACKAGE_MODULES
     assert not never & set(executed)
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--d", "3", "--lmax", "20"],
+    ["basis", "--d", "2", "--m", "2", "--n", "1"],
+    ["seq", "--d", "2", "--family", "fs:gamma=3", "--N", "2", "--eps", "0.5"],
+    ["check", "dim-bounds", "--d", "3", "--lmax", "10", "--tol", "1"],
+    ["widths", "spectrum", "--d", "2", "--family", "fs:gamma=3", "--nmax", "200"],
+    ["widths", "bounds", "--theorem", "T6.2-upper", "--d", "2", "--gamma", "3", "--nmax", "100"],
+    ["widths", "compare-gradings", "--family", "fs:gamma=3", "--d", "2", "--nmax", "20000"],
+    ["widths", "fit", None, "--nmax", "20000"],
+], ids=["dims", "basis", "seq", "check-dim-bounds", "widths-spectrum", "widths-bounds",
+        "compare-gradings", "widths-fit"])
+def test_exact_commands_never_import_dataclasses(tmp_path, argv):
+    # dataclasses imports inspect (and with it ast, dis and tokenize), which
+    # would cost an exact command more start-up than its own modules.
+    argv = [_writer_csv(tmp_path) if arg is None else arg for arg in argv]
+    code, _, _, imported = _loaded_after(argv)
+    assert code == 0
+    assert not {"dataclasses", "inspect"} & set(imported)
 
 
 def test_tracer_resolves_every_target_in_a_fresh_process(tmp_path):

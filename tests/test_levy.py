@@ -580,6 +580,28 @@ def test_levy_memory_guard_refuses_before_any_basis(monkeypatch):
         levy_mean_mc(small, 35 * 10**6, 1000, seed=0)
 
 
+def test_levy_exact_path_memory_guard_refuses_before_any_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(levy, "build_real_system", refuse)
+    monkeypatch.setattr(levy, "build_basis", refuse)
+    # d = 2, window (0, 3] has s = 63. At p = 2 with no cloud, 10^9 outer
+    # samples would hold 8 GB of squared norms and 8 GB more in the temporary
+    # of their standard deviation; the flop guard never fires (no cloud).
+    problem = LevyProblem(2, 0, 3, identity("max"), 2)
+    assert theta(2, 0, 3, "max") == 63
+    with pytest.raises(ArgumentError, match=r"refused: its outer-sample arrays take an estimated"
+                                            r" 16\.0 GB \(squared norms 1000000000 x 2, outer rows"
+                                            r" 200 x 63 x 2\) > 2 GB$"):
+        levy_mean_mc(problem, 10**9, 0, seed=0)
+    # 8 x 2 x (sphere_samples + 200 x 63) bytes: exactly at the ceiling, then one sample over
+    at_ceiling = levy.MAX_CLOUD_BYTES // 16 - 200 * 63
+    check_cloud_cost(problem, at_ceiling, 0)
+    with pytest.raises(ArgumentError, match="refused"):
+        check_cloud_cost(problem, at_ceiling + 1, 0)
+
+
 # The benchmark's levy command lines, as (d, N, lmax, sphere samples, omega samples).
 BENCHMARK_LEVY_OPS = [(2, 0, 3, 1000, 50000), (3, 0, 2, 1000, 25000), (2, 1, 4, 1000, 25000),
                       (2, 0, 3, 100000, 0)]
