@@ -56,40 +56,34 @@ def _add_common(parser, *names, seed=True):
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="cspherelab",
-        description="Laboratory for harmonic analysis and approximation widths on complex spheres.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dims", help="layer dimension table for one grading")
+def _fill_dims(p):
     _add_common(p, "d", "grading", seed=False)
     p.add_argument("--lmax", type=int, required=True, help="largest level to tabulate")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("basis", help="exact orthogonal harmonic basis of one bidegree, as JSON")
+
+def _fill_basis(p):
     _add_common(p, "d", seed=False)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("check", help="verification commands (exit 0 iff within --tol)")
-    check_sub = p.add_subparsers(dest="check_command", required=True)
 
-    c = check_sub.add_parser("addition", help="reproducing-kernel identity of one bidegree space")
+def _fill_check_addition(c):
     _add_common(c, "d")
     c.add_argument("--m", type=int, required=True)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--samples", type=int, default=1000, help="random point pairs")
     c.add_argument("--tol", type=_tolerance, default=1e-9)
 
-    c = check_sub.add_parser("gegenbauer",
-                             help="real-sphere zonal vs sum of complex zonals, degrees 0..lmax")
+
+def _fill_check_gegenbauer(c):
     _add_common(c, "d")
     c.add_argument("--lmax", type=int, required=True, help="largest total degree to check")
     c.add_argument("--samples", type=int, default=1000, help="random point pairs, shared by every degree")
     c.add_argument("--tol", type=_tolerance, default=1e-9)
 
-    c = check_sub.add_parser("nikolskii", help="norm comparison inequalities on random polynomials")
+
+def _fill_check_nikolskii(c):
     _add_common(c, "d")
     c.add_argument("--N", type=int, required=True, help="window start level (exclusive)")
     c.add_argument("--lmax", type=int, required=True, help="window end level (inclusive)")
@@ -98,13 +92,15 @@ def build_parser():
     c.add_argument("--omega-samples", type=int, default=4096)
     c.add_argument("--tol", type=_tolerance, default=0.0, help="allowed number of violations")
 
-    c = check_sub.add_parser("dim-bounds", help="two-sided layer-dimension bound slack")
+
+def _fill_check_dim_bounds(c):
     _add_common(c, "d", seed=False)
     c.add_argument("--lmax", type=int, required=True)
     c.add_argument("--tol", type=_tolerance, default=0.1,
                    help="allowed relative gap of the last ratio to the leading coefficient")
 
-    p = sub.add_parser("levy", help="Levy mean of a weighted norm on a coefficient sphere")
+
+def _fill_levy(p):
     _add_common(p, "d", "grading", "family")
     p.add_argument("--N", type=int, required=True, help="window start level (exclusive)")
     p.add_argument("--lmax", type=int, required=True, help="window end level (inclusive)")
@@ -113,20 +109,20 @@ def build_parser():
     p.add_argument("--omega-samples", type=int, default=10000,
                    help="inner sphere samples (0 selects the exact path, p = 2 only)")
 
-    p = sub.add_parser("seq", help="level sequence and rank budget for a multiplier family")
+
+def _fill_seq(p):
     _add_common(p, "d", "grading", "family", seed=False)
     p.add_argument("--N", type=int, required=True, help="start level")
     p.add_argument("--eps", type=float, required=True, help="geometric budget parameter")
 
-    p = sub.add_parser("widths", help="width tables, rate fits, bound factors")
-    widths_sub = p.add_subparsers(dest="widths_command", required=True)
 
-    c = widths_sub.add_parser("spectrum", help="exact Hilbert-space width table as CSV")
+def _fill_widths_spectrum(c):
     _add_common(c, "d", "grading", "family", seed=False)
     c.add_argument("--nmax", type=int, required=True)
     c.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    c = widths_sub.add_parser("fit", help="fit a decay law to a width table CSV")
+
+def _fill_widths_fit(c):
     c.add_argument("input", help="CSV file with columns n,d_n ('-' for stdin)")
     c.add_argument("--model", choices=("power", "power-log", "stretched"), default="power")
     c.add_argument("--N", type=int, default=1000, help="fit range start rank")
@@ -135,7 +131,8 @@ def build_parser():
     c.add_argument("--r", type=float, default=1.0, help="stretch parameter (stretched model)")
     c.add_argument("--out", default=None)
 
-    c = widths_sub.add_parser("bounds", help="structural bound factor of one theorem")
+
+def _fill_widths_bounds(c):
     c.add_argument("--theorem", required=True,
                    help="T3.4a..T3.4i | T6.2-upper | T6.2-lower | T6.3-lower | T6.4 | T6.5-upper | Tstar-R*")
     c.add_argument("--d", type=int, required=True)
@@ -149,18 +146,80 @@ def build_parser():
     c.add_argument("--nmax", type=int, required=True, help="width index at which to evaluate")
     c.add_argument("--out", default=None)
 
-    c = widths_sub.add_parser("compare-gradings",
-                              help="fit the same multiplier under both gradings and compare")
+
+def _fill_widths_compare(c):
     _add_common(c, "d", "family", seed=False)
     c.add_argument("--nmax", type=int, required=True)
 
-    p = sub.add_parser("project", help="reproducing-property projection of a basis function")
+
+def _fill_project(p):
     _add_common(p, "d")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, default=0, help="basis function index")
     p.add_argument("--samples", type=int, default=20000)
 
+
+# Every subcommand, in the order of --help: name -> (help, filler). A filler
+# adds the subcommand's arguments, or is a (dest, table) pair of nested
+# subcommands.
+_CHECK_COMMANDS = {
+    "addition": ("reproducing-kernel identity of one bidegree space", _fill_check_addition),
+    "gegenbauer": ("real-sphere zonal vs sum of complex zonals, degrees 0..lmax",
+                   _fill_check_gegenbauer),
+    "nikolskii": ("norm comparison inequalities on random polynomials", _fill_check_nikolskii),
+    "dim-bounds": ("two-sided layer-dimension bound slack", _fill_check_dim_bounds),
+}
+
+_WIDTHS_COMMANDS = {
+    "spectrum": ("exact Hilbert-space width table as CSV", _fill_widths_spectrum),
+    "fit": ("fit a decay law to a width table CSV", _fill_widths_fit),
+    "bounds": ("structural bound factor of one theorem", _fill_widths_bounds),
+    "compare-gradings": ("fit the same multiplier under both gradings and compare",
+                         _fill_widths_compare),
+}
+
+_COMMANDS = {
+    "dims": ("layer dimension table for one grading", _fill_dims),
+    "basis": ("exact orthogonal harmonic basis of one bidegree, as JSON", _fill_basis),
+    "check": ("verification commands (exit 0 iff within --tol)", ("check_command", _CHECK_COMMANDS)),
+    "levy": ("Levy mean of a weighted norm on a coefficient sphere", _fill_levy),
+    "seq": ("level sequence and rank budget for a multiplier family", _fill_seq),
+    "widths": ("width tables, rate fits, bound factors", ("widths_command", _WIDTHS_COMMANDS)),
+    "project": ("reproducing-property projection of a basis function", _fill_project),
+}
+
+
+def _add_commands(sub, commands, argv):
+    """Register every subcommand of commands on sub, filling the one argv[0] names.
+
+    A name that is not argv[0] keeps its help in the list, but its own
+    parser stays empty; if argv[0] names no subcommand, all are filled.
+    """
+    chosen = argv[0] if argv and argv[0] in commands else None
+    for name, (help_text, fill) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        if chosen is not None and name != chosen:
+            continue
+        if callable(fill):
+            fill(p)
+        else:
+            dest, nested = fill
+            _add_commands(p.add_subparsers(dest=dest, required=True), nested, argv[1:])
+
+
+def build_parser(argv=None):
+    """The command line parser; with argv, only the subcommand it names gets its arguments.
+
+    Filling one subcommand's parser instead of all thirteen saves most of
+    the parser's build time on every command. Help, usage and error text
+    are those of the whole parser, which argv None (or an argv that names
+    no subcommand first, such as -h) builds.
+    """
+    parser = argparse.ArgumentParser(
+        prog="cspherelab",
+        description="Laboratory for harmonic analysis and approximation widths on complex spheres.")
+    _add_commands(parser.add_subparsers(dest="command", required=True), _COMMANDS, argv or ())
     return parser
 
 
@@ -441,7 +500,9 @@ _DISPATCH = {
 
 
 def run(argv=None):
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

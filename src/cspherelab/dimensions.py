@@ -165,8 +165,10 @@ def check_dim_bounds(d, l_min, l_max):
     else:
         # In units of 1/dfac: lower = scaled_lower / dfac, and the candidate
         # C = (dmn - lower) / denom = (dmn*dfac - scaled_lower) / (dfac*denom),
-        # compared by integer cross-multiplication.
+        # compared by integer cross-multiplication. dmn = b_m b_n - b_(m-1) b_(n-1)
+        # with b_k = binom(k+d-1, k), tabulated once (see dim_complex_harmonic).
         dfac = factorial(d - 1) * factorial(d - 2)
+        b = [comb(k + d - 1, k) for k in range(l_max + 1)]
         worst_num, worst_den = 0, 1
         lower_ok = True
         skipped = 0
@@ -176,7 +178,7 @@ def check_dim_bounds(d, l_min, l_max):
                     skipped += 1
                     continue
                 scaled_lower = (m + n) * (m * n) ** (d - 2)
-                scaled_excess = dim_complex_harmonic(d, m, n) * dfac - scaled_lower
+                scaled_excess = (b[m] * b[n] - b[m - 1] * b[n - 1]) * dfac - scaled_lower
                 if scaled_excess < 0:
                     lower_ok = False
                 elif scaled_excess > 0:

@@ -44,8 +44,8 @@ from .basis import MonomialMap, _check_on_sphere, build_basis
 from .dimensions import layer_members, theta
 from .errors import ArgumentError, ConsistencyError
 from .multipliers import MultiplierFamily, lambda_value, multiplier_at
-from .sphere import (_chunk_rng, abs_power_inplace, check_exponent, lp_norm_mc, omega, sample_points,
-                     sup_norm_refined)
+from .sphere import (_chunk_rng, abs_power_inplace, check_exponent, lp_norm_mc, omega, power_needs_base,
+                     sample_points, sup_norm_refined)
 
 # The fixed Monte Carlo layout: rows per pass, and cloud blocks for the cloud error.
 _OUTER_ROWS = 200
@@ -64,11 +64,12 @@ SECONDS_PER_CLOUD_FLOP = 3e-11
 # Memory guard of the same path: the arrays that grow with the sample counts
 # are the (sphere_samples, s) outer rows, one (omega_samples / _CLOUD_BLOCKS,
 # s) cloud block, the (_OUTER_ROWS, omega_samples / _CLOUD_BLOCKS) pass
-# buffer (fewer rows if sphere_samples is smaller), the (omega_samples, d)
-# complex points, and per outer sample the (sphere_samples, _CLOUD_BLOCKS)
-# block statistics, the two temporaries of that size which the closing
-# reduction makes while the outer rows are held, and the norms and their
-# squares.
+# buffer (fewer rows if sphere_samples is smaller) and, at the p whose
+# powering multiplies by |v| (sphere.power_needs_base), a second buffer of
+# that size holding |v|, the (omega_samples, d) complex points, and per
+# outer sample the (sphere_samples, _CLOUD_BLOCKS) block statistics, the two
+# temporaries of that size which the closing reduction makes while the
+# outer rows are held, and the norms and their squares.
 # Inputs whose sum of those exceeds the ceiling, a quarter of an 8 GB
 # machine, are refused; a small sphere_samples can keep the flops low while
 # the cloud block alone takes tens of gigabytes, and a small window can do
@@ -262,12 +263,14 @@ def check_cloud_cost(prob: LevyProblem, sphere_samples, omega_samples):
     else:
         per_block = omega_samples // _CLOUD_BLOCKS
         per_sample = 3 * _CLOUD_BLOCKS + 2  # block statistics, 2 closing temporaries, norms, sq
-        nbytes = (8 * (sphere_samples * (s + per_sample) + per_block * s + rows * per_block)
-                  + 16 * omega_samples * prob.d)
+        pass_buffers = 2 if power_needs_base(prob.p) else 1  # and |.| of the pass, for |.|^p
+        nbytes = (8 * (sphere_samples * (s + per_sample) + per_block * s
+                       + pass_buffers * rows * per_block) + 16 * omega_samples * prob.d)
         arrays = (f"cloud arrays take an estimated {nbytes / 1e9:.1f} GB (outer rows"
                   f" {sphere_samples} x {s}, cloud block {per_block} x {s}, pass buffer {rows} x"
-                  f" {per_block}, points {omega_samples} x {prob.d} complex, block statistics"
-                  f" {sphere_samples} x {_CLOUD_BLOCKS} x 3, norms {sphere_samples} x 2)")
+                  f" {per_block}{' x 2' if pass_buffers == 2 else ''}, points {omega_samples} x"
+                  f" {prob.d} complex, block statistics {sphere_samples} x {_CLOUD_BLOCKS} x 3,"
+                  f" norms {sphere_samples} x 2)")
     if nbytes > MAX_CLOUD_BYTES:
         raise ArgumentError(f"{refused}: its {arrays} > {MAX_CLOUD_BYTES / 1e9:.0f} GB")
 
@@ -299,9 +302,11 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
     only, not on where the slice starts. Every pass of outer rows is
     multiplied into one (_OUTER_ROWS, omega_samples / _CLOUD_BLOCKS) buffer,
     reduced in place (|.|^p, or max |.| at p = inf) to the block's row
-    means. The points, the block and that buffer are the arrays that grow
-    with omega_samples: exact row means need a whole block row at once. The
-    exact path holds one pass of outer rows and the squared norms.
+    means; at p = 3, 5, 6, 7, ... the powering multiplies by |.| of the
+    pass, held in one second buffer of that size. The points, the block and
+    those buffers are the arrays that grow with omega_samples: exact row
+    means need a whole block row at once. The exact path holds one pass of
+    outer rows and the squared norms.
     """
     if sphere_samples < 2:
         raise ArgumentError("need at least two coefficient-sphere samples")
@@ -332,6 +337,7 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
         pts = sample_points(prob.d, omega_samples, seed + 1)
         per_block = omega_samples // _CLOUD_BLOCKS
         buf = np.empty((passes[0][1], per_block))
+        magnitudes = np.empty_like(buf) if power_needs_base(p) else None
         block_stat = np.empty((sphere_samples, _CLOUD_BLOCKS))
         for b in range(_CLOUD_BLOCKS):
             block = system.eval_matrix(pts[b * per_block:(b + 1) * per_block])
@@ -340,7 +346,8 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
                 if p == math.inf:
                     block_stat[start:start + rows, b] = np.maximum(v.max(axis=1), -v.min(axis=1))
                 else:
-                    block_stat[start:start + rows, b] = abs_power_inplace(v, p).mean(axis=1)
+                    base = None if magnitudes is None else np.abs(v, out=magnitudes[:rows])
+                    block_stat[start:start + rows, b] = abs_power_inplace(v, p, base=base).mean(axis=1)
             del block  # freed before the next block is evaluated
         w = omega(prob.d)
         if p == math.inf:

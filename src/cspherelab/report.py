@@ -114,6 +114,31 @@ def _cell(x):
     return str(x)
 
 
+# "000" .. "999": the last three digits of every rank from 1000 on.
+_THREE = tuple("%03d" % i for i in range(1000))
+
+
+def _rank_rows(start, stop, sep):
+    """The text of the ranks start .. stop-1 in %d, each followed by sep.
+
+    The one row formatter of csv_runs and parse_csv_runs. From rank 1000 on,
+    the ranks of one thousand-block share their leading digits `lead`, so
+    the block is one join over _THREE, with no rank formatted on its own.
+    """
+    pieces = []
+    low = min(stop, 1000)
+    if start < low:
+        pieces.append(sep.join(map(str, range(start, low))) + sep)
+        start = low
+    while start < stop:
+        lead = str(start // 1000)
+        lo = start % 1000
+        hi = min(1000, lo + stop - start)
+        pieces.append(lead + (sep + lead).join(_THREE[lo:hi]) + sep)
+        start += hi - lo
+    return "".join(pieces)
+
+
 def csv_lines(header, rows):
     """CSV text from a header tuple and an iterable of row tuples."""
     out = [",".join(header)]
@@ -127,16 +152,15 @@ def csv_runs(header, runs):
     runs holds (value, count) pairs with positive counts; ranks count from 0
     and each gets one "rank,value" row. The pieces are the header line, then
     at most _WRITE_ROWS rows each; joined, they equal csv_lines over the
-    expanded (rank, value) rows. Each run's value is formatted once and a
-    piece's ranks are joined in one call.
+    expanded (rank, value) rows. Each run's value is formatted once, and a
+    piece's rows are built by _rank_rows.
     """
     yield ",".join(header) + "\n"
     rank = 0
     for value, count in runs:
         sep = "," + _cell(value) + "\n"
         for start in range(rank, rank + count, _WRITE_ROWS):
-            stop = min(start + _WRITE_ROWS, rank + count)
-            yield sep.join(map(str, range(start, stop))) + sep
+            yield _rank_rows(start, min(start + _WRITE_ROWS, rank + count), sep)
         rank += count
 
 
@@ -162,9 +186,9 @@ def parse_csv_runs(header, data):
     length L of every ",value\\n" suffix in the run; the line of rank k then
     starts at a computed offset (the digits of the ranks before it plus
     k * L), so the run's end is found by galloping and bisecting on single
-    lines. Every row of the run is then compared with regenerated text,
-    _CHECK_ROWS rows at a time, in place: only a run's first value is copied
-    out of data, and the whole text is never built.
+    lines. Every row of the run is then compared with the writer's own text
+    (_rank_rows), _CHECK_ROWS rows at a time, in place: only a run's first
+    value is copied out of data, and the whole text is never built.
     """
     head = (",".join(header) + "\n").encode()
     if not data.startswith(head):
@@ -179,7 +203,8 @@ def parse_csv_runs(header, data):
             return None
         if runs and value == runs[-1][0]:
             return None  # 0.0 after -0.0: equal values in two runs
-        sep_bytes = ("," + _cell(value) + "\n").encode()
+        sep = "," + _cell(value) + "\n"
+        sep_bytes = sep.encode()
         line = b"%d" + sep_bytes  # %.17g text holds no "%"
         base = pos - _digits_below(rank) - rank * len(sep_bytes)
 
@@ -202,8 +227,8 @@ def parse_csv_runs(header, data):
                 bad = mid
         end = rank + good
         for k in range(rank, end, _CHECK_ROWS):
-            ranks = range(k, min(k + _CHECK_ROWS, end))
-            if not data.startswith(line * len(ranks) % tuple(ranks), offset(k)):
+            rows = _rank_rows(k, min(k + _CHECK_ROWS, end), sep).encode()
+            if not data.startswith(rows, offset(k)):
                 return None
         runs.append((value, good))
         rank, pos = end, offset(end)

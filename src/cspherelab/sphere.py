@@ -67,6 +67,15 @@ def sample_points(d, count, seed):
     return out
 
 
+def power_needs_base(p):
+    """Whether abs_power_inplace at p multiplies by |v| (its base), so needs a copy of it.
+
+    True for integer p with a set binary digit after the leading one (3, 5,
+    6, 7, ...); False for powers of two, other p and p = inf.
+    """
+    return float(p).is_integer() and "1" in bin(int(p))[3:]
+
+
 def abs_power_inplace(v, p, base=None):
     """Overwrite the float array v with |v|^p, for finite p >= 1; returns v.
 
@@ -75,20 +84,20 @@ def abs_power_inplace(v, p, base=None):
     multiplication by a saved copy of the input, so p = 2^k costs k
     squarings and no copy. A caller that holds |v| in another array can
     pass it as base, which is then read in place of that copy. |v| is taken
-    first only for odd p, since an even power ends in a squaring. Other p
-    use np.abs and np.power. This is the one |.|^p rule of the Monte Carlo
-    norms (lp_norm_mc and the Levy mean).
+    first only for p = 1 and, without a base, for the other odd p (to make
+    the copy): an even power ends in a squaring, and v is squared before
+    a base is read. Other p use np.abs and np.power. This is the one |.|^p
+    rule of the Monte Carlo norms (lp_norm_mc and the Levy mean).
     """
     if not float(p).is_integer():
         np.abs(v, out=v)
         return np.power(v, p, out=v)
     k = int(p)
-    if k % 2:
+    if k == 1 or (k % 2 and base is None):
         np.abs(v, out=v)
-    digits = bin(k)[3:]
-    if base is None and "1" in digits:
+    if base is None and power_needs_base(k):
         base = v.copy()
-    for digit in digits:
+    for digit in bin(k)[3:]:
         np.square(v, out=v)
         if digit == "1":
             np.multiply(v, base, out=v)

@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, output schemas, byte-for-byte determinism."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import cspherelab
-from cspherelab import basis, dimensions, levy, report
+from cspherelab import basis, cli, dimensions, levy, report
 from cspherelab.basis import build_basis
 from cspherelab.cli import _loadtxt_runs, _read_width_csv, run
 from cspherelab.dimensions import dim_layer
@@ -155,6 +156,62 @@ def test_nan_tol_exits_2_at_parse_time(capsys, monkeypatch, argv):
     assert code == 2 and out == ""
     assert err.endswith("error: argument --tol: NaN is not a tolerance: every comparison with it"
                         " is false\n")
+
+
+COMMAND_PATHS = [("dims",), ("basis",), ("check",), ("check", "addition"),
+                 ("check", "gegenbauer"), ("check", "nikolskii"), ("check", "dim-bounds"),
+                 ("levy",), ("seq",), ("widths",), ("widths", "spectrum"), ("widths", "fit"),
+                 ("widths", "bounds"), ("widths", "compare-gradings"), ("project",)]
+LEAF_PATHS = {path for path in COMMAND_PATHS if path not in (("check",), ("widths",))}
+
+
+def _filled_commands(parser, path=()):
+    """The subcommand paths whose parser holds arguments of its own (beyond -h)."""
+    filled = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                filled |= _filled_commands(sub, path + (name,))
+        elif path and action.dest != "help":
+            filled.add(path)
+    return filled
+
+
+@pytest.mark.parametrize("argv, filled", [
+    (None, LEAF_PATHS),
+    ((), LEAF_PATHS),
+    (("-h",), LEAF_PATHS),
+    (("nosuch", "dims"), LEAF_PATHS),
+    (("dims", "--d", "2"), {("dims",)}),
+    (("check",), {path for path in LEAF_PATHS if path[0] == "check"}),
+    (("check", "--help"), {path for path in LEAF_PATHS if path[0] == "check"}),
+    (("check", "dim-bounds", "--d", "4"), {("check", "dim-bounds")}),
+    (("widths", "fit", "table.csv"), {("widths", "fit")}),
+    (("dims", "check", "widths"), {("dims",)}),
+])
+def test_build_parser_fills_only_the_named_subcommand(argv, filled):
+    assert _filled_commands(cli.build_parser(argv)) == filled
+
+
+def _parse_outcome(parser, argv, capsys):
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize("path", [()] + COMMAND_PATHS, ids=lambda path: " ".join(path) or "top")
+def test_partly_filled_parser_reads_and_words_argv_as_the_whole_parser(path, capsys):
+    # help, usage and every error message, byte for byte
+    tails = [("-h",), ("--help",), (), ("--bogus",), ("--d", "x"), ("nosuch",),
+             ("--d", "3", "--lmax", "4", "--tol", "nan"), ("--d", "2", "--m", "1", "--n", "1")]
+    whole = cli.build_parser()
+    for tail in tails:
+        argv = list(path + tail)
+        assert _parse_outcome(cli.build_parser(argv), argv, capsys) == \
+            _parse_outcome(whole, argv, capsys), argv
 
 
 @pytest.mark.parametrize("family, named", [
@@ -379,6 +436,66 @@ WRITER_TABLES = {
 def test_spectrum_writer_matches_per_row_formatter(name):
     table = WRITER_TABLES[name]
     _assert_same_lines(_csv_text(table.runs), _per_row_csv(table))
+
+
+# Ranks where the formatter changes: the first thousand-block (a fourth
+# digit), a fifth and a sixth digit; a run's pieces end every
+# _WRITE_ROWS = 4096 rows.
+RANK_EDGES = (999, 1000, 1001, 9999, 10000, 99999, 100000)
+EDGE_VALUES = (0.5, math.nan, -0.0, 5e-324, 2.2250738585072009e-308, 0.1)
+
+
+def _edge_runs(edge):
+    """Runs that start at, end at and cross the rank edge, and a run whose
+    piece edges fall on it (from edge 4096 on)."""
+    values = iter(EDGE_VALUES * 2)
+    lead = edge % 4096
+    return {
+        "start-at": ((next(values), edge), (next(values), 3 * 4096 + 1)),
+        "end-at": ((next(values), edge + 1), (next(values), 1)),
+        "cross": ((next(values), edge - 1), (next(values), 2), (next(values), 4095)),
+        "pieces": ((next(values), lead), (next(values), edge - lead + 4096), (next(values), 4097)),
+    }
+
+
+@pytest.mark.parametrize("edge", RANK_EDGES)
+def test_spectrum_writer_matches_per_row_formatter_at_rank_edges(edge):
+    for name, runs in _edge_runs(edge).items():
+        text = _csv_text(runs)
+        _assert_same_lines(text, _per_row_csv(WidthTable(runs=runs)))
+        assert _hex_runs(report.parse_csv_runs(("n", "d_n"), text.encode())) == _hex_runs(runs), name
+
+
+def test_spectrum_writer_matches_per_row_formatter_on_one_row_runs():
+    # 1100 runs of one row each, through the first thousand-block edge
+    runs = tuple((EDGE_VALUES[k % 6] if k % 6 else 1.0 / (k + 1), 1) for k in range(1100))
+    text = _csv_text(runs)
+    _assert_same_lines(text, _per_row_csv(WidthTable(runs=runs)))
+    assert _hex_runs(report.parse_csv_runs(("n", "d_n"), text.encode())) == _hex_runs(runs)
+
+
+@pytest.mark.parametrize("start, stop", [(0, 0), (0, 1), (998, 1002), (999, 1000), (1000, 1001),
+                                         (1999, 2001), (4095, 4097), (99999, 100001),
+                                         (123456, 127552), (10**9 - 1, 10**9 + 1)])
+def test_rank_rows_formats_each_rank_as_percent_d(start, stop):
+    sep = ",0.25\n"
+    assert report._rank_rows(start, stop, sep) == "".join(f"{k}{sep}" for k in range(start, stop))
+
+
+@pytest.mark.parametrize("rank", [999, 1000, 1999, 2000, 9999, 10000, 12288, 12289])
+@pytest.mark.parametrize("part", ["rank", "value"])
+def test_fast_width_reader_checks_bytes_at_thousand_block_edges(rank, part):
+    # one byte changed in the row of rank, inside a long run; 12288 is the
+    # last row of the run's third checked piece, a row the end search never reads
+    runs = ((1.0, 1), (0.5, 20000), (0.25, 3))
+    data = _csv_text(runs).encode()
+    assert report.parse_csv_runs(("n", "d_n"), data) == runs
+    row = b"\n%d,0.5\n" % rank
+    assert data.count(row) == 1
+    at = data.index(row) + (len(b"%d" % rank) if part == "rank" else len(row) - 2)
+    changed = data[:at] + (b"7" if data[at:at + 1] != b"7" else b"8") + data[at + 1:]
+    assert len(changed) == len(data) and changed != data
+    assert report.parse_csv_runs(("n", "d_n"), changed) is None
 
 
 def test_spectrum_csv_is_written_in_bounded_pieces(tmp_path, capsys):

@@ -159,6 +159,37 @@ def test_check_dim_bounds_matches_fraction_oracle(d, l_min, l_max):
     assert rep["bidegree_bound"] == _bidegree_bound_by_fractions(d, l_min, l_max)
 
 
+def _bidegree_bound_by_dim_calls(d, l_min, l_max):
+    """The earlier per-bidegree loop: one dim_complex_harmonic call per bidegree."""
+    dfac = factorial(d - 1) * factorial(d - 2)
+    worst_num, worst_den = 0, 1
+    lower_ok = True
+    skipped = 0
+    for l in range(l_min, l_max + 1):
+        for m, n in layer_members(l, "max"):
+            if m == 0 or n == 0:
+                skipped += 1
+                continue
+            scaled_lower = (m + n) * (m * n) ** (d - 2)
+            scaled_excess = dim_complex_harmonic(d, m, n) * dfac - scaled_lower
+            if scaled_excess < 0:
+                lower_ok = False
+            elif scaled_excess > 0:
+                den = dfac * (m + n) * m ** (d - 2) * n ** (d - 3)
+                if scaled_excess * worst_den > worst_num * den:
+                    worst_num, worst_den = scaled_excess, den
+    return {"lower_bound_holds": lower_ok,
+            "smallest_admissible_C": float(Fraction(worst_num, worst_den)),
+            "skipped_mn_zero": skipped}
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("l_min, l_max", [(1, 1), (2, 3), (1, 200), (150, 200)])
+def test_check_dim_bounds_matches_per_call_loop(d, l_min, l_max):
+    rep = check_dim_bounds(d, l_min, l_max)
+    assert rep["bidegree_bound"] == _bidegree_bound_by_dim_calls(d, l_min, l_max)
+
+
 def test_check_dim_bounds_rejects_empty_range():
     with pytest.raises(ArgumentError):
         check_dim_bounds(2, 5, 4)

@@ -29,6 +29,7 @@ from cspherelab.sphere import (
     abs_power_inplace,
     lp_norm_mc,
     omega,
+    power_needs_base,
     sample_points,
 )
 
@@ -445,7 +446,7 @@ def _full_matrix_levy_oracle(prob, sphere_samples, omega_samples, seed):
 # 20005 points: blocks of 2500, each straddling a chunk boundary, and a
 # short last chunk of 1568.
 @pytest.mark.parametrize("omega_samples", [4004, 20005])
-@pytest.mark.parametrize("p", [1, 2, 2.5, 3, 4, math.inf])
+@pytest.mark.parametrize("p", [1, 2, 2.5, 3, 4, 6, math.inf])
 def test_levy_mc_equals_full_matrix_oracle(p, omega_samples):
     # 450 outer rows: two full passes of 200 and a short one of 50
     problem = LevyProblem(2, 0, 2, finite_smooth(3, 0, "max"), p)
@@ -600,6 +601,34 @@ def test_levy_exact_path_memory_guard_refuses_before_any_basis(monkeypatch):
     check_cloud_cost(problem, at_ceiling, 0)
     with pytest.raises(ArgumentError, match="refused"):
         check_cloud_cost(problem, at_ceiling + 1, 0)
+
+
+def test_levy_memory_guard_counts_the_powering_copy(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(levy, "build_real_system", refuse)
+    monkeypatch.setattr(levy, "build_basis", refuse)
+    # d = 2, window (0, 1] has s = 7. At 200 x 8 x 10^6 the arrays take 1.91 GB,
+    # and at p = 3, 5, 6, 7 the powering's (200, 10^6) |v| buffer adds 1.6 GB.
+    # Only the estimate runs.
+    assert [p for p in (1, 2, 2.5, 3, 4, 5, 6, 7, 8, math.inf) if power_needs_base(p)] == [3, 5, 6, 7]
+    want = 8 * (200 * (7 + 26) + 10**6 * 7 + 200 * 10**6) + 16 * 8 * 10**6 * 2
+    assert f"{want / 1e9:.2f}" == "1.91"
+    for p in (1, 2, 2.5, 4, 8, math.inf):
+        check_cloud_cost(LevyProblem(2, 0, 1, identity("max"), p), 200, 8 * 10**6)
+    for p in (3, 5, 6, 7):
+        problem = LevyProblem(2, 0, 1, identity("max"), p)
+        with pytest.raises(ArgumentError, match=r"estimated 3\.5 GB .*pass buffer 200 x 1000000 x 2,"):
+            check_cloud_cost(problem, 200, 8 * 10**6)
+        with pytest.raises(ArgumentError, match="refused"):
+            levy_mean_mc(problem, 200, 8 * 10**6, seed=0)
+    # 52800 + 439 x omega_samples bytes at p = 3: just under (1.998e9) and
+    # just over (2.002e9) the ceiling; p = 4 holds 200 fewer per point
+    check_cloud_cost(LevyProblem(2, 0, 1, identity("max"), 3), 200, 4552000)
+    with pytest.raises(ArgumentError, match="refused"):
+        check_cloud_cost(LevyProblem(2, 0, 1, identity("max"), 3), 200, 4560000)
+    check_cloud_cost(LevyProblem(2, 0, 1, identity("max"), 4), 200, 4560000)
 
 
 # The benchmark's levy command lines, as (d, N, lmax, sphere samples, omega samples).

@@ -96,6 +96,16 @@ def test_abs_power_inplace_with_base_equals_its_copy(p):
     assert out.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("p", [1, 3, 5, 6, 7])
+def test_abs_power_inplace_reads_a_signed_input_through_its_base(p):
+    # the Levy mean passes a signed pass with |pass| as base
+    v = np.random.default_rng(5).standard_normal((30, 70))
+    want = abs_power_inplace(v.copy(), p)
+    out = v.copy()
+    assert abs_power_inplace(out, p, base=np.abs(v)) is out
+    assert out.tobytes() == want.tobytes()
+
+
 def _numpy_lp_norm(values, p, d):
     """The estimate with numpy's own std: |f|^p on a copy, then std(ddof=1) beside it."""
     values = np.asarray(values, dtype=float)
