@@ -10,10 +10,8 @@ arguments.
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import sys
-import warnings
 
 from ._lazy import _deferred, numpy as np
 from .errors import ArgumentError, HypothesisError, LabError
@@ -40,6 +38,13 @@ def _tolerance(text):
     if math.isnan(tol):
         raise argparse.ArgumentTypeError("NaN is not a tolerance: every comparison with it is false")
     return tol
+
+
+def _finite(text):
+    value = _float_or_inf(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _add_common(parser, *names, seed=True):
@@ -128,7 +133,7 @@ def _fill_widths_fit(c):
     c.add_argument("--N", type=int, default=1000, help="fit range start rank")
     c.add_argument("--nmax", type=int, required=True, help="fit range end rank")
     c.add_argument("--d", type=int, default=2, help="complex dimension (stretched model)")
-    c.add_argument("--r", type=float, default=1.0, help="stretch parameter (stretched model)")
+    c.add_argument("--r", type=_finite, default=1.0, help="stretch parameter (stretched model)")
     c.add_argument("--out", default=None)
 
 
@@ -136,9 +141,9 @@ def _fill_widths_bounds(c):
     c.add_argument("--theorem", required=True,
                    help="T3.4a..T3.4i | T6.2-upper | T6.2-lower | T6.3-lower | T6.4 | T6.5-upper | Tstar-R*")
     c.add_argument("--d", type=int, required=True)
-    c.add_argument("--gamma", type=float, default=0.0)
-    c.add_argument("--xi", type=float, default=0.0)
-    c.add_argument("--r", type=float, default=0.0)
+    c.add_argument("--gamma", type=_finite, default=0.0)
+    c.add_argument("--xi", type=_finite, default=0.0)
+    c.add_argument("--r", type=_finite, default=0.0)
     c.add_argument("--p", type=_float_or_inf, default=2.0)
     c.add_argument("--q", type=_float_or_inf, default=2.0)
     c.add_argument("--side", choices=("lower", "upper"), default=None,
@@ -360,7 +365,7 @@ def _cmd_widths_spectrum(args):
     if table.warning:
         print(f"warning: {table.warning}", file=sys.stderr)
     with report.open_output(args.out) as handle:
-        for piece in report.csv_runs(("n", "d_n"), table.runs):
+        for piece in widths.csv_runs(table.runs):
             report.write_output(piece, handle)
     return 0
 
@@ -374,62 +379,8 @@ def _input_bytes(path):
     return stdin.read() if stdin is not None else sys.stdin.read().encode("utf-8")
 
 
-def _loadtxt_runs(data):
-    """Runs of a width CSV (bytes) in any layout numpy's loadtxt accepts.
-
-    The header must read 'n,d_n' (spaces ignored), blank lines are skipped
-    and values are bit-identical to float(). A malformed row, a rank column
-    that is not 0, 1, 2, ... or an empty body raises ArgumentError.
-    """
-    row = np.dtype([("n", np.int64), ("d_n", np.float64)])
-    handle = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-    header = handle.readline().strip()
-    if header.replace(" ", "") != "n,d_n":
-        raise ArgumentError(f"expected header 'n,d_n', got {header!r}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # an empty body is reported below
-        try:
-            rows = np.loadtxt(handle, delimiter=",", dtype=row, ndmin=1)
-        except ValueError as exc:
-            reason = str(exc).partition("; use `usecols`")[0]  # numpy's hint names its API
-            raise ArgumentError(f"malformed width CSV: {reason}") from exc
-    if rows.size == 0:
-        raise ArgumentError("width CSV has no data rows")
-    gaps = np.flatnonzero(rows["n"] != np.arange(rows.size))
-    if gaps.size:
-        idx = int(gaps[0])
-        raise ArgumentError(
-            f"width CSV ranks must be contiguous from 0, got {rows['n'][idx]} at row {idx}")
-    return widths.run_lengths(rows["d_n"].tolist())
-
-
-def _read_width_csv(path):
-    """(value, count) runs of the widths d_0, d_1, ... in a CSV with header 'n,d_n'.
-
-    path '-' reads stdin. The input is read once, as bytes, and takes one of
-    two paths:
-
-    * a file byte for byte as `widths spectrum` writes it is decoded by
-      report.parse_csv_runs, run by run, without numpy and without a float
-      per row;
-    * any other file (hand-written, CRLF line ends, blank lines, values not
-      in %.17g, ...) is parsed by numpy's loadtxt (_loadtxt_runs), which
-      decides what such a file may hold and words the errors.
-
-    An empty body raises ArgumentError on either path. The caller validates
-    the runs with widths.table_from_runs.
-    """
-    data = _input_bytes(path)
-    runs = report.parse_csv_runs(("n", "d_n"), data)
-    if runs is None:
-        return _loadtxt_runs(data)
-    if not runs:
-        raise ArgumentError("width CSV has no data rows")
-    return runs
-
-
 def _cmd_widths_fit(args):
-    table = widths.table_from_runs(_read_width_csv(args.input))
+    table = widths.table_from_csv(_input_bytes(args.input))
     if args.model == "stretched":
         fit = widths.fit_stretched(table, args.d, args.r, args.N, args.nmax)
     else:

@@ -87,6 +87,8 @@ def cum_dim(d, l, grading):
     gives the degree-<=l polynomial dimension on the real sphere S^(2d-1).
     dim_layer_by_members cross-checks these term by term.
     """
+    if d < 2:
+        raise ArgumentError(f"complex dimension d must be >= 2, got {d}")
     _check_grading(grading)
     if l < 0:
         return 0

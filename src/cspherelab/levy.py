@@ -130,38 +130,6 @@ class RealCoordinateSystem:
     def multiplier_vector(self, fam: MultiplierFamily):
         return np.array([multiplier_at(fam, *member.bidegree) for member in self.members])
 
-    def exact_member(self, k):
-        """Exact form (poly, sq_norm, phase) of member k.
-
-        The member equals phase * poly / sqrt(sq_norm * omega(d)), where poly
-        has rational coefficients and sq_norm = <poly, poly> in units of
-        omega(d).
-        """
-        member = self.members[k]
-        base = build_basis(self.d, *member.bidegree)
-        v, q = base.vectors[member.index], base.sq_norms[member.index]
-        if member.part == "real":
-            return v, q, 1.0
-        if member.part == "re":
-            return v + v.conj(), 2 * q, 1.0
-        return v - v.conj(), 2 * q, -1.0j
-
-    def exact_gram(self):
-        """Exact pairwise inner products (should be the identity), as floats.
-
-        Polynomial inner products are already in units of omega(d), matching
-        the sq_norm units, so no measure constant appears here.
-        """
-        forms = [self.exact_member(k) for k in range(self.s)]
-        g = np.zeros((self.s, self.s))
-        for i, (poly_i, q_i, phase_i) in enumerate(forms):
-            for j in range(i, self.s):
-                poly_j, q_j, phase_j = forms[j]
-                val = poly_i.inner(poly_j)
-                phase = (phase_i * np.conj(phase_j)).real
-                g[i, j] = g[j, i] = float(val) * phase / math.sqrt(float(q_i) * float(q_j))
-        return g
-
 
 def _real_members(d, m, n):
     """Real members of the conjugation-closed set {(m, n), (n, m)}, m <= n."""
@@ -209,7 +177,24 @@ def build_real_system(d, m1, m2):
 
 
 class LevyProblem(namedtuple("LevyProblem", "d m1 m2 fam p")):
+    """The Levy mean of fam's weighted p-norm on the window (m1, m2] of C^d.
+
+    The window is max-graded, so the family must be: a star-graded family
+    would weight it by lambda(m+n). Every construction checks this; _make,
+    and so _replace, goes through __new__ too.
+    """
+
     __slots__ = ()
+
+    def __new__(cls, d, m1, m2, fam, p):
+        if fam.grading != "max":
+            raise ArgumentError(
+                f"Levy windows are max-graded, so the family must be too; got grading {fam.grading!r}")
+        return super().__new__(cls, d, m1, m2, fam, p)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def system(self):
         return build_real_system(self.d, self.m1, self.m2)

@@ -10,9 +10,11 @@ the plateau's first rank, to remove the staircase bias.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import operator
+import warnings
 from collections import namedtuple
 
 from ._lazy import numpy as np
@@ -160,6 +162,169 @@ def table_from_values(values):
     return table_from_runs(run_lengths(values))
 
 
+# ---------------------------------------------------------------------------
+# The width CSV: the header line _HEADER, then one "rank,value" row per rank
+# ---------------------------------------------------------------------------
+
+_HEADER = b"n,d_n\n"
+
+# Rows per piece: csv_runs writes, and parse_csv_runs compares, at most this
+# many rows at a time, so a spectrum's whole text is never held.
+_PIECE_ROWS = 4096
+
+# "000" .. "999": the last three digits of every rank from 1000 on.
+_THREE = tuple("%03d" % i for i in range(1000))
+
+
+def _rank_rows(start, stop, sep):
+    """The text of the ranks start .. stop-1 in %d, each followed by sep.
+
+    The one row formatter of csv_runs and parse_csv_runs. From rank 1000 on,
+    the ranks of one thousand-block share their leading digits `lead`, so
+    the block is one join over _THREE, with no rank formatted on its own.
+    """
+    pieces = []
+    low = min(stop, 1000)
+    if start < low:
+        pieces.append(sep.join(map(str, range(start, low))) + sep)
+        start = low
+    while start < stop:
+        lead = str(start // 1000)
+        lo = start % 1000
+        hi = min(1000, lo + stop - start)
+        pieces.append(lead + (sep + lead).join(_THREE[lo:hi]) + sep)
+        start += hi - lo
+    return "".join(pieces)
+
+
+def csv_runs(runs):
+    """The width CSV of (value, count) runs, as consecutive pieces of text.
+
+    Counts are positive; ranks count from 0 and each gets one
+    "rank,value" row, the value in %.17g. The pieces are the header line,
+    then at most _PIECE_ROWS rows each. Each run's value is formatted once,
+    and a piece's rows are built by _rank_rows.
+    """
+    yield _HEADER.decode()
+    rank = 0
+    for value, count in runs:
+        sep = ",%.17g\n" % value
+        for start in range(rank, rank + count, _PIECE_ROWS):
+            yield _rank_rows(start, min(start + _PIECE_ROWS, rank + count), sep)
+        rank += count
+
+
+def _digits_below(k):
+    """Total count of decimal digits in the ranks 0 .. k-1."""
+    total, power = k, 10
+    while power < k:
+        total += k - power  # each rank >= power has one more digit
+        power *= 10
+    return total
+
+
+def parse_csv_runs(data):
+    """The runs whose joined csv_runs(runs) text is exactly data (bytes), else None.
+
+    None means only that data is not in the writer's canonical form (ranks
+    as %d from 0, values as %.17g, "\\n" line ends); the caller parses it
+    some other way. Each run's first row gives its value and so the byte
+    length L of every ",value\\n" suffix in the run; the line of rank k then
+    starts at a computed offset (the digits of the ranks before it plus
+    k * L), so the run's end is found by galloping and bisecting on single
+    lines. Every row of the run is then compared with the writer's own text
+    (_rank_rows), _PIECE_ROWS rows at a time, in place: only a run's first
+    value is copied out of data, and the whole text is never built.
+    """
+    if not data.startswith(_HEADER):
+        return None
+    runs = []
+    pos, rank = len(_HEADER), 0
+    while pos < len(data):
+        start = pos + len(b"%d," % rank)  # the run's first value
+        try:
+            value = float(data[start:data.find(b"\n", start)])
+        except ValueError:
+            return None
+        if runs and value == runs[-1][0]:
+            return None  # 0.0 after -0.0: equal values in two runs
+        sep = ",%.17g\n" % value
+        sep_bytes = sep.encode()
+        line = b"%d" + sep_bytes  # %.17g text holds no "%"
+        base = pos - _digits_below(rank) - rank * len(sep_bytes)
+
+        def offset(k):
+            return base + _digits_below(k) + k * len(sep_bytes)
+
+        def row_matches(k):
+            return data.startswith(line % k, offset(k))
+
+        if not row_matches(rank):
+            return None  # not "rank,value" with the value written as %.17g
+        good, bad = 1, 2  # rows of the run known to match; a count not yet ruled out
+        while row_matches(rank + bad - 1):
+            good, bad = bad, 2 * bad
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            if row_matches(rank + mid - 1):
+                good = mid
+            else:
+                bad = mid
+        end = rank + good
+        for k in range(rank, end, _PIECE_ROWS):
+            rows = _rank_rows(k, min(k + _PIECE_ROWS, end), sep).encode()
+            if not data.startswith(rows, offset(k)):
+                return None
+        runs.append((value, good))
+        rank, pos = end, offset(end)
+    return tuple(runs)
+
+
+def _loadtxt_runs(data):
+    """Runs of a width CSV (bytes) in any layout numpy's loadtxt accepts.
+
+    The header must read 'n,d_n' (spaces ignored), blank lines are skipped
+    and values are bit-identical to float(). A malformed row or a rank
+    column that is not 0, 1, 2, ... raises ArgumentError.
+    """
+    row = np.dtype([("n", np.int64), ("d_n", np.float64)])
+    handle = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    header, expected = handle.readline().strip(), _HEADER.decode().strip()
+    if header.replace(" ", "") != expected:
+        raise ArgumentError(f"expected header {expected!r}, got {header!r}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty body is reported by the caller
+        try:
+            rows = np.loadtxt(handle, delimiter=",", dtype=row, ndmin=1)
+        except ValueError as exc:
+            reason = str(exc).partition("; use `usecols`")[0]  # numpy's hint names its API
+            raise ArgumentError(f"malformed width CSV: {reason}") from exc
+    gaps = np.flatnonzero(rows["n"] != np.arange(rows.size))
+    if gaps.size:
+        idx = int(gaps[0])
+        raise ArgumentError(
+            f"width CSV ranks must be contiguous from 0, got {rows['n'][idx]} at row {idx}")
+    return run_lengths(rows["d_n"].tolist())
+
+
+def table_from_csv(data):
+    """The validated WidthTable of a width CSV (bytes).
+
+    A file byte for byte as csv_runs writes it is decoded by parse_csv_runs,
+    run by run, without numpy and without a float per row. Any other file
+    (hand-written, CRLF line ends, blank lines, values not in %.17g, ...) is
+    parsed by numpy's loadtxt (_loadtxt_runs), which decides what such a
+    file may hold and words the errors. An empty body raises ArgumentError;
+    table_from_runs validates the rest.
+    """
+    runs = parse_csv_runs(data)
+    if runs is None:
+        runs = _loadtxt_runs(data)
+    if not runs:
+        raise ArgumentError("width CSV has no data rows")
+    return table_from_runs(runs)
+
+
 class FitResult(namedtuple(
         "FitResult", "model slope intercept n_lo n_hi points residual_rms loglog_coeff stretch_exponent",
         defaults=(None, None))):
@@ -237,8 +402,10 @@ def fit_stretched(table, d, r, lo, hi):
     For the analytic families the slope estimates the negated
     stretched-exponential decay constant.
     """
-    if r <= 0:
-        raise ArgumentError(f"stretch parameter r must be positive, got {r}")
+    if d < 2:
+        raise ArgumentError(f"complex dimension d must be >= 2, got {d}")
+    if not 0 < r < math.inf:
+        raise ArgumentError(f"stretch parameter r must be positive and finite, got {r}")
     n, v = _fit_points(table, lo, hi, 2)
     expo = r / (2.0 * d - 1.0)
     coef, rms = _least_squares([[1.0] * len(n), [x ** expo for x in n]],
@@ -336,6 +503,8 @@ def bound_eval(spec: BoundSpec, m):
     """
     d, gamma, xi, r, p, q = spec.d, spec.gamma, spec.xi, spec.r, spec.p, spec.q
     tid = spec.theorem
+    if d < 2:
+        raise ArgumentError(f"complex dimension d must be >= 2, got {d}")
 
     if tid == "T6.4":
         _require(gamma > 0 and r > 0, "gamma > 0 and r > 0")

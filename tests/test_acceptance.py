@@ -179,6 +179,25 @@ def test_criterion_6b_levy_lower_bounds():
     _assert_clean(results)
 
 
+def test_criterion_6b_levy_lower_bounds_that_hold():
+    # The sub-cases of test_criterion_6b_levy_lower_bounds that hold, with
+    # the same calls: every p = 2 row, and the sobolev window (0, 1), whose
+    # lower side is 0, at p in {4, inf}.
+    sob = sobolev(1, 2, "max")
+    cases = [(fam, window, 2) for fam in (identity("max"), sob, exp_analytic(1, 1, "max"))
+             for window in LEVY_WINDOWS]
+    cases += [(sob, (0, 1), p) for p in (4, math.inf)]
+    results = []
+    for fam, window, p in cases:
+        problem = LevyProblem(2, *window, fam, p)
+        est = levy_mean_mc(problem, OUTER, INNER, SEED)
+        lower = levy_bounds(problem).lower
+        _check(results, lower <= est.value + 3 * est.stderr,
+               f"criterion 6: lower bound {fam.kind} window {window} p={p}: "
+               f"{lower:.4f} <= {est.value:.4f} + 3*{est.stderr:.4f}")
+    _assert_clean(results)
+
+
 def test_criterion_6c_case_d_sandwich():
     start = time.time()
     results = []
@@ -213,6 +232,24 @@ def test_criterion_7_nikolskii():
     _assert_clean(results)
 
 
+def test_criterion_7_nikolskii_comparisons_that_hold():
+    # The sub-cases of test_criterion_7_nikolskii that hold, with the same
+    # calls: the sup comparison at p = 2 and the p-vs-2 comparison at
+    # p in {2, 4}, on both windows.
+    results = []
+    for window in [(0, 1), (0, 2)]:
+        for p in (2, 4):
+            report = nikolskii_check(2, *window, p, 1000, SEED)
+            if p == 2:
+                _check(results, report["violations_sup"] == 0,
+                       f"criterion 7: sup-norm comparison window {window} p={p}: "
+                       f"{report['violations_sup']} violations (worst ratio {report['worst_ratio_sup']:.4f})")
+            _check(results, report["violations_p_vs_2"] == 0,
+                   f"criterion 7: p-vs-2 comparison window {window} p={p}: "
+                   f"{report['violations_p_vs_2']} violations (worst ratio {report['worst_ratio_p_vs_2']:.4f})")
+    _assert_clean(results)
+
+
 def test_criterion_8a_two_sided_sandwich():
     table = l2_width_table(finite_smooth(3, 0, "max"), 2, 10**6)
     values = table.values()
@@ -236,4 +273,17 @@ def test_criterion_8b_kclass_ratio_bounded():
             worst = max(plan_beta(fam, 2, n, 0.5).kclass_ratio[p] for n in range(3, 21))
             _check(results, worst <= 10,
                    f"criterion 8: sequence-class ratio {label} p={p}: max over N in 3..20 is {worst:.2f} <= 10")
+    _assert_clean(results)
+
+
+def test_criterion_8b_kclass_ratios_that_hold():
+    # The sub-cases of test_criterion_8b_kclass_ratio_bounded that hold, with
+    # the same calls: exp_analytic(1,1) at p in {1, 2}, finite_smooth(3,0) at p = 2.
+    results = []
+    for fam, label, p in ((exp_analytic(1, 1, "max"), "exp_analytic(1,1)", 1.0),
+                          (exp_analytic(1, 1, "max"), "exp_analytic(1,1)", 2.0),
+                          (finite_smooth(3, 0, "max"), "finite_smooth(3,0)", 2.0)):
+        worst = max(plan_beta(fam, 2, n, 0.5).kclass_ratio[p] for n in range(3, 21))
+        _check(results, worst <= 10,
+               f"criterion 8: sequence-class ratio {label} p={p}: max over N in 3..20 is {worst:.2f} <= 10")
     _assert_clean(results)

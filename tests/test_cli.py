@@ -16,12 +16,13 @@ from pathlib import Path
 import pytest
 
 import cspherelab
-from cspherelab import basis, cli, dimensions, levy, report
+from cspherelab import basis, cli, dimensions, levy, report, widths
 from cspherelab.basis import build_basis
-from cspherelab.cli import _loadtxt_runs, _read_width_csv, run
+from cspherelab.cli import _input_bytes, run
 from cspherelab.dimensions import dim_layer
 from cspherelab.multipliers import exp_analytic, finite_smooth, identity
-from cspherelab.widths import WidthTable, expand_spectrum, l2_width_table, table_from_values
+from cspherelab.widths import (WidthTable, _loadtxt_runs, expand_spectrum, l2_width_table, table_from_csv,
+                               table_from_values)
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
 
@@ -404,7 +405,7 @@ def test_spectrum_and_seq_match_benchmark_goldens(tmp_path, capsys):
 
 
 def _csv_text(runs):
-    return "".join(report.csv_runs(("n", "d_n"), runs))
+    return "".join(widths.csv_runs(runs))
 
 
 def _per_row_csv(table):
@@ -440,7 +441,7 @@ def test_spectrum_writer_matches_per_row_formatter(name):
 
 # Ranks where the formatter changes: the first thousand-block (a fourth
 # digit), a fifth and a sixth digit; a run's pieces end every
-# _WRITE_ROWS = 4096 rows.
+# _PIECE_ROWS = 4096 rows.
 RANK_EDGES = (999, 1000, 1001, 9999, 10000, 99999, 100000)
 EDGE_VALUES = (0.5, math.nan, -0.0, 5e-324, 2.2250738585072009e-308, 0.1)
 
@@ -463,7 +464,7 @@ def test_spectrum_writer_matches_per_row_formatter_at_rank_edges(edge):
     for name, runs in _edge_runs(edge).items():
         text = _csv_text(runs)
         _assert_same_lines(text, _per_row_csv(WidthTable(runs=runs)))
-        assert _hex_runs(report.parse_csv_runs(("n", "d_n"), text.encode())) == _hex_runs(runs), name
+        assert _hex_runs(widths.parse_csv_runs(text.encode())) == _hex_runs(runs), name
 
 
 def test_spectrum_writer_matches_per_row_formatter_on_one_row_runs():
@@ -471,7 +472,7 @@ def test_spectrum_writer_matches_per_row_formatter_on_one_row_runs():
     runs = tuple((EDGE_VALUES[k % 6] if k % 6 else 1.0 / (k + 1), 1) for k in range(1100))
     text = _csv_text(runs)
     _assert_same_lines(text, _per_row_csv(WidthTable(runs=runs)))
-    assert _hex_runs(report.parse_csv_runs(("n", "d_n"), text.encode())) == _hex_runs(runs)
+    assert _hex_runs(widths.parse_csv_runs(text.encode())) == _hex_runs(runs)
 
 
 @pytest.mark.parametrize("start, stop", [(0, 0), (0, 1), (998, 1002), (999, 1000), (1000, 1001),
@@ -479,7 +480,7 @@ def test_spectrum_writer_matches_per_row_formatter_on_one_row_runs():
                                          (123456, 127552), (10**9 - 1, 10**9 + 1)])
 def test_rank_rows_formats_each_rank_as_percent_d(start, stop):
     sep = ",0.25\n"
-    assert report._rank_rows(start, stop, sep) == "".join(f"{k}{sep}" for k in range(start, stop))
+    assert widths._rank_rows(start, stop, sep) == "".join(f"{k}{sep}" for k in range(start, stop))
 
 
 @pytest.mark.parametrize("rank", [999, 1000, 1999, 2000, 9999, 10000, 12288, 12289])
@@ -489,17 +490,17 @@ def test_fast_width_reader_checks_bytes_at_thousand_block_edges(rank, part):
     # last row of the run's third checked piece, a row the end search never reads
     runs = ((1.0, 1), (0.5, 20000), (0.25, 3))
     data = _csv_text(runs).encode()
-    assert report.parse_csv_runs(("n", "d_n"), data) == runs
+    assert widths.parse_csv_runs(data) == runs
     row = b"\n%d,0.5\n" % rank
     assert data.count(row) == 1
     at = data.index(row) + (len(b"%d" % rank) if part == "rank" else len(row) - 2)
     changed = data[:at] + (b"7" if data[at:at + 1] != b"7" else b"8") + data[at + 1:]
     assert len(changed) == len(data) and changed != data
-    assert report.parse_csv_runs(("n", "d_n"), changed) is None
+    assert widths.parse_csv_runs(changed) is None
 
 
 def test_spectrum_csv_is_written_in_bounded_pieces(tmp_path, capsys):
-    # The 5.5 MiB file of 200001 rows goes out at most _WRITE_ROWS rows at a
+    # The 5.5 MiB file of 200001 rows goes out at most _PIECE_ROWS rows at a
     # time; building the whole text first took an 11 MiB peak.
     path = tmp_path / "spectrum.csv"
     argv = ("widths", "spectrum", "--family", "fs:gamma=3,xi=0", "--d", "2", "--nmax", "200000",
@@ -542,9 +543,9 @@ def test_spectrum_csv_reads_back_bit_identical(tmp_path, monkeypatch):
         path = tmp_path / "table.csv"
         path.write_text(text, encoding="utf-8")
         expected = _hex_runs(table.runs)
-        assert _hex_runs(_read_width_csv(str(path))) == expected
+        assert _hex_runs(table_from_csv(path.read_bytes()).runs) == expected
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-        assert _hex_runs(_read_width_csv("-")) == expected
+        assert _hex_runs(table_from_csv(_input_bytes("-")).runs) == expected
 
 
 READER_TABLES = {**WRITER_TABLES, "exp-d3": l2_width_table(exp_analytic(0.5, 0.7), 3, 20000)}
@@ -554,7 +555,7 @@ READER_TABLES = {**WRITER_TABLES, "exp-d3": l2_width_table(exp_analytic(0.5, 0.7
 def test_width_csv_fast_path_matches_loadtxt(name):
     runs = READER_TABLES[name].runs
     data = _csv_text(runs).encode()
-    fast = report.parse_csv_runs(("n", "d_n"), data)
+    fast = widths.parse_csv_runs(data)
     assert fast is not None
     assert _hex_runs(fast) == _hex_runs(_loadtxt_runs(data)) == _hex_runs(runs)
 
@@ -565,9 +566,9 @@ def test_fast_width_reader_checks_every_row(old, new):
     # one altered row inside a long run, where neither the end search nor
     # the first row looks
     data = _csv_text(((1.0, 1), (0.5, 9999), (0.25, 3))).encode()
-    assert report.parse_csv_runs(("n", "d_n"), data) == ((1.0, 1), (0.5, 9999), (0.25, 3))
+    assert widths.parse_csv_runs(data) == ((1.0, 1), (0.5, 9999), (0.25, 3))
     assert data.count(old.encode()) == 1
-    assert report.parse_csv_runs(("n", "d_n"), data.replace(old.encode(), new.encode())) is None
+    assert widths.parse_csv_runs(data.replace(old.encode(), new.encode())) is None
 
 
 CANONICAL_CSV = "n,d_n\n0,1\n1,0.5\n2,0.5\n3,0.25\n"
@@ -582,12 +583,12 @@ CANONICAL_CSV = "n,d_n\n0,1\n1,0.5\n2,0.5\n3,0.25\n"
 ], ids=["0.50", "space", "blank-line", "crlf", "no-final-newline"])
 def test_noncanonical_width_csv_takes_the_fallback(tmp_path, text):
     data = text.encode()
-    assert report.parse_csv_runs(("n", "d_n"), data) is None
+    assert widths.parse_csv_runs(data) is None
     path = tmp_path / "table.csv"
     path.write_bytes(data)
-    expected = report.parse_csv_runs(("n", "d_n"), CANONICAL_CSV.encode())
+    expected = widths.parse_csv_runs(CANONICAL_CSV.encode())
     assert expected == ((1.0, 1), (0.5, 2), (0.25, 1))
-    assert _hex_runs(_read_width_csv(str(path))) == _hex_runs(expected)
+    assert _hex_runs(table_from_csv(path.read_bytes()).runs) == _hex_runs(expected)
 
 
 @pytest.mark.parametrize("body", [
@@ -600,6 +601,47 @@ def test_widths_fit_refuses_nan(tmp_path, capsys, body):
     code, out, err = run_cli(capsys, "widths", "fit", str(path), "--N", "0", "--nmax", "30")
     assert code == 2 and out == ""
     assert err.startswith("error: width value at row 1 is NaN")
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--d", "1", "--lmax", "3"],
+    ["seq", "--d", "1", "--family", "fs:gamma=3,xi=0", "--N", "3", "--eps", "0.5"],
+    ["widths", "spectrum", "--d", "1", "--family", "fs:gamma=3", "--nmax", "100"],
+    ["widths", "bounds", "--theorem", "T6.2-upper", "--d", "1", "--gamma", "3", "--nmax", "100"],
+    ["widths", "bounds", "--theorem", "T6.4", "--d", "0", "--gamma", "3", "--r", "1",
+     "--nmax", "100"],
+    ["widths", "fit", None, "--model", "stretched", "--d", "1", "--nmax", "20000"],
+], ids=["dims", "seq", "widths-spectrum", "widths-bounds", "widths-bounds-d0", "widths-fit"])
+def test_complex_dimension_below_2_exits_2(tmp_path, capsys, argv):
+    argv = [_writer_csv(tmp_path) if arg is None else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: complex dimension d must be >= 2, got ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["widths", "fit", None, "--model", "stretched", "--r", "nan", "--nmax", "20000"],
+    ["widths", "bounds", "--theorem", "T6.2-upper", "--d", "2", "--gamma", "3", "--xi", "nan",
+     "--nmax", "100"],
+    ["widths", "bounds", "--theorem", "T6.2-upper", "--d", "2", "--gamma", "inf", "--nmax", "100"],
+    ["widths", "bounds", "--theorem", "T6.4", "--d", "2", "--gamma", "1", "--r=-inf",
+     "--nmax", "100"],
+], ids=["fit-r-nan", "bounds-xi-nan", "bounds-gamma-inf", "bounds-r-minus-inf"])
+def test_non_finite_widths_parameters_exit_2_at_parse_time(tmp_path, capsys, argv):
+    argv = [_writer_csv(tmp_path) if arg is None else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "error: argument --" in err and "not a finite number" in err
+
+
+def test_levy_star_grading_exits_2(capsys):
+    # the max-graded window weighted by the star-graded lambda(m+n) once
+    # printed a lower bound above its own exact Parseval value
+    code, out, err = run_cli(capsys, "levy", "--d", "2", "--N", "0", "--lmax", "3", "--family",
+                             "fs:gamma=3,xi=0", "--p", "2", "--omega-samples", "0", "--grading",
+                             "star", "--sphere-samples", "2000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: Levy windows are max-graded") and "'star'" in err
 
 
 def test_widths_fit_refuses_more_coefficients_than_plateaus(tmp_path, capsys):
@@ -774,7 +816,20 @@ def test_importing_cli_runs_no_package_module():
      {"basis", "levy"}),
     (["basis", "--d", "2", "--m", "2", "--n", "1"],
      {"levy", "widths", "multipliers", "sphere", "polynomials"}),
-], ids=["dims", "check-dim-bounds", "seq", "spectrum", "basis"])
+    # The numeric commands run basis, dimensions, report and sphere, and
+    # levy and multipliers or polynomials; none runs widths.
+    (["levy", "--d", "2", "--N", "0", "--lmax", "1", "--family", "fs:gamma=3", "--p", "4",
+      "--sphere-samples", "10", "--omega-samples", "1000"], {"widths", "polynomials"}),
+    (["check", "nikolskii", "--d", "2", "--N", "0", "--lmax", "1", "--p", "2", "--samples", "10",
+      "--omega-samples", "1000"], {"widths", "polynomials"}),
+    (["check", "addition", "--d", "2", "--m", "1", "--n", "1", "--samples", "50"],
+     {"widths", "levy", "multipliers"}),
+    (["check", "gegenbauer", "--d", "2", "--lmax", "2", "--samples", "50"],
+     {"widths", "levy", "multipliers"}),
+    (["project", "--d", "2", "--m", "1", "--n", "1", "--samples", "100"],
+     {"widths", "levy", "multipliers"}),
+], ids=["dims", "check-dim-bounds", "seq", "spectrum", "basis", "levy", "check-nikolskii",
+        "check-addition", "check-gegenbauer", "project"])
 def test_commands_run_only_the_modules_they_use(argv, never):
     code, _, executed, _ = _loaded_after(argv)
     assert code == 0

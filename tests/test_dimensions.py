@@ -54,6 +54,11 @@ def test_dimension_argument_errors():
         dim_complex_harmonic(1, 1, 1)
     with pytest.raises(ArgumentError):
         dim_real_harmonic(2, 1)
+    for d in (0, 1):  # cum_dim guards dim_layer, theta, layer and their callers
+        for call in (lambda: cum_dim(d, 3, "max"), lambda: dim_layer(d, 3, "star"),
+                     lambda: theta(d, 0, 2, "max"), lambda: layer(d, 2, "max")):
+            with pytest.raises(ArgumentError, match=f"d must be >= 2, got {d}"):
+                call()
 
 
 def test_transfer_identity():

@@ -34,6 +34,40 @@ from cspherelab.sphere import (
 )
 
 
+def _exact_member(system, k):
+    """Exact form (poly, sq_norm, phase) of member k of a real coordinate system.
+
+    The member equals phase * poly / sqrt(sq_norm * omega(d)), where poly
+    has rational coefficients and sq_norm = <poly, poly> in units of
+    omega(d).
+    """
+    member = system.members[k]
+    base = build_basis(system.d, *member.bidegree)
+    v, q = base.vectors[member.index], base.sq_norms[member.index]
+    if member.part == "real":
+        return v, q, 1.0
+    if member.part == "re":
+        return v + v.conj(), 2 * q, 1.0
+    return v - v.conj(), 2 * q, -1.0j
+
+
+def _exact_gram(system):
+    """Exact pairwise inner products of a system's members (should be the identity), as floats.
+
+    Polynomial inner products are already in units of omega(d), matching
+    the sq_norm units, so no measure constant appears here.
+    """
+    forms = [_exact_member(system, k) for k in range(system.s)]
+    g = np.zeros((system.s, system.s))
+    for i, (poly_i, q_i, phase_i) in enumerate(forms):
+        for j in range(i, system.s):
+            poly_j, q_j, phase_j = forms[j]
+            val = poly_i.inner(poly_j)
+            phase = (phase_i * np.conj(phase_j)).real
+            g[i, j] = g[j, i] = float(val) * phase / math.sqrt(float(q_i) * float(q_j))
+    return g
+
+
 def test_real_system_sizes():
     assert build_real_system(2, 0, 1).s == theta(2, 0, 1, "max") == 7
     assert build_real_system(2, 1, 2).s == theta(2, 1, 2, "max") == 19
@@ -44,7 +78,7 @@ def test_real_system_exactly_orthonormal():
     # (3, 0, 2) and (2, 2, 4) contain diagonal bidegrees (m, m) with m >= 2
     for d, m1, m2 in [(2, 0, 1), (2, 1, 2), (3, 0, 2), (2, 2, 4)]:
         system = build_real_system(d, m1, m2)
-        gram = system.exact_gram()
+        gram = _exact_gram(system)
         assert np.array_equal(gram, np.eye(system.s))
 
 
@@ -65,7 +99,7 @@ def test_eval_matrix_matches_exact_members():
         pts = sample_points(d, 500, seed=4)
         bmat = system.eval_matrix(pts)
         for k in range(system.s):
-            poly, sq_norm, phase = system.exact_member(k)
+            poly, sq_norm, phase = _exact_member(system, k)
             direct = phase * poly.eval(pts) / math.sqrt(float(sq_norm) * omega(d))
             assert np.max(np.abs(direct.imag)) < 1e-12
             assert np.max(np.abs(bmat[:, k] - direct.real)) < 1e-12
@@ -74,6 +108,14 @@ def test_eval_matrix_matches_exact_members():
 def test_real_system_rejects_bad_window():
     with pytest.raises(ArgumentError):
         build_real_system(2, 2, 2)
+
+
+def test_levy_problem_refuses_a_star_graded_family():
+    with pytest.raises(ArgumentError, match="max-graded.*'star'"):
+        LevyProblem(2, 0, 3, finite_smooth(3, 0, "star"), 2)
+    problem = LevyProblem(2, 0, 3, finite_smooth(3, 0, "max"), 2)
+    with pytest.raises(ArgumentError, match="'star'"):
+        problem._replace(fam=finite_smooth(3, 0, "star"))
 
 
 def test_parseval_closed_forms():

@@ -174,6 +174,15 @@ def test_fit_stretched_synthetic_exact():
     assert fit.slope == pytest.approx(-2.0, abs=1e-10)
 
 
+def test_fit_stretched_refuses_d_below_2_and_non_finite_r():
+    table = table_from_values(np.exp(-np.arange(100) / 10.0))
+    with pytest.raises(ArgumentError, match="d must be >= 2, got 1"):
+        fit_stretched(table, 1, 1.0, 10, 90)
+    for r in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ArgumentError, match="r must be positive and finite"):
+            fit_stretched(table, 2, r, 10, 90)
+
+
 def _lstsq_fit(table, lo, hi, model, d=2, r=1.0):
     # The numpy fit that the Householder QR replaced, kept as its oracle:
     # (coefficients, residual RMS) of numpy.linalg.lstsq on the same points.
@@ -299,6 +308,12 @@ def test_bound_eval_selector_cases():
         == bound_eval(BoundSpec("T6.3-lower", p=1, q=4, **base), 100)
     with_log = bound_eval(BoundSpec("T6.3-lower", p=1, q=1, **base), 100)
     assert with_log == pytest.approx(100 ** (-1.0) * math.log(100) ** (-0.5))
+
+
+def test_bound_eval_refuses_d_below_2():
+    for spec in (BoundSpec("T6.2-upper", 1, gamma=3), BoundSpec("T6.4", 0, gamma=1, r=1)):
+        with pytest.raises(ArgumentError, match=f"d must be >= 2, got {spec.d}"):
+            bound_eval(spec, 100)
 
 
 def test_bound_eval_hypothesis_errors():
