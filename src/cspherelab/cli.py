@@ -5,6 +5,11 @@ or violation count is within tolerance); 1 check failure or unwritable
 output; 2 argument or usage errors. All randomised subcommands take --seed
 (default 0) and echo it, and their output is byte-identical for identical
 arguments.
+
+A subcommand is one _DISPATCH entry: its help, the filler that adds its
+arguments and its handler. A handler returns its JSON document, which run
+writes to --out; a document whose "pass" is false exits 1. A handler that
+writes its own output (the CSV formats) returns None.
 """
 
 from __future__ import annotations
@@ -165,69 +170,6 @@ def _fill_project(p):
     p.add_argument("--samples", type=int, default=20000)
 
 
-# Every subcommand, in the order of --help: name -> (help, filler). A filler
-# adds the subcommand's arguments, or is a (dest, table) pair of nested
-# subcommands.
-_CHECK_COMMANDS = {
-    "addition": ("reproducing-kernel identity of one bidegree space", _fill_check_addition),
-    "gegenbauer": ("real-sphere zonal vs sum of complex zonals, degrees 0..lmax",
-                   _fill_check_gegenbauer),
-    "nikolskii": ("norm comparison inequalities on random polynomials", _fill_check_nikolskii),
-    "dim-bounds": ("two-sided layer-dimension bound slack", _fill_check_dim_bounds),
-}
-
-_WIDTHS_COMMANDS = {
-    "spectrum": ("exact Hilbert-space width table as CSV", _fill_widths_spectrum),
-    "fit": ("fit a decay law to a width table CSV", _fill_widths_fit),
-    "bounds": ("structural bound factor of one theorem", _fill_widths_bounds),
-    "compare-gradings": ("fit the same multiplier under both gradings and compare",
-                         _fill_widths_compare),
-}
-
-_COMMANDS = {
-    "dims": ("layer dimension table for one grading", _fill_dims),
-    "basis": ("exact orthogonal harmonic basis of one bidegree, as JSON", _fill_basis),
-    "check": ("verification commands (exit 0 iff within --tol)", ("check_command", _CHECK_COMMANDS)),
-    "levy": ("Levy mean of a weighted norm on a coefficient sphere", _fill_levy),
-    "seq": ("level sequence and rank budget for a multiplier family", _fill_seq),
-    "widths": ("width tables, rate fits, bound factors", ("widths_command", _WIDTHS_COMMANDS)),
-    "project": ("reproducing-property projection of a basis function", _fill_project),
-}
-
-
-def _add_commands(sub, commands, argv):
-    """Register every subcommand of commands on sub, filling the one argv[0] names.
-
-    A name that is not argv[0] keeps its help in the list, but its own
-    parser stays empty; if argv[0] names no subcommand, all are filled.
-    """
-    chosen = argv[0] if argv and argv[0] in commands else None
-    for name, (help_text, fill) in commands.items():
-        p = sub.add_parser(name, help=help_text)
-        if chosen is not None and name != chosen:
-            continue
-        if callable(fill):
-            fill(p)
-        else:
-            dest, nested = fill
-            _add_commands(p.add_subparsers(dest=dest, required=True), nested, argv[1:])
-
-
-def build_parser(argv=None):
-    """The command line parser; with argv, only the subcommand it names gets its arguments.
-
-    Filling one subcommand's parser instead of all thirteen saves most of
-    the parser's build time on every command. Help, usage and error text
-    are those of the whole parser, which argv None (or an argv that names
-    no subcommand first, such as -h) builds.
-    """
-    parser = argparse.ArgumentParser(
-        prog="cspherelab",
-        description="Laboratory for harmonic analysis and approximation widths on complex spheres.")
-    _add_commands(parser.add_subparsers(dest="command", required=True), _COMMANDS, argv or ())
-    return parser
-
-
 def _family_from(args):
     return multipliers.parse_family(args.family, getattr(args, "d", 2), args.grading)
 
@@ -241,11 +183,9 @@ def _cmd_dims(args):
         rows.append((summary.l, summary.a_l, summary.d_l, summary.cum_dim))
     if args.format == "csv":
         report.write_output(report.csv_lines(("l", "a_l", "d_l", "cum_dim"), rows), args.out)
-    else:
-        doc = {"d": args.d, "grading": args.grading,
-               "layers": [{"l": r[0], "a_l": r[1], "d_l": r[2], "cum_dim": r[3]} for r in rows]}
-        report.write_output(report.dumps(doc), args.out)
-    return 0
+        return None
+    return {"d": args.d, "grading": args.grading,
+            "layers": [{"l": r[0], "a_l": r[1], "d_l": r[2], "cum_dim": r[3]} for r in rows]}
 
 
 def _cmd_basis(args):
@@ -256,40 +196,30 @@ def _cmd_basis(args):
                   "numerator": c.numerator, "denominator": c.denominator}
                  for (a, b), c in sorted(vec.terms.items())]
         vectors.append(terms)
-    doc = {"d": built.d, "m": built.m, "n": built.n,
-           "vectors": vectors, "sq_norms": list(built.sq_norms)}
-    report.write_output(report.dumps(doc), args.out)
-    return 0
+    return {"d": built.d, "m": built.m, "n": built.n,
+            "vectors": vectors, "sq_norms": list(built.sq_norms)}
 
 
 def _cmd_check_addition(args):
     deviation = basis.verify_addition(args.d, args.m, args.n, args.samples, args.seed)
-    ok = deviation <= args.tol
-    doc = {"check": "addition", "d": args.d, "m": args.m, "n": args.n,
-           "samples": args.samples, "seed": args.seed,
-           "deviation": deviation, "tol": args.tol, "pass": ok}
-    report.write_output(report.dumps(doc), args.out)
-    return 0 if ok else 1
+    return {"check": "addition", "d": args.d, "m": args.m, "n": args.n,
+            "samples": args.samples, "seed": args.seed,
+            "deviation": deviation, "tol": args.tol, "pass": deviation <= args.tol}
 
 
 def _cmd_check_gegenbauer(args):
     worst = basis.verify_gegenbauer(args.d, args.lmax, args.samples, args.seed)
-    ok = worst <= args.tol
-    doc = {"check": "gegenbauer", "d": args.d, "k_max": args.lmax,
-           "samples": args.samples, "seed": args.seed,
-           "deviation": worst, "tol": args.tol, "pass": ok}
-    report.write_output(report.dumps(doc), args.out)
-    return 0 if ok else 1
+    return {"check": "gegenbauer", "d": args.d, "k_max": args.lmax,
+            "samples": args.samples, "seed": args.seed,
+            "deviation": worst, "tol": args.tol, "pass": worst <= args.tol}
 
 
 def _cmd_check_nikolskii(args):
     rep = levy.nikolskii_check(args.d, args.N, args.lmax, args.p, args.samples, args.seed,
                                omega_samples=args.omega_samples)
     violations = rep["violations_sup"] + (rep["violations_p_vs_2"] or 0)
-    ok = violations <= args.tol
-    doc = {"check": "nikolskii", "seed": args.seed, **rep, "tol": args.tol, "pass": ok}
-    report.write_output(report.dumps(doc), args.out)
-    return 0 if ok else 1
+    return {"check": "nikolskii", "seed": args.seed, **rep, "tol": args.tol,
+            "pass": violations <= args.tol}
 
 
 def _cmd_check_dim_bounds(args):
@@ -299,13 +229,11 @@ def _cmd_check_dim_bounds(args):
     bidegree = rep["bidegree_bound"]
     if "lower_bound_holds" in bidegree:
         ok = ok and bidegree["lower_bound_holds"]
-    doc = {"check": "dim-bounds", "d": args.d, "l_range": rep["l_range"],
-           "leading_coefficient": rep["leading_coefficient"],
-           "ratio_first": rep["ratio_first"], "ratio_last": rep["ratio_last"],
-           "relative_gap": rel_gap, "C1": rep["C1"], "C2": rep["C2"],
-           "bidegree_bound": bidegree, "tol": args.tol, "pass": ok}
-    report.write_output(report.dumps(doc), args.out)
-    return 0 if ok else 1
+    return {"check": "dim-bounds", "d": args.d, "l_range": rep["l_range"],
+            "leading_coefficient": rep["leading_coefficient"],
+            "ratio_first": rep["ratio_first"], "ratio_last": rep["ratio_last"],
+            "relative_gap": rel_gap, "C1": rep["C1"], "C2": rep["C2"],
+            "bidegree_bound": bidegree, "tol": args.tol, "pass": ok}
 
 
 def _cmd_levy(args):
@@ -335,39 +263,34 @@ def _cmd_levy(args):
     }
     if args.p == 2:
         doc["parseval"] = levy.levy_mean_parseval(problem)
-    report.write_output(report.dumps(doc), args.out)
-    return 0
+    return doc
 
 
 def _cmd_seq(args):
     fam = _family_from(args)
     plan = multipliers.plan_beta(fam, args.d, args.N, args.eps)
-    doc = {
+    return {
         "family": fam.describe(), "grading": fam.grading, "d": args.d,
         "N": plan.N, "eps": plan.eps, "Nk": list(plan.Nk), "M": plan.M,
         "mk": list(plan.mk), "beta": plan.beta, "theta12": plan.theta12,
         "kclass_ratio": {("%g" % p): v for p, v in plan.kclass_ratio.items()},
         "plateau": plan.plateau,
     }
-    report.write_output(report.dumps(doc), args.out)
-    return 0
 
 
 def _cmd_widths_spectrum(args):
     fam = _family_from(args)
     table = widths.l2_width_table(fam, args.d, args.nmax)
     if args.format == "json":
-        doc = {"family": fam.describe(), "grading": fam.grading, "d": args.d,
-               "n_max": args.nmax, "warning": table.warning or None,
-               "runs": [[v, c] for v, c in table.runs]}
-        report.write_output(report.dumps(doc), args.out)
-        return 0
+        return {"family": fam.describe(), "grading": fam.grading, "d": args.d,
+                "n_max": args.nmax, "warning": table.warning or None,
+                "runs": [[v, c] for v, c in table.runs]}
     if table.warning:
         print(f"warning: {table.warning}", file=sys.stderr)
     with report.open_output(args.out) as handle:
         for piece in widths.csv_runs(table.runs):
             report.write_output(piece, handle)
-    return 0
+    return None
 
 
 def _input_bytes(path):
@@ -392,26 +315,19 @@ def _cmd_widths_fit(args):
         doc["loglog_coeff"] = fit.loglog_coeff
     if fit.stretch_exponent is not None:
         doc["stretch_exponent"] = fit.stretch_exponent
-    report.write_output(report.dumps(doc), args.out)
-    return 0
+    return doc
 
 
 def _cmd_widths_bounds(args):
     spec = widths.BoundSpec(theorem=args.theorem, d=args.d, gamma=args.gamma, xi=args.xi,
                             r=args.r, p=args.p, q=args.q, side=args.side or "")
-    value = widths.bound_eval(spec, args.nmax)
-    doc = {"theorem": args.theorem, "d": args.d, "gamma": args.gamma, "xi": args.xi,
-           "r": args.r, "p": args.p, "q": args.q, "side": args.side,
-           "m": args.nmax, "value": value}
-    report.write_output(report.dumps(doc), args.out)
-    return 0
+    return {"theorem": args.theorem, "d": args.d, "gamma": args.gamma, "xi": args.xi,
+            "r": args.r, "p": args.p, "q": args.q, "side": args.side,
+            "m": args.nmax, "value": widths.bound_eval(spec, args.nmax)}
 
 
 def _cmd_widths_compare(args):
-    fam = multipliers.parse_family(args.family, args.d, "max")
-    rep = widths.grading_compare(fam, args.d, args.nmax)
-    report.write_output(report.dumps(rep), args.out)
-    return 0
+    return widths.grading_compare(multipliers.parse_family(args.family, args.d, "max"), args.d, args.nmax)
 
 
 def _cmd_project(args):
@@ -424,33 +340,86 @@ def _cmd_project(args):
     estimate, stderr = basis.project_mc(f, args.d, args.m, args.n, pole, args.samples, args.seed)
     expected = complex(built.eval_orthonormal(pole, args.j))
     z_score = abs(estimate - expected) / stderr if stderr > 0 else 0.0
-    doc = {"d": args.d, "m": args.m, "n": args.n, "j": args.j,
-           "pole": "e_d", "samples": args.samples, "seed": args.seed,
-           "estimate_re": estimate.real, "estimate_im": estimate.imag,
-           "expected_re": expected.real, "expected_im": expected.imag,
-           "stderr": stderr, "z_score": z_score}
-    report.write_output(report.dumps(doc), args.out)
-    return 0
+    return {"d": args.d, "m": args.m, "n": args.n, "j": args.j,
+            "pole": "e_d", "samples": args.samples, "seed": args.seed,
+            "estimate_re": estimate.real, "estimate_im": estimate.imag,
+            "expected_re": expected.real, "expected_im": expected.imag,
+            "stderr": stderr, "z_score": z_score}
 
 
+# Every subcommand, in the order of --help: (command, subcommand) -> (help,
+# filler, handler), with subcommand None for a command without subcommands.
+# A filler adds the subcommand's arguments. The commands with subcommands
+# (the groups) take their help from _GROUP_HELP, and their subcommand is read
+# into the dest "<command>_command".
 _DISPATCH = {
-    ("dims", None): _cmd_dims,
-    ("basis", None): _cmd_basis,
-    ("check", "addition"): _cmd_check_addition,
-    ("check", "gegenbauer"): _cmd_check_gegenbauer,
-    ("check", "nikolskii"): _cmd_check_nikolskii,
-    ("check", "dim-bounds"): _cmd_check_dim_bounds,
-    ("levy", None): _cmd_levy,
-    ("seq", None): _cmd_seq,
-    ("widths", "spectrum"): _cmd_widths_spectrum,
-    ("widths", "fit"): _cmd_widths_fit,
-    ("widths", "bounds"): _cmd_widths_bounds,
-    ("widths", "compare-gradings"): _cmd_widths_compare,
-    ("project", None): _cmd_project,
+    ("dims", None): ("layer dimension table for one grading", _fill_dims, _cmd_dims),
+    ("basis", None): ("exact orthogonal harmonic basis of one bidegree, as JSON", _fill_basis, _cmd_basis),
+    ("check", "addition"): ("reproducing-kernel identity of one bidegree space",
+                            _fill_check_addition, _cmd_check_addition),
+    ("check", "gegenbauer"): ("real-sphere zonal vs sum of complex zonals, degrees 0..lmax",
+                              _fill_check_gegenbauer, _cmd_check_gegenbauer),
+    ("check", "nikolskii"): ("norm comparison inequalities on random polynomials",
+                             _fill_check_nikolskii, _cmd_check_nikolskii),
+    ("check", "dim-bounds"): ("two-sided layer-dimension bound slack",
+                              _fill_check_dim_bounds, _cmd_check_dim_bounds),
+    ("levy", None): ("Levy mean of a weighted norm on a coefficient sphere", _fill_levy, _cmd_levy),
+    ("seq", None): ("level sequence and rank budget for a multiplier family", _fill_seq, _cmd_seq),
+    ("widths", "spectrum"): ("exact Hilbert-space width table as CSV",
+                             _fill_widths_spectrum, _cmd_widths_spectrum),
+    ("widths", "fit"): ("fit a decay law to a width table CSV", _fill_widths_fit, _cmd_widths_fit),
+    ("widths", "bounds"): ("structural bound factor of one theorem", _fill_widths_bounds, _cmd_widths_bounds),
+    ("widths", "compare-gradings"): ("fit the same multiplier under both gradings and compare",
+                                     _fill_widths_compare, _cmd_widths_compare),
+    ("project", None): ("reproducing-property projection of a basis function", _fill_project, _cmd_project),
+}
+
+_GROUP_HELP = {
+    "check": "verification commands (exit 0 iff within --tol)",
+    "widths": "width tables, rate fits, bound factors",
 }
 
 
+def _add_commands(sub, argv, group=None):
+    """Register the subcommands of group (None: the commands) on sub, filling the one argv[0] names.
+
+    A name that is not argv[0] keeps its help in the list, but its own
+    parser stays empty; if argv[0] names no subcommand, all are filled.
+    """
+    level = {}  # name -> (help, filler), or (help, None) for a group
+    for (command, name), (help_text, fill, _) in _DISPATCH.items():
+        if group is None:
+            level.setdefault(command, (_GROUP_HELP[command], None) if name else (help_text, fill))
+        elif command == group:
+            level[name] = (help_text, fill)
+    chosen = argv[0] if argv and argv[0] in level else None
+    for name, (help_text, fill) in level.items():
+        p = sub.add_parser(name, help=help_text)
+        if chosen is not None and name != chosen:
+            continue
+        if fill is None:
+            _add_commands(p.add_subparsers(dest=f"{name}_command", required=True), argv[1:], name)
+        else:
+            fill(p)
+
+
+def build_parser(argv=None):
+    """The command line parser; with argv, only the subcommand it names gets its arguments.
+
+    Filling one subcommand's parser instead of all thirteen saves most of
+    the parser's build time on every command. Help, usage and error text
+    are those of the whole parser, which argv None (or an argv that names
+    no subcommand first, such as -h) builds.
+    """
+    parser = argparse.ArgumentParser(
+        prog="cspherelab",
+        description="Laboratory for harmonic analysis and approximation widths on complex spheres.")
+    _add_commands(parser.add_subparsers(dest="command", required=True), argv or ())
+    return parser
+
+
 def run(argv=None):
+    """Parse argv, run its handler, write the handler's document to --out; the exit code."""
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser(argv)
@@ -458,19 +427,18 @@ def run(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
-    subcommand = getattr(args, "check_command", None) or getattr(args, "widths_command", None)
-    handler = _DISPATCH[(args.command, subcommand)]
+    handler = _DISPATCH[(args.command, getattr(args, f"{args.command}_command", None))][2]
     try:
-        return handler(args)
+        doc = handler(args)
+        if doc is not None:
+            report.write_output(report.dumps(doc), args.out)
     except (ArgumentError, HypothesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except LabError as exc:
+    except (LabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 0 if doc is None or doc.get("pass", True) else 1
 
 
 def main():

@@ -44,8 +44,8 @@ from .basis import MonomialMap, _check_on_sphere, build_basis
 from .dimensions import layer_members, theta
 from .errors import ArgumentError, ConsistencyError
 from .multipliers import MultiplierFamily, lambda_value, multiplier_at
-from .sphere import (_chunk_rng, abs_power_inplace, check_exponent, lp_norm_mc, omega, power_needs_base,
-                     sample_points, sup_norm_refined)
+from .sphere import (_CAP_SAMPLES, _chunk_rng, abs_power_inplace, check_exponent, lp_norm_mc, omega,
+                     power_needs_base, sample_points, sup_norm_refined)
 
 # The fixed Monte Carlo layout: rows per pass, and cloud blocks for the cloud error.
 _OUTER_ROWS = 200
@@ -77,7 +77,7 @@ SECONDS_PER_CLOUD_FLOP = 3e-11
 # p = 2 path has no cloud: it holds the squared norms, one per outer sample,
 # the temporary of the same size that their standard deviation makes, and
 # one (_OUTER_ROWS, s) pass of outer rows with its square; the same ceiling
-# applies to those.
+# applies to those, and to the arrays of nikolskii_check.
 MAX_CLOUD_BYTES = 2 * 10**9
 
 
@@ -402,6 +402,28 @@ def levy_bounds(prob: LevyProblem):
                       inconsistent=known and lower > upper, monotone=monotone)
 
 
+def _check_nikolskii_bytes(d, m1, m2, trials, omega_samples):
+    """Refuse a Nikolskii check whose arrays take more than MAX_CLOUD_BYTES.
+
+    The arrays are counted from the dimension formula, so nothing is built
+    to find them: the (s, omega_samples) cloud values, the two pass
+    buffers, the (trials, s) coefficients, the cloud's points, and the
+    (trials, _CAP_SAMPLES, d) cap array with one pass of its values.
+    """
+    _check_window(m1, m2)
+    s = theta(d, m1, m2, "max")
+    rows = min(_OUTER_ROWS, trials)
+    nbytes = (8 * (s * omega_samples + 2 * rows * omega_samples + trials * s + rows * _CAP_SAMPLES * s)
+              + 16 * d * (omega_samples + trials * _CAP_SAMPLES))
+    if nbytes > MAX_CLOUD_BYTES:
+        raise ArgumentError(
+            f"Nikolskii check for d={d}, window ({m1}, {m2}] refused: its arrays take an estimated"
+            f" {nbytes / 1e9:.1f} GB (cloud values {s} x {omega_samples}, pass buffers {rows} x"
+            f" {omega_samples} x 2, coefficients {trials} x {s}, points {omega_samples} x {d} complex,"
+            f" cap array {trials} x {_CAP_SAMPLES} x {d} complex, cap pass {rows * _CAP_SAMPLES} x {s})"
+            f" > {MAX_CLOUD_BYTES / 1e9:.0f} GB")
+
+
 def nikolskii_check(d, m1, m2, p, trials, seed, omega_samples=4096):
     """Check the window's norm comparison inequalities on random polynomials.
 
@@ -418,11 +440,14 @@ def nikolskii_check(d, m1, m2, p, trials, seed, omega_samples=4096):
     is formed _OUTER_ROWS trials per pass into one reused buffer; each pass
     gives its trials' cloud maxima, the points where they lie and both
     cloud norms, whose |t|^q and deviations share a second pass buffer. The
-    caps are evaluated _OUTER_ROWS trials per pass too.
+    caps are evaluated _OUTER_ROWS trials per pass too. Inputs whose arrays
+    take more than MAX_CLOUD_BYTES are refused before any basis is built
+    (_check_nikolskii_bytes).
     """
     check_exponent(p)
     if trials < 1:
         raise ArgumentError("need at least one trial")
+    _check_nikolskii_bytes(d, m1, m2, trials, omega_samples)
     system = build_real_system(d, m1, m2)
     s = system.s
     w = omega(d)

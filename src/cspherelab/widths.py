@@ -284,12 +284,17 @@ def _loadtxt_runs(data):
     """Runs of a width CSV (bytes) in any layout numpy's loadtxt accepts.
 
     The header must read 'n,d_n' (spaces ignored), blank lines are skipped
-    and values are bit-identical to float(). A malformed row or a rank
-    column that is not 0, 1, 2, ... raises ArgumentError.
+    and values are bit-identical to float(). Bytes that are not UTF-8, a
+    malformed row or a rank column that is not 0, 1, 2, ... raise
+    ArgumentError.
     """
     row = np.dtype([("n", np.int64), ("d_n", np.float64)])
     handle = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-    header, expected = handle.readline().strip(), _HEADER.decode().strip()
+    try:  # reading the header decodes the file's first chunk
+        header = handle.readline().strip()
+    except UnicodeDecodeError as exc:
+        raise ArgumentError(f"malformed width CSV: {exc}") from exc
+    expected = _HEADER.decode().strip()
     if header.replace(" ", "") != expected:
         raise ArgumentError(f"expected header {expected!r}, got {header!r}")
     with warnings.catch_warnings():

@@ -215,6 +215,64 @@ def test_partly_filled_parser_reads_and_words_argv_as_the_whole_parser(path, cap
             _parse_outcome(whole, argv, capsys), argv
 
 
+# The whole parser's --help at 80 columns, pinned byte for byte.
+HELP_TEXTS = {
+    (): (
+        'usage: cspherelab [-h] {dims,basis,check,levy,seq,widths,project} ...\n'
+        '\n'
+        'Laboratory for harmonic analysis and approximation widths on complex spheres.\n'
+        '\n'
+        'positional arguments:\n'
+        '  {dims,basis,check,levy,seq,widths,project}\n'
+        '    dims                layer dimension table for one grading\n'
+        '    basis               exact orthogonal harmonic basis of one bidegree, as\n'
+        '                        JSON\n'
+        '    check               verification commands (exit 0 iff within --tol)\n'
+        '    levy                Levy mean of a weighted norm on a coefficient sphere\n'
+        '    seq                 level sequence and rank budget for a multiplier family\n'
+        '    widths              width tables, rate fits, bound factors\n'
+        '    project             reproducing-property projection of a basis function\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+    ),
+    ("check",): (
+        'usage: cspherelab check [-h] {addition,gegenbauer,nikolskii,dim-bounds} ...\n'
+        '\n'
+        'positional arguments:\n'
+        '  {addition,gegenbauer,nikolskii,dim-bounds}\n'
+        '    addition            reproducing-kernel identity of one bidegree space\n'
+        '    gegenbauer          real-sphere zonal vs sum of complex zonals, degrees\n'
+        '                        0..lmax\n'
+        '    nikolskii           norm comparison inequalities on random polynomials\n'
+        '    dim-bounds          two-sided layer-dimension bound slack\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+    ),
+    ("widths",): (
+        'usage: cspherelab widths [-h] {spectrum,fit,bounds,compare-gradings} ...\n'
+        '\n'
+        'positional arguments:\n'
+        '  {spectrum,fit,bounds,compare-gradings}\n'
+        '    spectrum            exact Hilbert-space width table as CSV\n'
+        '    fit                 fit a decay law to a width table CSV\n'
+        '    bounds              structural bound factor of one theorem\n'
+        '    compare-gradings    fit the same multiplier under both gradings and\n'
+        '                        compare\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("path", sorted(HELP_TEXTS), ids=lambda path: " ".join(path) or "top")
+def test_help_text_is_pinned(path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, *path, "--help") == (0, HELP_TEXTS[path], "")
+
+
 @pytest.mark.parametrize("family, named", [
     ("fs:gamma=3,gama=9", "'gama'"),
     ("exp:gamma=1,r=1,xi=7", "'xi'"),
@@ -246,6 +304,20 @@ def test_levy_refused_by_its_cost_exits_2(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err.startswith("error: Levy mean for d=3, window (0, 6] refused")
     assert "2 x 1000 x 3919 x 1000000 = 7.84e+12 flops > 2e+12, an estimated 235 s" in err
+
+
+def test_check_nikolskii_refused_by_its_memory_exits_2(capsys, monkeypatch):
+    # s = 28223 on d = 4, window (0, 6]: one cap pass alone, 200 x 256 x s
+    # values, would take 11.6 GB, so the check refuses before any basis.
+    def refuse(*args):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(levy, "build_real_system", refuse)
+    code, out, err = run_cli(capsys, "check", "nikolskii", "--d", "4", "--N", "0", "--lmax", "6")
+    assert code == 2 and out == ""
+    assert err.startswith("error: Nikolskii check for d=4, window (0, 6] refused: its arrays take an"
+                          " estimated 12.7 GB (cloud values 28223 x 4096, ")
+    assert "cap pass 51200 x 28223) > 2 GB" in err
 
 
 def test_levy_exact_path_refused_by_its_memory_exits_2(capsys, monkeypatch):
@@ -382,9 +454,13 @@ def test_basis_json_matches_benchmark_goldens(capsys):
 
 
 # The benchmark's spectrum and seq command lines, by golden name.
-SPECTRUM_AND_SEQ_OPS = {
+GOLDEN_OPS = {
     "spectrum-fs3-d2": "widths spectrum --family fs:gamma=3,xi=0 --d 2 --grading max --nmax 500000",
     "spectrum-sobolev-d3": "widths spectrum --family sobolev:gamma=2 --d 3 --grading star --nmax 500000",
+    "spectrum-fs3-d2-json": "widths spectrum --family fs:gamma=3,xi=0 --d 2 --nmax 1000000 --format json",
+    "dims-d3": "dims --d 3 --lmax 200",
+    "dim-bounds-d4": "check dim-bounds --d 4 --lmax 200",
+    "bounds-t62": "widths bounds --theorem T6.2-upper --d 2 --gamma 3 --nmax 1000",
     "seq-fs3-d2": "seq --family fs:gamma=3,xi=0 --d 2 --N 3 --eps 0.5",
     "seq-exp-d3": "seq --family exp:gamma=1,r=1 --d 3 --N 1 --eps 0.5",
     "seq-fs1-d2": "seq --family fs:gamma=1,xi=0 --d 2 --N 3 --eps 0.5",
@@ -392,10 +468,11 @@ SPECTRUM_AND_SEQ_OPS = {
 
 
 def test_spectrum_and_seq_match_benchmark_goldens(tmp_path, capsys):
-    # Rendered in-process through --out; the goldens are only read here.
+    # Rendered in-process through --out, byte for byte what the benchmark
+    # reads on stdout; the goldens are only read here.
     ops = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["ops"]
-    assert {name for name in ops if name.startswith("seq-")} <= set(SPECTRUM_AND_SEQ_OPS)
-    for name, line in SPECTRUM_AND_SEQ_OPS.items():
+    assert {name for name in ops if name.startswith("seq-")} <= set(GOLDEN_OPS)
+    for name, line in GOLDEN_OPS.items():
         out_path = tmp_path / f"{name}.out"
         code, _, _ = run_cli(capsys, *line.split(), "--out", str(out_path))
         data = out_path.read_bytes()
@@ -669,6 +746,19 @@ def test_widths_fit_rejects_malformed_csv(tmp_path, capsys, body, reason):
     code, out, err = run_cli(capsys, "widths", "fit", str(path), "--N", "0", "--nmax", "30")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and reason in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("head", [
+    b"n,d\xffn\n0,1\n",                                                # in the header
+    b"n,d_n\n" + b"".join(b"%d,%r\n" % (n, 1 / (n + 1)) for n in range(2000)),  # past 8 KiB
+], ids=["header", "past-first-chunk"])
+def test_widths_fit_of_a_csv_that_is_not_utf8_exits_2(tmp_path, capsys, head):
+    path = tmp_path / "table.csv"
+    path.write_bytes(head + b"\xff\n")
+    code, out, err = run_cli(capsys, "widths", "fit", str(path), "--N", "0", "--nmax", "30")
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed width CSV: 'utf-8' codec can't decode byte 0xff")
+    assert "Traceback" not in err
 
 
 def test_seq_slow_family_and_overflow_exit_codes(capsys):
