@@ -61,6 +61,16 @@ POINT_TOL = 1e-12
 
 _EVAL_ROWS = 2048  # points per pass of a MonomialMap
 
+# Time model of verify_gegenbauer, in flops of sphere.MAX_CLOUD_FLOPS: each
+# disk polynomial runs min(m, n) Jacobi recurrence steps and one step's
+# worth of set-up over every point pair. One step over one pair took 1.4e-8
+# to 2.5e-8 s at 1000 pairs (d = 2 to 4, k_max = 50 and 100) on a 2-vCPU
+# x86-64 VM, about 700 times sphere.SECONDS_PER_CLOUD_FLOP. A step over
+# fewer pairs costs about as much as over 1000 (numpy's per-call overhead),
+# so fewer count as 1000.
+_STEP_FLOPS = 700
+_STEP_MIN_PAIRS = 1000
+
 
 def _moment(d, total):
     """Closed-form sphere moment of |z^t|^2 for t = total, in units of omega(d).
@@ -378,10 +388,16 @@ def verify_addition(d, m, n, samples, seed):
     """Max deviation of the reproducing identity over random point pairs.
 
     Checks both sum_j conj(Y_j(w)) Y_j(z) = zonal(w, z) and the diagonal
-    normalisation sum_j |Y_j(z)|^2 = dim / omega(d).
+    normalisation sum_j |Y_j(z)|^2 = dim / omega(d). Inputs whose arrays
+    would pass sphere.MAX_CLOUD_BYTES are refused before the basis is built.
     """
     if samples < 1:
         raise ArgumentError("need at least one sample pair")
+    sphere.refuse_cost(f"addition check for d={d}, bidegree ({m}, {n})", (), [
+        ("points", (2 * samples, d), 16),
+        ("basis values", (samples, dim_complex_harmonic(d, m, n), 3), 16),  # at z, at w, their products
+        ("pair values", (samples, 5), 16),  # the sums, the zonal and their deviations
+    ])
     basis_ = build_basis(d, m, n)
     pts = sphere.sample_points(d, 2 * samples, seed)
     zs, ws = pts[:samples], pts[samples:]
@@ -405,7 +421,9 @@ def verify_gegenbauer(d, k_max, samples, seed):
     Every degree is checked on the same pairs. The left side uses the
     Gegenbauer polynomial with index d - 1 (the real sphere is S^(2d-1))
     evaluated at Re <z, w>; this check pins down the Gegenbauer
-    normalisation used in this package.
+    normalisation used in this package. Inputs estimated at more than
+    sphere.MAX_CLOUD_FLOPS (_STEP_FLOPS per recurrence step and pair) or
+    sphere.MAX_CLOUD_BYTES are refused before any point is drawn.
     """
     if d < 2:
         raise ArgumentError(f"complex dimension d must be >= 2, got {d}")
@@ -413,6 +431,13 @@ def verify_gegenbauer(d, k_max, samples, seed):
         raise ArgumentError(f"degree must be nonnegative, got {k_max}")
     if samples < 1:
         raise ArgumentError("need at least one sample pair")
+    # sum of min(m, n) + 1 over the disk polynomials with m + n <= k_max
+    steps = k_max * (k_max + 2) * (2 * k_max - 1) // 24 + (k_max + 1) * (k_max + 2) // 2
+    sphere.refuse_cost(f"Gegenbauer check for d={d}, degrees 0..{k_max}",
+                       (max(samples, _STEP_MIN_PAIRS), steps, _STEP_FLOPS), [
+                           ("points", (2 * samples, d), 16),
+                           ("pair values", (samples, 7), 16),  # the recurrences' working arrays
+                       ], work="recurrence steps")
     pts = sphere.sample_points(d, 2 * samples, seed)
     zs, ws = pts[:samples], pts[samples:]
     t = np.sum(zs * np.conj(ws), axis=1)
@@ -429,6 +454,14 @@ def verify_gegenbauer(d, k_max, samples, seed):
     return worst
 
 
+def check_projection_cost(d, m, n, samples):
+    """Refuse a project_mc call whose arrays would pass sphere.MAX_CLOUD_BYTES."""
+    if samples < 2:
+        raise ArgumentError("need at least two samples for a standard error")
+    sphere.refuse_cost(f"projection for d={d}, bidegree ({m}, {n})", (), [
+        ("points", (samples, d), 16), ("integrand", (samples,), 16)])
+
+
 def project_mc(f, d, m, n, w, samples, seed):
     """Monte Carlo estimate of the projection of f onto the (m, n) harmonic
     space, evaluated at the pole w.
@@ -437,10 +470,9 @@ def project_mc(f, d, m, n, w, samples, seed):
     (omega(d) * mean, stderr) where the stderr combines the real and
     imaginary sample variances of the integrand. f and the zonal kernel are
     evaluated one sampling chunk of points at a time, into one integrand
-    array.
+    array, after check_projection_cost.
     """
-    if samples < 2:
-        raise ArgumentError("need at least two samples for a standard error")
+    check_projection_cost(d, m, n, samples)
     pts = sphere.sample_points(d, samples, seed)
     integrand = np.empty(samples, dtype=complex)
     for start in range(0, samples, sphere._CHUNK):

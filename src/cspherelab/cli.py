@@ -331,6 +331,7 @@ def _cmd_widths_compare(args):
 
 
 def _cmd_project(args):
+    basis.check_projection_cost(args.d, args.m, args.n, args.samples)  # before the basis is built
     built = basis.build_basis(args.d, args.m, args.n)
     if not 0 <= args.j < built.dim:
         raise ArgumentError(f"basis index {args.j} out of range [0, {built.dim})")

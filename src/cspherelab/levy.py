@@ -44,41 +44,14 @@ from .basis import MonomialMap, _check_on_sphere, build_basis
 from .dimensions import layer_members, theta
 from .errors import ArgumentError, ConsistencyError
 from .multipliers import MultiplierFamily, lambda_value, multiplier_at
-from .sphere import (_CAP_SAMPLES, _chunk_rng, abs_power_inplace, check_exponent, lp_norm_mc, omega,
-                     power_needs_base, sample_points, sup_norm_refined)
+# The ceilings are imported to be read as levy.MAX_CLOUD_FLOPS and levy.MAX_CLOUD_BYTES.
+from .sphere import (_CAP_SAMPLES, MAX_CLOUD_BYTES, MAX_CLOUD_FLOPS, _chunk_rng,  # noqa: F401
+                     abs_power_inplace, check_exponent, lp_norm_mc, omega, power_needs_base, refuse_cost,
+                     sample_points, sup_norm_refined)
 
 # The fixed Monte Carlo layout: rows per pass, and cloud blocks for the cloud error.
 _OUTER_ROWS = 200
 _CLOUD_BLOCKS = 8
-
-# Cost guard of the Monte Carlo Levy mean: its cloud products cost
-# 2 * sphere_samples * s * omega_samples flops. A whole cloud-path call took
-# 2.6e-11 to 3.0e-11 s per such flop on a 2-vCPU x86-64 VM with OpenBLAS
-# (s = 63 to 342, 1000 to 4000 outer rows, 5e4 to 1e5 points), so the
-# ceiling refuses inputs that would take more than about a minute, e.g.
-# d=3 (0, 6] (s = 3919) at 1000 x 10^6. Windows with s below about 20 take
-# longer per flop: their |.|^p reductions cost more than their products.
-MAX_CLOUD_FLOPS = 2 * 10**12
-SECONDS_PER_CLOUD_FLOP = 3e-11
-
-# Memory guard of the same path: the arrays that grow with the sample counts
-# are the (sphere_samples, s) outer rows, one (omega_samples / _CLOUD_BLOCKS,
-# s) cloud block, the (_OUTER_ROWS, omega_samples / _CLOUD_BLOCKS) pass
-# buffer (fewer rows if sphere_samples is smaller) and, at the p whose
-# powering multiplies by |v| (sphere.power_needs_base), a second buffer of
-# that size holding |v|, the (omega_samples, d) complex points, and per
-# outer sample the (sphere_samples, _CLOUD_BLOCKS) block statistics, the two
-# temporaries of that size which the closing reduction makes while the
-# outer rows are held, and the norms and their squares.
-# Inputs whose sum of those exceeds the ceiling, a quarter of an 8 GB
-# machine, are refused; a small sphere_samples can keep the flops low while
-# the cloud block alone takes tens of gigabytes, and a small window can do
-# the same while the block statistics outgrow the outer rows. The exact
-# p = 2 path has no cloud: it holds the squared norms, one per outer sample,
-# the temporary of the same size that their standard deviation makes, and
-# one (_OUTER_ROWS, s) pass of outer rows with its square; the same ceiling
-# applies to those, and to the arrays of nikolskii_check.
-MAX_CLOUD_BYTES = 2 * 10**9
 
 
 class RealBasisMember(namedtuple("RealBasisMember", "bidegree index part")):
@@ -222,42 +195,35 @@ def _weighted_rows(rng, lam, out):
 
 
 def check_cloud_cost(prob: LevyProblem, sphere_samples, omega_samples):
-    """Refuse a Levy mean over MAX_CLOUD_FLOPS or MAX_CLOUD_BYTES.
+    """Refuse a Levy mean over MAX_CLOUD_FLOPS or MAX_CLOUD_BYTES (sphere.refuse_cost).
 
-    The cost is 2 * sphere_samples * s * omega_samples flops and the bytes
-    of the arrays named at MAX_CLOUD_BYTES, with s the window size from the
-    dimension formula, so nothing is built to find them. omega_samples = 0
-    is the exact p = 2 path, which has no cloud. The evaluator's per-chunk
-    arrays (MonomialMap's fixed chunk of points) are not counted: they do
-    not grow with the sample counts.
+    s is the window size from the dimension formula, so nothing is built to
+    find it. omega_samples = 0 is the exact p = 2 path, which has no cloud
+    and so no products. The evaluator's per-chunk arrays (MonomialMap's
+    fixed chunk of points) are not counted: they do not grow with the
+    sample counts.
     """
     _check_window(prob.m1, prob.m2)
-    refused = f"Levy mean for d={prob.d}, window ({prob.m1}, {prob.m2}] refused"
+    what = f"Levy mean for d={prob.d}, window ({prob.m1}, {prob.m2}]"
     s = theta(prob.d, prob.m1, prob.m2, "max")
-    cost = 2 * sphere_samples * s * omega_samples
-    if cost > MAX_CLOUD_FLOPS:
-        raise ArgumentError(
-            f"{refused}: its cloud products cost 2 x {sphere_samples} x {s} x {omega_samples}"
-            f" = {cost:.2e} flops > {MAX_CLOUD_FLOPS:.0e}, an estimated"
-            f" {cost * SECONDS_PER_CLOUD_FLOP:.0f} s")
     rows = min(_OUTER_ROWS, sphere_samples)
     if omega_samples == 0:
-        nbytes = 8 * 2 * (sphere_samples + rows * s)
-        arrays = (f"outer-sample arrays take an estimated {nbytes / 1e9:.1f} GB (squared norms"
-                  f" {sphere_samples} x 2, outer rows {rows} x {s} x 2)")
-    else:
-        per_block = omega_samples // _CLOUD_BLOCKS
-        per_sample = 3 * _CLOUD_BLOCKS + 2  # block statistics, 2 closing temporaries, norms, sq
-        pass_buffers = 2 if power_needs_base(prob.p) else 1  # and |.| of the pass, for |.|^p
-        nbytes = (8 * (sphere_samples * (s + per_sample) + per_block * s
-                       + pass_buffers * rows * per_block) + 16 * omega_samples * prob.d)
-        arrays = (f"cloud arrays take an estimated {nbytes / 1e9:.1f} GB (outer rows"
-                  f" {sphere_samples} x {s}, cloud block {per_block} x {s}, pass buffer {rows} x"
-                  f" {per_block}{' x 2' if pass_buffers == 2 else ''}, points {omega_samples} x"
-                  f" {prob.d} complex, block statistics {sphere_samples} x {_CLOUD_BLOCKS} x 3,"
-                  f" norms {sphere_samples} x 2)")
-    if nbytes > MAX_CLOUD_BYTES:
-        raise ArgumentError(f"{refused}: its {arrays} > {MAX_CLOUD_BYTES / 1e9:.0f} GB")
+        # each with the temporary of its size: the squared norms' standard
+        # deviation, the square of a pass of outer rows
+        refuse_cost(what, (), [("squared norms", (sphere_samples, 2), 8),
+                               ("outer rows", (rows, s, 2), 8)], held="outer-sample arrays")
+        return
+    per_block = omega_samples // _CLOUD_BLOCKS
+    refuse_cost(what, (2, sphere_samples, s, omega_samples), [
+        ("outer rows", (sphere_samples, s), 8),
+        ("cloud block", (per_block, s), 8),
+        # and the powering's |v| of the pass, at the p where it multiplies by it
+        ("pass buffer", (rows, per_block, 2) if power_needs_base(prob.p) else (rows, per_block), 8),
+        ("points", (omega_samples, prob.d), 16),
+        # per outer sample: the statistics and the closing reduction's two temporaries of their size
+        ("block statistics", (sphere_samples, _CLOUD_BLOCKS, 3), 8),
+        ("norms", (sphere_samples, 2), 8),  # and their squares
+    ], held="cloud arrays")
 
 
 def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
@@ -402,28 +368,6 @@ def levy_bounds(prob: LevyProblem):
                       inconsistent=known and lower > upper, monotone=monotone)
 
 
-def _check_nikolskii_bytes(d, m1, m2, trials, omega_samples):
-    """Refuse a Nikolskii check whose arrays take more than MAX_CLOUD_BYTES.
-
-    The arrays are counted from the dimension formula, so nothing is built
-    to find them: the (s, omega_samples) cloud values, the two pass
-    buffers, the (trials, s) coefficients, the cloud's points, and the
-    (trials, _CAP_SAMPLES, d) cap array with one pass of its values.
-    """
-    _check_window(m1, m2)
-    s = theta(d, m1, m2, "max")
-    rows = min(_OUTER_ROWS, trials)
-    nbytes = (8 * (s * omega_samples + 2 * rows * omega_samples + trials * s + rows * _CAP_SAMPLES * s)
-              + 16 * d * (omega_samples + trials * _CAP_SAMPLES))
-    if nbytes > MAX_CLOUD_BYTES:
-        raise ArgumentError(
-            f"Nikolskii check for d={d}, window ({m1}, {m2}] refused: its arrays take an estimated"
-            f" {nbytes / 1e9:.1f} GB (cloud values {s} x {omega_samples}, pass buffers {rows} x"
-            f" {omega_samples} x 2, coefficients {trials} x {s}, points {omega_samples} x {d} complex,"
-            f" cap array {trials} x {_CAP_SAMPLES} x {d} complex, cap pass {rows * _CAP_SAMPLES} x {s})"
-            f" > {MAX_CLOUD_BYTES / 1e9:.0f} GB")
-
-
 def nikolskii_check(d, m1, m2, p, trials, seed, omega_samples=4096):
     """Check the window's norm comparison inequalities on random polynomials.
 
@@ -440,16 +384,25 @@ def nikolskii_check(d, m1, m2, p, trials, seed, omega_samples=4096):
     is formed _OUTER_ROWS trials per pass into one reused buffer; each pass
     gives its trials' cloud maxima, the points where they lie and both
     cloud norms, whose |t|^q and deviations share a second pass buffer. The
-    caps are evaluated _OUTER_ROWS trials per pass too. Inputs whose arrays
-    take more than MAX_CLOUD_BYTES are refused before any basis is built
-    (_check_nikolskii_bytes).
+    caps are evaluated _OUTER_ROWS trials per pass too. Inputs whose cloud
+    products cost more than MAX_CLOUD_FLOPS, or whose arrays take more than
+    MAX_CLOUD_BYTES, are refused before any basis is built (refuse_cost).
     """
     check_exponent(p)
     if trials < 1:
         raise ArgumentError("need at least one trial")
-    _check_nikolskii_bytes(d, m1, m2, trials, omega_samples)
+    _check_window(m1, m2)
+    s = theta(d, m1, m2, "max")
+    rows = min(_OUTER_ROWS, trials)
+    refuse_cost(f"Nikolskii check for d={d}, window ({m1}, {m2}]", (2, trials, s, omega_samples), [
+        ("cloud values", (s, omega_samples), 8),
+        ("pass buffers", (rows, omega_samples, 2), 8),
+        ("coefficients", (trials, s), 8),
+        ("points", (omega_samples, d), 16),
+        ("cap array", (trials, _CAP_SAMPLES, d), 16),
+        ("cap pass", (rows * _CAP_SAMPLES, s), 8),
+    ])
     system = build_real_system(d, m1, m2)
-    s = system.s
     w = omega(d)
     rng = _chunk_rng(seed, 555)
     coeffs = rng.standard_normal((trials, s))

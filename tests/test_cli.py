@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import cspherelab
-from cspherelab import basis, cli, dimensions, levy, report, widths
+from cspherelab import basis, cli, dimensions, levy, report, sphere, widths
 from cspherelab.basis import build_basis
 from cspherelab.cli import _input_bytes, run
 from cspherelab.dimensions import dim_layer
@@ -347,6 +348,55 @@ def test_levy_refused_by_its_memory_exits_2(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err.startswith("error: Levy mean for d=3, window (0, 6] refused")
     assert "cloud arrays take an estimated 39.7 GB" in err and err.rstrip().endswith("> 2 GB")
+
+
+class _Reached(Exception):
+    """A patched builder or sampler ran: the command passed its estimate."""
+
+
+def _benchmark_ops(workload):
+    return runpy.run_path(str(GOLDEN_PATH.parent / "workloads.py"))["all_ops"](workload)
+
+
+# Every sampling command over its ceiling, then inputs under it (refusal
+# None), among them every benchmark op of those commands. A refused input
+# would run for minutes or take gigabytes if it were run. The tests above
+# pin levy's exact path and check nikolskii's bytes.
+REFUSAL_CASES = [pytest.param(argv, refusal, id=name) for name, argv, refusal in [
+    ("levy-flops", ("levy", "--d", "3", "--N", "0", "--lmax", "6", "--family", "fs:gamma=3,xi=0",
+                    "--p", "4", "--omega-samples", "1000000"),
+     "2 x 1000 x 3919 x 1000000 = 7.84e+12 flops > 2e+12"),
+    ("nikolskii-flops", ("check", "nikolskii", "--d", "3", "--N", "0", "--lmax", "6",
+                         "--omega-samples", "1000000"),
+     "2 x 1000 x 3919 x 1000000 = 7.84e+12 flops > 2e+12"),
+    ("addition-bytes", ("check", "addition", "--d", "3", "--m", "3", "--n", "2", "--samples", "10000000"),
+     "estimated 21.9 GB"),
+    ("gegenbauer-flops", ("check", "gegenbauer", "--d", "3", "--lmax", "2000"),
+     "1000 x 669169501 x 700 = 4.68e+14 flops > 2e+12, an estimated 14053 s"),
+    ("gegenbauer-bytes", ("check", "gegenbauer", "--d", "3", "--lmax", "0", "--samples", "100000000"),
+     "estimated 20.8 GB"),
+    ("project-bytes", ("project", "--d", "2", "--m", "3", "--n", "3", "--samples", "100000000"),
+     "estimated 4.8 GB"),
+    ("gegenbauer-lmax200", ("check", "gegenbauer", "--d", "3", "--lmax", "200", "--seed", "0"), None),
+] + [(f"bench-{op.name}", (*op.argv, "--seed", "0"), None) for op in _benchmark_ops("levy-mc")]]
+
+
+@pytest.mark.parametrize("argv, refusal", REFUSAL_CASES)
+def test_sampling_commands_refuse_over_their_ceilings_before_anything_is_built(argv, refusal, capsys,
+                                                                                monkeypatch):
+    def reach(*args, **kwargs):
+        raise _Reached
+
+    for module, name in [(basis, "build_basis"), (levy, "build_basis"), (levy, "build_real_system"),
+                         (sphere, "sample_points"), (levy, "sample_points")]:
+        monkeypatch.setattr(module, name, reach)
+    if refusal is None:
+        with pytest.raises(_Reached):  # past the estimate, at the first build or draw
+            run(list(argv))
+        return
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and " refused: its " in err and refusal in err
 
 
 def test_levy_json_schema(capsys):
