@@ -454,25 +454,21 @@ def verify_gegenbauer(d, k_max, samples, seed):
     return worst
 
 
-def check_projection_cost(d, m, n, samples):
-    """Refuse a project_mc call whose arrays would pass sphere.MAX_CLOUD_BYTES."""
-    if samples < 2:
-        raise ArgumentError("need at least two samples for a standard error")
-    sphere.refuse_cost(f"projection for d={d}, bidegree ({m}, {n})", (), [
-        ("points", (samples, d), 16), ("integrand", (samples,), 16)])
-
-
 def project_mc(f, d, m, n, w, samples, seed):
     """Monte Carlo estimate of the projection of f onto the (m, n) harmonic
     space, evaluated at the pole w.
 
     Integrates f(z) * conj(zonal_w(z)) over the sphere: returns
     (omega(d) * mean, stderr) where the stderr combines the real and
-    imaginary sample variances of the integrand. f and the zonal kernel are
-    evaluated one sampling chunk of points at a time, into one integrand
-    array, after check_projection_cost.
+    imaginary sample variances of the integrand. A call whose arrays would
+    pass sphere.MAX_CLOUD_BYTES is refused before f is first called. f and
+    the zonal kernel are evaluated one sampling chunk of points at a time,
+    into one integrand array.
     """
-    check_projection_cost(d, m, n, samples)
+    if samples < 2:
+        raise ArgumentError("need at least two samples for a standard error")
+    sphere.refuse_cost(f"projection for d={d}, bidegree ({m}, {n})", (), [
+        ("points", (samples, d), 16), ("integrand", (samples,), 16)])
     pts = sphere.sample_points(d, samples, seed)
     integrand = np.empty(samples, dtype=complex)
     for start in range(0, samples, sphere._CHUNK):

@@ -195,8 +195,10 @@ def build_level_sequence(fam, start, count):
     Requires lambda(start) > 0. Every family is non-increasing past the
     start, so each step gallops and bisects in O(log N_(k+1)) evaluations
     on Python ints; a level too large for lambda to be evaluated in floats
-    raises DivergenceError. The identity family never drops and raises
-    DivergenceError at once.
+    raises DivergenceError. So does a step from a level where lambda has
+    underflowed to 0.0, since every later level would drop too; such a
+    level may still end the sequence. The identity family never drops and
+    raises DivergenceError at once.
     """
     if count < 1:
         raise ArgumentError(f"need at least one sequence term, got {count}")
@@ -209,6 +211,10 @@ def build_level_sequence(fam, start, count):
         raise DivergenceError(f"no level drops the multiplier by a factor e ({fam.describe()})")
     levels = [start]
     while len(levels) < count:
+        if current == 0:
+            raise DivergenceError(
+                f"lambda underflows to 0.0 at level {levels[-1]}, so no later level of the sequence"
+                f" is determined ({fam.describe()})")
         levels.append(_next_level_gallop(fam, levels[-1], current / math.e))
         current = _magnitude(fam, levels[-1])
     return levels
@@ -233,8 +239,9 @@ KCLASS_EXPONENTS = (1.0, 1.5, 2.0)
 def plan_beta(fam, d, start, eps):
     """Build the full rank-budget plan for a multiplier family.
 
-    Raises DivergenceError when a level, or a ratio theta_k / theta12 of
-    the sequence-class sum, is beyond the float range.
+    Raises DivergenceError when a level, a budget e^(-eps k) theta12 or a
+    ratio theta_k / theta12 of the sequence-class sum is beyond the float
+    range.
     """
     if not eps > 0:  # NaN too
         raise ArgumentError(f"eps must be positive, got {eps}")
@@ -245,7 +252,12 @@ def plan_beta(fam, d, start, eps):
     thetas = [theta(d, levels[k], levels[k + 1], fam.grading) for k in range(len(levels) - 1)]
 
     mk = [cum_dim(d, start, fam.grading)]
-    mk += [int(math.floor(math.exp(-eps * k) * theta12)) + 1 for k in range(1, M + 1)]
+    try:
+        mk += [int(math.floor(math.exp(-eps * k) * theta12)) + 1 for k in range(1, M + 1)]
+    except OverflowError:
+        raise DivergenceError(
+            f"the rank budget e^(-eps k) theta12 exceeds the float range (theta12 has"
+            f" {len(str(theta12))} digits; {fam.describe()})") from None
     beta = sum(mk)
 
     ratios = {}

@@ -10,11 +10,9 @@ the plateau's first rank, to remove the staircase bias.
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 import operator
-import warnings
 from collections import namedtuple
 
 from ._lazy import numpy as np
@@ -135,16 +133,17 @@ def l2_width_table(fam: MultiplierFamily, d, n_max):
 def table_from_runs(runs):
     """Validate (value, count) runs read from outside (e.g. a CSV) into a WidthTable.
 
-    The values must be non-increasing, an uptick of at most 1e-12 excepted
-    (it starts a run of its own), and no value may be NaN. Errors name the
-    row, i.e. the rank, where the fault begins.
+    The values must be finite and nonnegative (no NaN, no inf) and
+    non-increasing, an uptick of at most 1e-12 excepted (it starts a run of
+    its own). Errors name the row, i.e. the rank, where the fault begins.
     """
     if not runs:
         raise ArgumentError("empty width table")
     rank, previous = 0, math.inf
     for value, count in runs:
-        if math.isnan(value):
-            raise ArgumentError(f"width value at row {rank} is NaN")
+        if not 0 <= value < math.inf:  # NaN too
+            shown = "NaN" if math.isnan(value) else repr(value)
+            raise ArgumentError(f"width value at row {rank} is {shown}; a width is finite and nonnegative")
         if value - previous > 1e-12:
             raise ArgumentError(
                 f"width values must be non-increasing, but row {rank} rises above row {rank - 1}")
@@ -280,51 +279,51 @@ def parse_csv_runs(data):
     return tuple(runs)
 
 
-def _loadtxt_runs(data):
-    """Runs of a width CSV (bytes) in any layout numpy's loadtxt accepts.
+def _field(kind, text, row):
+    """kind(text), the int rank or the float value of a width CSV's data row row."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ArgumentError(f"malformed width CSV: could not convert string {text.strip()!r}"
+                            f" to {kind.__name__} at row {row}") from None
 
-    The header must read 'n,d_n' (spaces ignored), blank lines are skipped
-    and values are bit-identical to float(). Bytes that are not UTF-8, a
-    malformed row or a rank column that is not 0, 1, 2, ... raise
-    ArgumentError.
-    """
-    row = np.dtype([("n", np.int64), ("d_n", np.float64)])
-    handle = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-    try:  # reading the header decodes the file's first chunk
-        header = handle.readline().strip()
+
+def _text_runs(data):
+    """Runs of a width CSV (bytes) in any layout of the grammar that table_from_csv states."""
+    try:
+        header, *lines = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
     except UnicodeDecodeError as exc:
         raise ArgumentError(f"malformed width CSV: {exc}") from exc
     expected = _HEADER.decode().strip()
     if header.replace(" ", "") != expected:
         raise ArgumentError(f"expected header {expected!r}, got {header!r}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # an empty body is reported by the caller
-        try:
-            rows = np.loadtxt(handle, delimiter=",", dtype=row, ndmin=1)
-        except ValueError as exc:
-            reason = str(exc).partition("; use `usecols`")[0]  # numpy's hint names its API
-            raise ArgumentError(f"malformed width CSV: {reason}") from exc
-    gaps = np.flatnonzero(rows["n"] != np.arange(rows.size))
-    if gaps.size:
-        idx = int(gaps[0])
-        raise ArgumentError(
-            f"width CSV ranks must be contiguous from 0, got {rows['n'][idx]} at row {idx}")
-    return run_lengths(rows["d_n"].tolist())
+    values = []
+    for row, line in enumerate(filter(None, lines)):
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise ArgumentError(
+                f"malformed width CSV: row {row} requires 2 columns but {len(fields)} were found")
+        rank = _field(int, fields[0], row)
+        if rank != row:
+            raise ArgumentError(f"width CSV ranks must be contiguous from 0, got {rank} at row {row}")
+        values.append(_field(float, fields[1], row))
+    return run_lengths(values)
 
 
 def table_from_csv(data):
     """The validated WidthTable of a width CSV (bytes).
 
-    A file byte for byte as csv_runs writes it is decoded by parse_csv_runs,
-    run by run, without numpy and without a float per row. Any other file
-    (hand-written, CRLF line ends, blank lines, values not in %.17g, ...) is
-    parsed by numpy's loadtxt (_loadtxt_runs), which decides what such a
-    file may hold and words the errors. An empty body raises ArgumentError;
-    table_from_runs validates the rest.
+    The grammar: UTF-8 text; the header "n,d_n", spaces ignored; then row
+    i, the i-th nonempty line after it, reads "i,value", i as int() reads
+    it and the value as float() reads it. Spaces around a field, empty
+    lines, CRLF or CR line ends and a missing final newline are allowed;
+    anything else (comments too) raises ArgumentError naming its row. The
+    writer's own bytes are decoded run by run by parse_csv_runs; any other
+    file, row by row by _text_runs. table_from_runs validates the runs.
     """
     runs = parse_csv_runs(data)
     if runs is None:
-        runs = _loadtxt_runs(data)
+        runs = _text_runs(data)
     if not runs:
         raise ArgumentError("width CSV has no data rows")
     return table_from_runs(runs)

@@ -6,14 +6,17 @@ import io
 import json
 import math
 import os
+import random
 import re
 import runpy
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cspherelab
@@ -21,9 +24,9 @@ from cspherelab import basis, cli, dimensions, levy, report, sphere, widths
 from cspherelab.basis import build_basis
 from cspherelab.cli import _input_bytes, run
 from cspherelab.dimensions import dim_layer
+from cspherelab.errors import ArgumentError
 from cspherelab.multipliers import exp_analytic, finite_smooth, identity
-from cspherelab.widths import (WidthTable, _loadtxt_runs, expand_spectrum, l2_width_table, table_from_csv,
-                               table_from_values)
+from cspherelab.widths import WidthTable, expand_spectrum, l2_width_table, table_from_csv, table_from_values
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
 
@@ -675,6 +678,36 @@ def test_spectrum_csv_reads_back_bit_identical(tmp_path, monkeypatch):
         assert _hex_runs(table_from_csv(_input_bytes("-")).runs) == expected
 
 
+def _loadtxt_runs(data):
+    """Runs of a width CSV (bytes) as numpy's loadtxt reads it: the oracle of both readers.
+
+    The header must read 'n,d_n' (spaces ignored); loadtxt skips blank
+    lines and '#' comments. Bytes that are not UTF-8, a malformed row or a
+    rank column that is not 0, 1, 2, ... raise ArgumentError.
+    """
+    row = np.dtype([("n", np.int64), ("d_n", np.float64)])
+    handle = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    try:  # reading the header decodes the file's first chunk
+        header = handle.readline().strip()
+    except UnicodeDecodeError as exc:
+        raise ArgumentError(f"malformed width CSV: {exc}") from exc
+    expected = widths._HEADER.decode().strip()
+    if header.replace(" ", "") != expected:
+        raise ArgumentError(f"expected header {expected!r}, got {header!r}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty body is reported by the caller
+        try:
+            rows = np.loadtxt(handle, delimiter=",", dtype=row, ndmin=1)
+        except ValueError as exc:
+            raise ArgumentError(f"malformed width CSV: {exc}") from exc
+    gaps = np.flatnonzero(rows["n"] != np.arange(rows.size))
+    if gaps.size:
+        idx = int(gaps[0])
+        raise ArgumentError(
+            f"width CSV ranks must be contiguous from 0, got {rows['n'][idx]} at row {idx}")
+    return widths.run_lengths(rows["d_n"].tolist())
+
+
 READER_TABLES = {**WRITER_TABLES, "exp-d3": l2_width_table(exp_analytic(0.5, 0.7), 3, 20000)}
 
 
@@ -684,7 +717,45 @@ def test_width_csv_fast_path_matches_loadtxt(name):
     data = _csv_text(runs).encode()
     fast = widths.parse_csv_runs(data)
     assert fast is not None
-    assert _hex_runs(fast) == _hex_runs(_loadtxt_runs(data)) == _hex_runs(runs)
+    assert _hex_runs(fast) == _hex_runs(widths._text_runs(data)) == _hex_runs(_loadtxt_runs(data)) \
+        == _hex_runs(runs)
+
+
+def _with_trailing_zeros(value):
+    mantissa, e, exponent = ("%.17g" % value).partition("e")
+    return mantissa + ("" if "." in mantissa else ".") + "000" + e + exponent
+
+
+def _relaid_csv(runs, rng):
+    """The width CSV of runs, every row laid out at random within the grammar.
+
+    Spaces around each field, CRLF, CR or LF line ends, blank lines, the
+    value in %.17g, repr() or with trailing zeros, and a final newline or
+    none; the header ends in CRLF, so the text is never the writer's.
+    """
+    def pad():
+        return " " * rng.randrange(3)
+
+    out = [rng.choice(("n,d_n", " n, d_n ", "n ,d_n")), "\r\n"]
+    rank = 0
+    for value, count in runs:
+        for _ in range(count):
+            text = rng.choice(("%.17g" % value, repr(value), _with_trailing_zeros(value)))
+            out += [pad(), str(rank), pad(), ",", pad(), text, pad(), rng.choice(("\n", "\r\n", "\r"))]
+            if rng.random() < 0.1:
+                out.append("\n")
+            rank += 1
+    text = "".join(out)
+    return text.rstrip("\r\n") if rng.random() < 0.5 else text
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", sorted(READER_TABLES))
+def test_width_csv_layouts_read_like_loadtxt(name, seed):
+    runs = READER_TABLES[name].runs
+    data = _relaid_csv(runs, random.Random(seed)).encode()
+    assert widths.parse_csv_runs(data) is None
+    assert _hex_runs(table_from_csv(data).runs) == _hex_runs(_loadtxt_runs(data)) == _hex_runs(runs)
 
 
 @pytest.mark.parametrize("old, new", [("\n5000,0.5\n", "\n5001,0.5\n"),
@@ -811,6 +882,54 @@ def test_widths_fit_of_a_csv_that_is_not_utf8_exits_2(tmp_path, capsys, head):
     assert "Traceback" not in err
 
 
+# Five rows of inf, then finite widths over ranks 5 .. 204
+INF_HEAD_RUNS = ((math.inf, 5), (0.125, 100), (0.0625, 100))
+
+
+@pytest.mark.parametrize("model", ["power", "stretched"])
+@pytest.mark.parametrize("writer", [True, False], ids=["writer-inf", "spaced-inf"])
+def test_widths_fit_refuses_infinite_widths(tmp_path, capsys, writer, model):
+    # the stretched fit died in fsum; the power fit starts at rank 2 and fitted around them
+    data = _csv_text(INF_HEAD_RUNS).encode()
+    if not writer:
+        data = data.replace(b",inf\n", b", inf\n")
+    assert (widths.parse_csv_runs(data) is not None) is writer
+    path = tmp_path / "table.csv"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, "widths", "fit", str(path), "--N", "0", "--nmax", "150",
+                             "--model", model, "--r", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: width value at row 0 is inf") and err.count("\n") == 1
+
+
+def test_widths_fit_refuses_negative_widths(tmp_path, capsys):
+    path = tmp_path / "table.csv"
+    path.write_text("n,d_n\n0,-0.5\n1,-1\n2,-2\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "widths", "fit", str(path), "--N", "0", "--nmax", "30")
+    assert code == 2 and out == ""
+    assert err.startswith("error: width value at row 0 is -0.5") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("body, reason", [
+    ("# a comment line\n0,0.5\n", "row 0 requires 2 columns but 1 were found"),
+    ("0,0.5 # a trailing comment\n", "could not convert string '0.5 # a trailing comment' to float at row 0"),
+    ("0,0.5\n \n1,0.25\n", "row 1 requires 2 columns but 1 were found"),  # a line of spaces is no blank line
+], ids=["comment-line", "trailing-comment", "spaces-line"])
+def test_width_csv_comments_exit_2(tmp_path, capsys, body, reason):
+    # loadtxt skipped '#' comments; the grammar has none
+    path = tmp_path / "table.csv"
+    path.write_text("n,d_n\n" + body, encoding="utf-8")
+    code, out, err = run_cli(capsys, "widths", "fit", str(path), "--N", "0", "--nmax", "30")
+    assert code == 2 and out == ""
+    assert err == f"error: malformed width CSV: {reason}\n"
+
+
+def test_width_csv_reads_digit_underscores():
+    # int() and float() read them; loadtxt refused them
+    data = ("n,d_n\n" + "".join(f"{k},0.5\n" for k in range(10)) + "1_0,0.2_5\n").encode()
+    assert table_from_csv(data).runs == ((0.5, 10), (0.25, 1))
+
+
 def test_seq_slow_family_and_overflow_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "seq", "--family", "fs:gamma=0.5,xi=0", "--d", "2",
                            "--N", "3", "--eps", "0.5")
@@ -821,6 +940,17 @@ def test_seq_slow_family_and_overflow_exit_codes(capsys):
                                  "--N", "3", "--eps", "0.5")
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "finite_smooth" in err
+
+
+@pytest.mark.parametrize("family, eps, message", [
+    ("exp:gamma=1,r=1", "0.001", "lambda underflows to 0.0 at level 746, so no later level"),
+    ("exp:gamma=1e-300,r=1", "5",
+     "rank budget e^(-eps k) theta12 exceeds the float range (theta12 has 900 digits"),
+], ids=["lambda-underflow", "budget-overflow"])
+def test_seq_past_the_float_range_exits_1(capsys, family, eps, message):
+    code, out, err = run_cli(capsys, "seq", "--family", family, "--d", "2", "--N", "1", "--eps", eps)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 def test_spectrum_underflow_exits_2_naming_its_cause(capsys):
@@ -849,6 +979,13 @@ def _child_env():
     src = os.path.dirname(os.path.dirname(cspherelab.__file__))
     path = os.environ.get("PYTHONPATH")
     return dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+
+
+def test_project_index_out_of_range_exits_2(capsys):
+    code, out, err = run_cli(capsys, "project", "--d", "2", "--m", "1", "--n", "1", "--j", "7",
+                             "--samples", "2000")
+    assert code == 2 and out == ""
+    assert err == "error: basis index 7 out of range [0, 3)\n"
 
 
 def test_cli_deterministic_across_processes():
@@ -920,6 +1057,41 @@ def test_widths_fit_of_a_writer_csv_never_loads_numpy(tmp_path, model):
                                      "--nmax", "20000"])
     assert code == 0
     assert loaded == []
+
+
+# The five layouts of test_noncanonical_width_csv_takes_the_fallback, as edits
+# of _writer_csv's text, and one malformed edit
+_LAYOUT_EDITS = {
+    "0.50": lambda text: text.replace("\n2,0.125\n", "\n2,0.1250\n", 1),
+    "space": lambda text: text.replace("\n1,", "\n1, ", 1),
+    "blank-line": lambda text: text.replace("\n2,0.125\n", "\n2,0.125\n\n", 1),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "no-final-newline": lambda text: text[:-1],
+    "comment": lambda text: text.replace("\n2,0.125\n", "\n2,0.125 # a comment\n", 1),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUT_EDITS))
+def test_widths_fit_of_a_noncanonical_csv_never_loads_numpy(tmp_path, layout):
+    path = Path(_writer_csv(tmp_path))
+    text = path.read_text(encoding="utf-8")
+    edited = _LAYOUT_EDITS[layout](text)
+    assert edited != text
+    path.write_bytes(edited.encode())
+    code, loaded, *_ = _loaded_after(["widths", "fit", str(path), "--nmax", "20000"])
+    assert code == (2 if layout == "comment" else 0)
+    assert loaded == []
+
+
+def test_seq_of_an_unbounded_budget_exits_1_where_lambda_underflows():
+    # --eps 1e-300 asks for about 3e300 levels; past the underflow every
+    # step added one level, and the level list grew without end
+    cmd = [sys.executable, "-m", "cspherelab.cli", "seq", "--family", "fs:gamma=3", "--d", "2",
+           "--N", "3", "--eps", "1e-300"]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=10, env=_child_env())
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error: lambda underflows to 0.0 at level ")
+    assert done.stderr.count("\n") == 1
 
 
 def test_compare_gradings_never_loads_numpy():

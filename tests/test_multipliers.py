@@ -130,6 +130,22 @@ def test_level_beyond_float_range_diverges():
         plan_beta(finite_smooth(0.2, 0, "max"), 4, 3, 0.5)
 
 
+def test_level_sequence_stops_where_lambda_underflows():
+    # exp(-l) is 0.0 from level 746 on. That level may end a sequence, but a
+    # step from it would take every later level, one by one
+    fam = exp_analytic(1, 1, "max")
+    levels = build_level_sequence(fam, 1, 731)
+    assert levels[-1] == 746 and lambda_value(fam, 746) == 0.0 < lambda_value(fam, levels[-2])
+    with pytest.raises(DivergenceError, match="underflows to 0.0 at level 746, "):
+        build_level_sequence(fam, 1, 732)
+
+
+def test_plan_beta_budget_beyond_float_range_diverges():
+    # theta12 has 900 digits, so e^(-eps k) theta12 overflows a float
+    with pytest.raises(DivergenceError, match=r"rank budget .* \(theta12 has 900 digits"):
+        plan_beta(exp_analytic(1e-300, 1, "max"), 2, 1, 5.0)
+
+
 def test_plan_beta_exp_example():
     plan = plan_beta(exp_analytic(1, 1, "max"), 2, 3, 0.5)
     assert plan.Nk[:4] == (3, 4, 5, 6)

@@ -50,6 +50,15 @@ def test_table_from_runs_refuses_nan():
         table_from_runs(((1.0, 1), (0.5, 2), (math.nan, 4)))
 
 
+def test_table_from_runs_refuses_infinite_and_negative_widths():
+    for runs, fault in [(((math.inf, 2), (0.5, 1)), "row 0 is inf"),
+                        (((1.0, 1), (-0.5, 3)), "row 1 is -0.5"),
+                        (((-math.inf, 1),), "row 0 is -inf")]:
+        with pytest.raises(ArgumentError, match=f"{fault}; a width is finite and nonnegative"):
+            table_from_runs(runs)
+    assert table_from_runs(((1.0, 1), (-0.0, 2))).runs == ((1.0, 1), (-0.0, 2))
+
+
 def test_expand_spectrum_truncates_at_rank():
     runs = expand_spectrum([(1.0, 2), (0.0, 5)], 10)
     assert runs == ((1.0, 2),)
