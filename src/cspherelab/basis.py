@@ -59,7 +59,12 @@ SECONDS_PER_BLOCK_COST = 1.2e-8
 
 POINT_TOL = 1e-12
 
-_EVAL_ROWS = 2048  # points per pass of a MonomialMap
+# Points per pass of a MonomialMap. It stays 2048 although fewer rows would
+# hold less: the row count is part of the evaluator's bits (MonomialMap).
+_EVAL_ROWS = 2048
+# Monomial columns per gather of a later coordinate's factors into the table,
+# so the gather's temporary is (_EVAL_ROWS, 64), not (_EVAL_ROWS, K)
+_GATHER_COLUMNS = 64
 
 # Time model of verify_gegenbauer, in flops of sphere.MAX_CLOUD_FLOPS: each
 # disk polynomial runs min(m, n) Jacobi recurrence steps and one step's
@@ -175,7 +180,13 @@ class MonomialMap:
     _EVAL_ROWS at a time, so the tables never exceed that many rows. The
     last chunk is padded with zero points: every product then has one
     shape, so BLAS runs one kernel and a row's value depends on its point
-    only, not on N or on where the chunk boundaries fall.
+    only, not on N or on where the chunk boundaries fall. That row count is
+    part of the values' bits, so it is fixed: with 512-row chunks, 2,124 of
+    the 106,496 values of the d = 2 (0, 2] window on 4,096 points came out
+    different, by up to 3e-13 relative. A chunk holds its one
+    (_EVAL_ROWS, K) table and gathers the factors of later coordinates into
+    it _GATHER_COLUMNS columns at a time; a full chunk's product is written
+    straight into its rows of the result.
     """
 
     def __init__(self, d, columns):
@@ -202,19 +213,31 @@ class MonomialMap:
             ks, ls = (np.array(e) for e in zip(*distinct))
             self.factors.append((j, ks, ls, np.array([slot[pair] for pair in pairs])))
 
+    @staticmethod
+    def _factor_table(z, ks, ls):
+        """The (N, F) table of the distinct factors z^k zbar^l, formed in place.
+
+        A function of its own, so that the powers and the conjugate table are
+        freed before the factors are gathered into the monomial table.
+        """
+        powers = np.empty((len(z), max(ks.max(), ls.max()) + 1), dtype=complex)
+        powers[:, 0] = 1.0
+        for k in range(1, powers.shape[1]):
+            np.multiply(powers[:, k - 1], z, out=powers[:, k])
+        factor = np.take(powers, ks, axis=1)
+        conj = np.take(powers, ls, axis=1)
+        factor *= np.conj(conj, out=conj)
+        return factor
+
     def _monomials(self, pts):
         mono = None
         for j, ks, ls, which in self.factors:
-            z = pts[:, j]
-            powers = np.empty((len(pts), max(ks.max(), ls.max()) + 1), dtype=complex)
-            powers[:, 0] = 1.0
-            for k in range(1, powers.shape[1]):
-                np.multiply(powers[:, k - 1], z, out=powers[:, k])
-            factor = np.take(powers, ks, axis=1) * np.conj(np.take(powers, ls, axis=1))
+            factor = self._factor_table(pts[:, j], ks, ls)
             if mono is None:
                 mono = np.take(factor, which, axis=1)
             else:
-                mono *= np.take(factor, which, axis=1)
+                for c in range(0, len(which), _GATHER_COLUMNS):
+                    mono[:, c:c + _GATHER_COLUMNS] *= np.take(factor, which[c:c + _GATHER_COLUMNS], axis=1)
         if mono is None:
             mono = np.ones((len(pts), self.weights.shape[0] // 2), dtype=complex)
         return mono
@@ -227,9 +250,11 @@ class MonomialMap:
         for start in range(0, points.shape[0], _EVAL_ROWS):
             chunk = points[start:start + _EVAL_ROWS]
             rows = chunk.shape[0]
-            if rows < _EVAL_ROWS:
+            if rows == _EVAL_ROWS:
+                np.matmul(self._monomials(chunk).view(float), self.weights, out=out[start:start + rows])
+            else:
                 chunk = np.concatenate([chunk, np.zeros((_EVAL_ROWS - rows, self.d), dtype=complex)])
-            out[start:start + rows] = (self._monomials(chunk).view(float) @ self.weights)[:rows]
+                out[start:] = (self._monomials(chunk).view(float) @ self.weights)[:rows]
         return out
 
 

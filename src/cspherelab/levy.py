@@ -49,8 +49,12 @@ from .sphere import (_CAP_SAMPLES, MAX_CLOUD_BYTES, MAX_CLOUD_FLOPS, _chunk_rng,
                      abs_power_inplace, check_exponent, lp_norm_mc, omega, power_needs_base, refuse_cost,
                      sample_points, sup_norm_refined)
 
-# The fixed Monte Carlo layout: rows per pass, and cloud blocks for the cloud error.
-_OUTER_ROWS = 200
+# The fixed Monte Carlo layout: rows per pass over the cloud; rows per pass of
+# the exact p = 2 path, which holds no cloud-sized array (at 64 rows its
+# 100,000 samples took 1,563 passes instead of 500, 15-25 ms more); and
+# cloud blocks for the cloud error.
+_OUTER_ROWS = 64
+_EXACT_ROWS = 200
 _CLOUD_BLOCKS = 8
 
 
@@ -199,20 +203,23 @@ def check_cloud_cost(prob: LevyProblem, sphere_samples, omega_samples):
 
     s is the window size from the dimension formula, so nothing is built to
     find it. omega_samples = 0 is the exact p = 2 path, which has no cloud
-    and so no products. The evaluator's per-chunk arrays (MonomialMap's
-    fixed chunk of points) are not counted: they do not grow with the
-    sample counts.
+    and so no products. The cloud path counts passes of _OUTER_ROWS (64)
+    outer rows, the exact path passes of _EXACT_ROWS (200). The evaluator's
+    per-chunk arrays (MonomialMap's fixed chunk of points: one (2048, K)
+    monomial table and one (2048, 64) gather) are not counted: they do not
+    grow with the sample counts.
     """
     _check_window(prob.m1, prob.m2)
     what = f"Levy mean for d={prob.d}, window ({prob.m1}, {prob.m2}]"
     s = theta(prob.d, prob.m1, prob.m2, "max")
-    rows = min(_OUTER_ROWS, sphere_samples)
     if omega_samples == 0:
         # each with the temporary of its size: the squared norms' standard
         # deviation, the square of a pass of outer rows
         refuse_cost(what, (), [("squared norms", (sphere_samples, 2), 8),
-                               ("outer rows", (rows, s, 2), 8)], held="outer-sample arrays")
+                               ("outer rows", (min(_EXACT_ROWS, sphere_samples), s, 2), 8)],
+                    held="outer-sample arrays")
         return
+    rows = min(_OUTER_ROWS, sphere_samples)
     per_block = omega_samples // _CLOUD_BLOCKS
     refuse_cost(what, (2, sphere_samples, s, omega_samples), [
         ("outer rows", (sphere_samples, s), 8),
@@ -239,11 +246,11 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
     norm, with stderr_cloud = 0.
 
     Outer samples are drawn, normalised and weighted _OUTER_ROWS rows per
-    pass from one stream, so the rows do not depend on the pass size; the
-    cloud's _CLOUD_BLOCKS equal blocks give stderr_cloud. Inputs whose cloud
-    products cost more than MAX_CLOUD_FLOPS, or whose arrays take more than
-    MAX_CLOUD_BYTES (on either path), are refused before any basis is built
-    (check_cloud_cost).
+    pass (_EXACT_ROWS on the exact path) from one stream, so the rows do not
+    depend on the pass size; the cloud's _CLOUD_BLOCKS equal blocks give
+    stderr_cloud. Inputs whose cloud products cost more than
+    MAX_CLOUD_FLOPS, or whose arrays take more than MAX_CLOUD_BYTES (on
+    either path), are refused before any basis is built (check_cloud_cost).
 
     Memory: the cloud path holds the (sphere_samples, s) outer rows, their
     (sphere_samples, _CLOUD_BLOCKS) block statistics and the cloud's points,
@@ -251,13 +258,14 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
     s) cloud block is one eval_matrix call on its slice of the points, freed
     before the next block is evaluated; a row's values depend on its point
     only, not on where the slice starts. Every pass of outer rows is
-    multiplied into one (_OUTER_ROWS, omega_samples / _CLOUD_BLOCKS) buffer,
-    reduced in place (|.|^p, or max |.| at p = inf) to the block's row
-    means; at p = 3, 5, 6, 7, ... the powering multiplies by |.| of the
-    pass, held in one second buffer of that size. The points, the block and
-    those buffers are the arrays that grow with omega_samples: exact row
-    means need a whole block row at once. The exact path holds one pass of
-    outer rows and the squared norms.
+    multiplied into one (_OUTER_ROWS, omega_samples / _CLOUD_BLOCKS) buffer
+    (64 rows: 3.2 MB at 50,000 points), reduced in place (|.|^p, or max |.|
+    at p = inf) to the block's row means; at p = 3, 5, 6, 7, ... the
+    powering multiplies by |.| of the pass, held in one second buffer of
+    that size. The points, the block and those buffers are the arrays that
+    grow with omega_samples: exact row means need a whole block row at once.
+    The exact path holds one pass of _EXACT_ROWS outer rows and the squared
+    norms.
     """
     if sphere_samples < 2:
         raise ArgumentError("need at least two coefficient-sphere samples")
@@ -272,8 +280,9 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
     system = prob.system()
     lam = system.multiplier_vector(prob.fam)
     rng = _chunk_rng(seed, 777)
-    passes = [(start, min(_OUTER_ROWS, sphere_samples - start))
-              for start in range(0, sphere_samples, _OUTER_ROWS)]
+    pass_rows = _EXACT_ROWS if exact else _OUTER_ROWS
+    passes = [(start, min(pass_rows, sphere_samples - start))
+              for start in range(0, sphere_samples, pass_rows)]
 
     if exact:
         sq = np.empty(sphere_samples)
@@ -381,12 +390,14 @@ def nikolskii_check(d, m1, m2, p, trials, seed, omega_samples=4096):
 
     Memory: the (s, omega_samples) coordinate values of the cloud are the
     only array of cloud size that lives through the check. |t| on the cloud
-    is formed _OUTER_ROWS trials per pass into one reused buffer; each pass
-    gives its trials' cloud maxima, the points where they lie and both
+    is formed _OUTER_ROWS (64) trials per pass into one reused buffer; each
+    pass gives its trials' cloud maxima, the points where they lie and both
     cloud norms, whose |t|^q and deviations share a second pass buffer. The
-    caps are evaluated _OUTER_ROWS trials per pass too. Inputs whose cloud
-    products cost more than MAX_CLOUD_FLOPS, or whose arrays take more than
-    MAX_CLOUD_BYTES, are refused before any basis is built (refuse_cost).
+    caps are evaluated _OUTER_ROWS trials per pass too, one pass's
+    (_OUTER_ROWS * _CAP_SAMPLES, s) coordinate values at a time. Inputs
+    whose cloud products cost more than MAX_CLOUD_FLOPS, or whose arrays
+    take more than MAX_CLOUD_BYTES, are refused before any basis is built
+    (refuse_cost).
     """
     check_exponent(p)
     if trials < 1:

@@ -378,6 +378,61 @@ def test_eval_rows_do_not_depend_on_the_chunking(monkeypatch):
                               whole[1])
 
 
+def _full_width_call(self, points):
+    """The earlier MonomialMap.__call__: full-width factor gathers, each chunk's product copied."""
+    from cspherelab import basis
+
+    points = np.asarray(points, dtype=complex)
+    out = np.empty((points.shape[0], self.weights.shape[1]))
+    for start in range(0, points.shape[0], basis._EVAL_ROWS):
+        chunk = points[start:start + basis._EVAL_ROWS]
+        rows = chunk.shape[0]
+        if rows < basis._EVAL_ROWS:
+            chunk = np.concatenate([chunk, np.zeros((basis._EVAL_ROWS - rows, self.d), dtype=complex)])
+        mono = None
+        for j, ks, ls, which in self.factors:
+            z = chunk[:, j]
+            powers = np.empty((len(chunk), max(ks.max(), ls.max()) + 1), dtype=complex)
+            powers[:, 0] = 1.0
+            for k in range(1, powers.shape[1]):
+                np.multiply(powers[:, k - 1], z, out=powers[:, k])
+            factor = np.take(powers, ks, axis=1) * np.conj(np.take(powers, ls, axis=1))
+            if mono is None:
+                mono = np.take(factor, which, axis=1)
+            else:
+                mono *= np.take(factor, which, axis=1)
+        if mono is None:
+            mono = np.ones((len(chunk), self.weights.shape[0] // 2), dtype=complex)
+        out[start:start + rows] = (mono.view(float) @ self.weights)[:rows]
+    return out
+
+
+# K = 40 and 46 monomials (one gather block, on two and three coordinates),
+# K = 85 and 295 (more than one block, the last one short)
+@pytest.mark.parametrize("d, m1, m2, K", [(2, 0, 3, 40), (3, 0, 2, 46), (2, 1, 4, 85), (2, 0, 6, 295)])
+def test_monomial_map_equals_full_width_oracle(d, m1, m2, K):
+    from cspherelab.levy import build_real_system
+
+    mono_map = build_real_system(d, m1, m2)._map
+    assert mono_map.weights.shape[0] // 2 == K
+    # two full chunks and a padded short one, and a single padded chunk
+    for count in (2 * 2048 + 777, 5):
+        pts = sample_points(d, count, seed=K)
+        assert np.array_equal(mono_map(pts), _full_width_call(mono_map, pts))
+
+
+def test_eval_orthonormal_equals_full_width_oracle(monkeypatch):
+    from cspherelab import basis
+
+    pts = sample_points(3, 2048 + 1000, seed=8)
+    for bidegree in ((3, 3), (2, 1)):  # K = 100 and K below 64
+        built = build_basis(3, *bidegree)
+        got = built.eval_orthonormal(pts)
+        with monkeypatch.context() as patch:
+            patch.setattr(basis.MonomialMap, "__call__", _full_width_call)
+            assert np.array_equal(got, built.eval_orthonormal(pts)), bidegree
+
+
 def test_gegenbauer_rejects_real_dimension_below_two():
     # the real-sphere zonal factor divides by 2d - 2
     for d in (0, 1):

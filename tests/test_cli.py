@@ -311,8 +311,8 @@ def test_levy_refused_by_its_cost_exits_2(capsys, monkeypatch):
 
 
 def test_check_nikolskii_refused_by_its_memory_exits_2(capsys, monkeypatch):
-    # s = 28223 on d = 4, window (0, 6]: one cap pass alone, 200 x 256 x s
-    # values, would take 11.6 GB, so the check refuses before any basis.
+    # s = 28223 on d = 4, window (0, 6]: one cap pass alone, 64 x 256 x s
+    # values, would take 3.7 GB, so the check refuses before any basis.
     def refuse(*args):
         raise AssertionError("a basis was built")
 
@@ -320,8 +320,8 @@ def test_check_nikolskii_refused_by_its_memory_exits_2(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "check", "nikolskii", "--d", "4", "--N", "0", "--lmax", "6")
     assert code == 2 and out == ""
     assert err.startswith("error: Nikolskii check for d=4, window (0, 6] refused: its arrays take an"
-                          " estimated 12.7 GB (cloud values 28223 x 4096, ")
-    assert "cap pass 51200 x 28223) > 2 GB" in err
+                          " estimated 4.9 GB (cloud values 28223 x 4096, ")
+    assert "cap pass 16384 x 28223) > 2 GB" in err
 
 
 def test_levy_exact_path_refused_by_its_memory_exits_2(capsys, monkeypatch):

@@ -257,6 +257,33 @@ def test_nikolskii_cap_passes_invariant(monkeypatch):
         assert reports[0] == reports[1], p
 
 
+# The benchmark's four cloud levy ops at their p, at reduced sizes: 250 outer
+# rows are three full passes of 64 and a short one of 58, or one full pass
+# of 200 and a short one of 50.
+@pytest.mark.parametrize("d, m1, m2, family, p", [
+    (2, 0, 3, "fs:gamma=3,xi=0", 4), (2, 0, 3, "fs:gamma=3,xi=0", math.inf),
+    (3, 0, 2, "fs:gamma=3,xi=0", 3), (2, 1, 4, "sobolev:gamma=2", 1)])
+def test_levy_mc_equal_at_64_and_200_outer_rows(monkeypatch, d, m1, m2, family, p):
+    problem = LevyProblem(d, m1, m2, parse_family(family, d, "max"), p)
+    estimates = []
+    for rows in (64, 200):
+        monkeypatch.setattr(levy, "_OUTER_ROWS", rows)
+        estimates.append(levy_mean_mc(problem, 250, 4000, seed=29))
+    a, b = estimates
+    assert (a.value, a.stderr_outer, a.stderr_cloud) == (b.value, b.stderr_outer, b.stderr_cloud)
+
+
+@pytest.mark.parametrize("p", [4, math.inf])
+def test_nikolskii_equal_at_64_and_200_rows(monkeypatch, p):
+    # the benchmark's window; 450 trials: seven full passes of 64 and a short
+    # one of 2, or two full passes of 200 and a short one of 50
+    reports = []
+    for rows in (64, 200):
+        monkeypatch.setattr(levy, "_OUTER_ROWS", rows)
+        reports.append(nikolskii_check(2, 0, 2, p, 450, seed=19))
+    assert reports[0] == reports[1]
+
+
 def test_levy_mc_argument_errors():
     problem = LevyProblem(2, 0, 1, identity("max"), 4)
     with pytest.raises(ArgumentError):
@@ -346,9 +373,9 @@ def test_levy_exact_path_equals_one_shot_draw(fam, count):
 def test_levy_mc_memory_stays_one_block_buffer():
     # 1000 x 50000 at p = 4 on a window with s = 63. The (omega_samples, s)
     # cloud matrix (25 MB) is never held: the outer rows are 0.5 MB, the
-    # points 1.6 MB, one cloud block 3.2 MB and the pass buffer 10 MB; the
-    # peak is about 20 MiB, also when the call compiles the window's
-    # MonomialMap.
+    # points 1.6 MB, one cloud block 3.2 MB and the 64-row pass buffer
+    # 3.2 MB; the peak is about 11.0 MiB, and 18.2 MiB when the call
+    # compiles the window's MonomialMap.
     problem = LevyProblem(2, 0, 3, parse_family("fs:gamma=3,xi=0", 2, "max"), 4)
     assert problem.system().s == 63
     tracemalloc.start()
@@ -363,8 +390,8 @@ def test_levy_mc_memory_stays_one_block_buffer():
 def test_levy_mc_peak_grows_by_one_cloud_block():
     # Doubling omega_samples from 24000 to 48000 adds 3000 rows to the
     # cloud block buffer (s = 63 columns) and 3000 columns to the pass
-    # buffer (200 rows), plus 24000 complex points; a held (omega_samples,
-    # s) cloud matrix would add 12 MB more. Exact row means need a whole
+    # buffer (64 rows), plus 24000 complex points; a held (omega_samples,
+    # s) cloud matrix would add 12 MB more, and 200-row passes 3.3 MB. Exact row means need a whole
     # block row at once, so these buffers must grow with omega_samples.
     problem = LevyProblem(2, 0, 3, parse_family("fs:gamma=3,xi=0", 2, "max"), 4)
     levy_mean_mc(problem, 2, 1000, seed=0)  # compile the window first
@@ -376,16 +403,16 @@ def test_levy_mc_peak_grows_by_one_cloud_block():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    streamed = 3000 * (63 + 200) * 8 + 24000 * 2 * 16
+    streamed = 3000 * (63 + 64) * 8 + 24000 * 2 * 16
     assert peaks[1] - peaks[0] <= streamed + 2**18
 
 
 def test_levy_mc_block_is_one_evaluation_call():
     # levy-d2-sobolev-p1: d = 2, window (1, 4], s = 117, 1000 x 25000 at p = 1.
     # Each (3125, 117) cloud block is one eval_matrix call, freed before the
-    # next is evaluated; the peak is about 15.3 MiB. Copying evaluation chunks
+    # next is evaluated; the peak is about 11.5 MiB. Copying evaluation chunks
     # into a reused block buffer, which keeps the last (2048, 117) chunk alive
-    # beside the block through the pass products, peaks near 18.9 MiB.
+    # beside the block through the pass products, peaks near 13.2 MiB.
     problem = LevyProblem(2, 1, 4, parse_family("sobolev:gamma=2", 2, "max"), 1)
     assert problem.system().s == 117
     levy_mean_mc(problem, 1000, 25000, seed=0)  # compile the window first
@@ -395,12 +422,31 @@ def test_levy_mc_block_is_one_evaluation_call():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 17 * 2**20
+    assert peak < 12.5 * 2**20
+
+
+# Peaks in MiB with the window's map compiled: 11.48 and 10.97 here; 14.72
+# and 17.46 with 200-row passes; 11.88 and 10.97 with full-width gathers,
+# whose (2048, K) temporary only a window with K > 64 (here 85) forms.
+@pytest.mark.parametrize("d, m1, m2, family, p, omega_samples, bound_mib", [
+    (2, 1, 4, "sobolev:gamma=2", 1, 25000, 11.7),
+    (2, 0, 3, "fs:gamma=3,xi=0", 4, 50000, 14)])
+def test_levy_mc_peak_of_64_row_passes_and_64_column_gathers(d, m1, m2, family, p, omega_samples,
+                                                              bound_mib):
+    problem = LevyProblem(d, m1, m2, parse_family(family, d, "max"), p)
+    levy_mean_mc(problem, 2, 1000, seed=0)  # compile the window first
+    tracemalloc.start()
+    try:
+        levy_mean_mc(problem, 1000, omega_samples, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
 
 
 def test_nikolskii_holds_one_cloud_array():
     # The (s, 4096) cloud coordinate values are the one array of cloud size
-    # that lives through the check; |t| is formed 200 trials per pass.
+    # that lives through the check; |t| is formed 64 trials per pass.
     tracemalloc.start()
     try:
         nikolskii_check(2, 0, 2, 4, 500, 17)
@@ -411,24 +457,25 @@ def test_nikolskii_holds_one_cloud_array():
 
 
 def test_nikolskii_peak_is_bounded_by_blocked_passes():
-    # One pass of 200 trials holds its 6.25 MiB of |t| on the 4096-point
-    # cloud and one work buffer of that size for |t|^q and its deviations;
-    # the cap passes hold one pass of coordinate values at a time and set
-    # the peak of about 18.5 MiB. No (trials, omega_samples) array is formed.
+    # One pass of 64 trials holds its 2 MiB of |t| on the 4096-point cloud
+    # and one work buffer of that size for |t|^q and its deviations; the cap
+    # passes hold one pass of coordinate values at a time. The peak is about
+    # 11.4 MiB (18.3 MiB with 200-row passes). No (trials, omega_samples)
+    # array is formed.
     tracemalloc.start()
     try:
         nikolskii_check(2, 0, 2, 4, 500, 17)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20
+    assert peak < 14 * 2**20
 
 
 def test_nikolskii_pass_holds_two_cloud_size_arrays():
     # Per cloud point a pass holds |t| and the one work buffer of both
-    # norms, 2 x 200 x 8 bytes, besides the cloud values and the points. A
+    # norms, 2 x 64 x 8 bytes, besides the cloud values and the points. A
     # third pass array (a |t|^q copy, or std's deviations beside it) would
-    # exceed the bound by 12.5 MiB at 8192 more points.
+    # exceed the bound by 4 MiB at 8192 more points.
     s = build_real_system(2, 0, 2).s
     nikolskii_check(2, 0, 2, 3, 200, 17, omega_samples=1000)  # compiles the window's map
     peaks = []
@@ -439,7 +486,7 @@ def test_nikolskii_pass_holds_two_cloud_size_arrays():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    per_point = 2 * 200 * 8 + s * 8 + 2 * 16  # two pass arrays, the cloud, the points
+    per_point = 2 * 64 * 8 + s * 8 + 2 * 16  # two pass arrays, the cloud, the points
     assert peaks[1] - peaks[0] <= 8192 * per_point + 2**18
 
 
@@ -490,7 +537,7 @@ def _full_matrix_levy_oracle(prob, sphere_samples, omega_samples, seed):
 @pytest.mark.parametrize("omega_samples", [4004, 20005])
 @pytest.mark.parametrize("p", [1, 2, 2.5, 3, 4, 6, math.inf])
 def test_levy_mc_equals_full_matrix_oracle(p, omega_samples):
-    # 450 outer rows: two full passes of 200 and a short one of 50
+    # 450 outer rows: seven full passes of 64 and a short one of 2
     problem = LevyProblem(2, 0, 2, finite_smooth(3, 0, "max"), p)
     est = levy_mean_mc(problem, 450, omega_samples, seed=5)
     assert est == _full_matrix_levy_oracle(problem, 450, omega_samples, seed=5)
@@ -569,7 +616,7 @@ def _full_array_nikolskii_oracle(d, m1, m2, p, trials, seed, omega_samples=4096)
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, math.inf])
 def test_nikolskii_equals_full_array_oracle(p):
-    # 450 trials: two full passes of 200 and a short one of 50
+    # 450 trials: seven full passes of 64 and a short one of 2
     report = nikolskii_check(2, 0, 2, p, 450, seed=13)
     assert report == _full_array_nikolskii_oracle(2, 0, 2, p, 450, seed=13)
 
@@ -607,10 +654,11 @@ def test_levy_memory_guard_refuses_before_any_basis(monkeypatch):
         levy_mean_mc(problem, 2, 10**7, seed=0)
     with pytest.raises(ArgumentError, match="refused"):
         check_cloud_cost(problem, 2, 10**7)
-    # just under (1.97e9 B) and just over (2.006e9 B) the ceiling, at 200 outer rows
-    check_cloud_cost(problem, 200, 472000)
+    # 6312000 + 4031 x omega_samples bytes at 200 outer samples in passes of 64:
+    # just under (1.973e9 B) and just over (2.006e9 B) the ceiling
+    check_cloud_cost(problem, 200, 488000)
     with pytest.raises(ArgumentError, match="estimated 2.0 GB"):
-        check_cloud_cost(problem, 200, 480000)
+        check_cloud_cost(problem, 200, 496000)
     # d = 2, window (0, 1] has s = 7: at 3.5 x 10^7 outer samples the outer rows
     # take 1.96 GB, but the (3.5e7, 8) block statistics, the closing reduction's
     # two temporaries of that size, the norms and their squares add 26 floats
@@ -651,26 +699,26 @@ def test_levy_memory_guard_counts_the_powering_copy(monkeypatch):
 
     monkeypatch.setattr(levy, "build_real_system", refuse)
     monkeypatch.setattr(levy, "build_basis", refuse)
-    # d = 2, window (0, 1] has s = 7. At 200 x 8 x 10^6 the arrays take 1.91 GB,
-    # and at p = 3, 5, 6, 7 the powering's (200, 10^6) |v| buffer adds 1.6 GB.
+    # d = 2, window (0, 1] has s = 7. At 200 x 16 x 10^6 the arrays take 1.65 GB,
+    # and at p = 3, 5, 6, 7 the powering's (64, 2 x 10^6) |v| buffer adds 1.0 GB.
     # Only the estimate runs.
     assert [p for p in (1, 2, 2.5, 3, 4, 5, 6, 7, 8, math.inf) if power_needs_base(p)] == [3, 5, 6, 7]
-    want = 8 * (200 * (7 + 26) + 10**6 * 7 + 200 * 10**6) + 16 * 8 * 10**6 * 2
-    assert f"{want / 1e9:.2f}" == "1.91"
+    want = 8 * (200 * (7 + 26) + 2 * 10**6 * 7 + 64 * 2 * 10**6) + 16 * 16 * 10**6 * 2
+    assert f"{want / 1e9:.2f}" == "1.65"
     for p in (1, 2, 2.5, 4, 8, math.inf):
-        check_cloud_cost(LevyProblem(2, 0, 1, identity("max"), p), 200, 8 * 10**6)
+        check_cloud_cost(LevyProblem(2, 0, 1, identity("max"), p), 200, 16 * 10**6)
     for p in (3, 5, 6, 7):
         problem = LevyProblem(2, 0, 1, identity("max"), p)
-        with pytest.raises(ArgumentError, match=r"estimated 3\.5 GB .*pass buffer 200 x 1000000 x 2,"):
-            check_cloud_cost(problem, 200, 8 * 10**6)
+        with pytest.raises(ArgumentError, match=r"estimated 2\.7 GB .*pass buffer 64 x 2000000 x 2,"):
+            check_cloud_cost(problem, 200, 16 * 10**6)
         with pytest.raises(ArgumentError, match="refused"):
-            levy_mean_mc(problem, 200, 8 * 10**6, seed=0)
-    # 52800 + 439 x omega_samples bytes at p = 3: just under (1.998e9) and
-    # just over (2.002e9) the ceiling; p = 4 holds 200 fewer per point
-    check_cloud_cost(LevyProblem(2, 0, 1, identity("max"), 3), 200, 4552000)
+            levy_mean_mc(problem, 200, 16 * 10**6, seed=0)
+    # 52800 + 167 x omega_samples bytes at p = 3: just under (1.9987e9) and
+    # just over (2.00004e9) the ceiling; p = 4 holds 64 fewer per point
+    check_cloud_cost(LevyProblem(2, 0, 1, identity("max"), 3), 200, 11968000)
     with pytest.raises(ArgumentError, match="refused"):
-        check_cloud_cost(LevyProblem(2, 0, 1, identity("max"), 3), 200, 4560000)
-    check_cloud_cost(LevyProblem(2, 0, 1, identity("max"), 4), 200, 4560000)
+        check_cloud_cost(LevyProblem(2, 0, 1, identity("max"), 3), 200, 11976000)
+    check_cloud_cost(LevyProblem(2, 0, 1, identity("max"), 4), 200, 11976000)
 
 
 # The benchmark's levy command lines, as (d, N, lmax, sphere samples, omega samples).
