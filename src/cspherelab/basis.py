@@ -62,9 +62,6 @@ POINT_TOL = 1e-12
 # Points per pass of a MonomialMap. It stays 2048 although fewer rows would
 # hold less: the row count is part of the evaluator's bits (MonomialMap).
 _EVAL_ROWS = 2048
-# Monomial columns per gather of a later coordinate's factors into the table,
-# so the gather's temporary is (_EVAL_ROWS, 64), not (_EVAL_ROWS, K)
-_GATHER_COLUMNS = 64
 
 # Time model of verify_gegenbauer, in flops of sphere.MAX_CLOUD_FLOPS: each
 # disk polynomial runs min(m, n) Jacobi recurrence steps and one step's
@@ -175,18 +172,21 @@ class MonomialMap:
     monomial k. Called on (N, d) points, it returns the (N, c) real values
     mono.view(float) @ weights, where mono is the (N, K) complex monomial
     table: per chunk and coordinate the powers z_j^k up to the largest
-    exponent are tabulated, each distinct factor z_j^k zbar_j^l is formed
-    once, and each monomial is the product of its gathered factors. Points go
+    exponent and their conjugates are tabulated, and each monomial's column
+    is the product of its factors z_j^k zbar_j^l, formed in place. Points go
     _EVAL_ROWS at a time, so the tables never exceed that many rows. The
     last chunk is padded with zero points: every product then has one
     shape, so BLAS runs one kernel and a row's value depends on its point
     only, not on N or on where the chunk boundaries fall. That row count is
     part of the values' bits, so it is fixed: with 512-row chunks, 2,124 of
     the 106,496 values of the d = 2 (0, 2] window on 4,096 points came out
-    different, by up to 3e-13 relative. A chunk holds its one
-    (_EVAL_ROWS, K) table and gathers the factors of later coordinates into
-    it _GATHER_COLUMNS columns at a time; a full chunk's product is written
-    straight into its rows of the result.
+    different, by up to 3e-13 relative.
+
+    Memory: a call holds its (N, c) result, allocated with room for the
+    padded last chunk, and one chunk's (_EVAL_ROWS, K) monomial table, its
+    power tables and one factor column. Every chunk's product is written
+    straight into its rows of the result, whose padding rows are then
+    dropped in place.
     """
 
     def __init__(self, d, columns):
@@ -213,48 +213,46 @@ class MonomialMap:
             ks, ls = (np.array(e) for e in zip(*distinct))
             self.factors.append((j, ks, ls, np.array([slot[pair] for pair in pairs])))
 
-    @staticmethod
-    def _factor_table(z, ks, ls):
-        """The (N, F) table of the distinct factors z^k zbar^l, formed in place.
-
-        A function of its own, so that the powers and the conjugate table are
-        freed before the factors are gathered into the monomial table.
-        """
-        powers = np.empty((len(z), max(ks.max(), ls.max()) + 1), dtype=complex)
-        powers[:, 0] = 1.0
-        for k in range(1, powers.shape[1]):
-            np.multiply(powers[:, k - 1], z, out=powers[:, k])
-        factor = np.take(powers, ks, axis=1)
-        conj = np.take(powers, ls, axis=1)
-        factor *= np.conj(conj, out=conj)
-        return factor
-
     def _monomials(self, pts):
-        mono = None
+        """The (N, K) monomial table at pts, formed column by column in place.
+
+        Each column takes its factor z_j^k zbar_j^l of coordinate j straight
+        from the power table of z_j and its conjugate: the first coordinate
+        writes it, each later one multiplies it in.
+        """
+        mono = np.empty((len(pts), self.weights.shape[0] // 2), dtype=complex)
+        factor = np.empty(len(pts), dtype=complex)
+        first = True
         for j, ks, ls, which in self.factors:
-            factor = self._factor_table(pts[:, j], ks, ls)
-            if mono is None:
-                mono = np.take(factor, which, axis=1)
-            else:
-                for c in range(0, len(which), _GATHER_COLUMNS):
-                    mono[:, c:c + _GATHER_COLUMNS] *= np.take(factor, which[c:c + _GATHER_COLUMNS], axis=1)
-        if mono is None:
-            mono = np.ones((len(pts), self.weights.shape[0] // 2), dtype=complex)
+            powers = np.empty((len(pts), max(ks.max(), ls.max()) + 1), dtype=complex)
+            powers[:, 0] = 1.0
+            for k in range(1, powers.shape[1]):
+                np.multiply(powers[:, k - 1], pts[:, j], out=powers[:, k])
+            conj = np.conj(powers)
+            for c, (k, l) in enumerate(zip(ks[which].tolist(), ls[which].tolist())):
+                column = mono[:, c]
+                if first:
+                    np.multiply(powers[:, k], conj[:, l], out=column)
+                else:
+                    np.multiply(column, np.multiply(powers[:, k], conj[:, l], out=factor), out=column)
+            first = False
+        if first:
+            mono.fill(1.0)  # every monomial is constant
         return mono
 
     def __call__(self, points):
         points = np.asarray(points, dtype=complex)
         if points.ndim != 2 or points.shape[1] != self.d:
             raise ArgumentError(f"expected (N, {self.d}) points, got shape {points.shape}")
-        out = np.empty((points.shape[0], self.weights.shape[1]))
-        for start in range(0, points.shape[0], _EVAL_ROWS):
+        n = points.shape[0]
+        out = np.empty((-(-n // _EVAL_ROWS) * _EVAL_ROWS, self.weights.shape[1]))
+        for start in range(0, n, _EVAL_ROWS):
             chunk = points[start:start + _EVAL_ROWS]
-            rows = chunk.shape[0]
-            if rows == _EVAL_ROWS:
-                np.matmul(self._monomials(chunk).view(float), self.weights, out=out[start:start + rows])
-            else:
-                chunk = np.concatenate([chunk, np.zeros((_EVAL_ROWS - rows, self.d), dtype=complex)])
-                out[start:] = (self._monomials(chunk).view(float) @ self.weights)[:rows]
+            if len(chunk) < _EVAL_ROWS:
+                chunk = np.concatenate([chunk, np.zeros((_EVAL_ROWS - len(chunk), self.d), dtype=complex)])
+            np.matmul(self._monomials(chunk).view(float), self.weights, out=out[start:start + _EVAL_ROWS])
+        # no view of out is left, so it can drop the padding rows in place
+        out.resize((n, out.shape[1]), refcheck=False)
         return out
 
 
@@ -463,9 +461,12 @@ def verify_gegenbauer(d, k_max, samples, seed):
                            ("points", (2 * samples, d), 16),
                            ("pair values", (samples, 7), 16),  # the recurrences' working arrays
                        ], work="recurrence steps")
-    pts = sphere.sample_points(d, 2 * samples, seed)
-    zs, ws = pts[:samples], pts[samples:]
+    # the pairs (z, w) are rows i and samples + i of one draw, not held
+    # through the recurrences
+    zs = sphere.sample_points(d, samples, seed)
+    ws = sphere.sample_points(d, samples, seed, start=samples)
     t = np.sum(zs * np.conj(ws), axis=1)
+    del zs, ws
     w = sphere.omega(d)
     worst = 0.0
     for k in range(k_max + 1):
@@ -486,18 +487,21 @@ def project_mc(f, d, m, n, w, samples, seed):
     Integrates f(z) * conj(zonal_w(z)) over the sphere: returns
     (omega(d) * mean, stderr) where the stderr combines the real and
     imaginary sample variances of the integrand. A call whose arrays would
-    pass sphere.MAX_CLOUD_BYTES is refused before f is first called. f and
-    the zonal kernel are evaluated one sampling chunk of points at a time,
-    into one integrand array.
+    pass sphere.MAX_CLOUD_BYTES is refused before f is first called.
+
+    Memory: each sampling chunk of points is drawn as it is integrated
+    (sample_points' start), and f and the zonal kernel are evaluated on it
+    into one (samples,) complex integrand array; no array of all the points
+    is held. The integrand and the float deviations of its variance are the
+    arrays that grow with samples.
     """
     if samples < 2:
         raise ArgumentError("need at least two samples for a standard error")
     sphere.refuse_cost(f"projection for d={d}, bidegree ({m}, {n})", (), [
-        ("points", (samples, d), 16), ("integrand", (samples,), 16)])
-    pts = sphere.sample_points(d, samples, seed)
+        ("integrand", (samples,), 16), ("deviations", (samples,), 8)])
     integrand = np.empty(samples, dtype=complex)
     for start in range(0, samples, sphere._CHUNK):
-        chunk = pts[start:start + sphere._CHUNK]
+        chunk = sphere.sample_points(d, min(sphere._CHUNK, samples - start), seed, start=start)
         fvals = np.asarray(f(chunk), dtype=complex)
         if not np.all(np.isfinite(fvals)):
             raise DataError("f produced non-finite values at sample points")

@@ -45,6 +45,16 @@ def _tolerance(text):
     return tol
 
 
+def _seed(text):
+    try:
+        seed = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"a seed is a nonnegative integer, got {seed}")
+    return seed
+
+
 def _finite(text):
     value = _float_or_inf(text)
     if not math.isfinite(value):
@@ -62,7 +72,7 @@ def _add_common(parser, *names, seed=True):
         parser.add_argument("--family", required=True,
                             help="multiplier family: sobolev:gamma=G | fs:gamma=G,xi=X | exp:gamma=G,r=R | id")
     if seed:
-        parser.add_argument("--seed", type=int, default=0, help="RNG seed (echoed in the output)")
+        parser.add_argument("--seed", type=_seed, default=0, help="RNG seed (echoed in the output)")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
 
 

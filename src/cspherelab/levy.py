@@ -56,6 +56,15 @@ from .sphere import (_CAP_SAMPLES, MAX_CLOUD_BYTES, MAX_CLOUD_FLOPS, _chunk_rng,
 _OUTER_ROWS = 64
 _EXACT_ROWS = 200
 _CLOUD_BLOCKS = 8
+# Time model of the exact p = 2 path, in flops of MAX_CLOUD_FLOPS: one
+# outer-sample coefficient (drawn, normalised, weighted and squared) took
+# 2.1e-8 to 2.6e-8 s at s = 63 to 117 (10^5 and 10^6 samples) on a 2-vCPU
+# x86-64 VM, about 900 times sphere.SECONDS_PER_CLOUD_FLOP. Windows with s
+# below about 20 take longer per coefficient (4.8e-8 s at s = 7).
+_DRAW_FLOPS = 900
+# Trials per pass of check nikolskii's cap search: 16 x _CAP_SAMPLES = 4096
+# cap points, two evaluation chunks
+_CAP_ROWS = 16
 
 
 class RealBasisMember(namedtuple("RealBasisMember", "bidegree index part")):
@@ -198,16 +207,37 @@ def _weighted_rows(rng, lam, out):
     return out
 
 
+def _reduce_block(x, block, passes, p, out):
+    """Write each outer row's statistic on one cloud block into out: max |v| at
+    p = inf, else the mean of |v|^p, with v = x @ block.T formed pass by pass.
+
+    The pass buffer, and at p = 3, 5, 6, 7, ... the buffer of |v| that the
+    powering multiplies by, are allocated after the block is evaluated and
+    freed on return, so they never sit beside the evaluator's tables.
+    """
+    buf = np.empty((passes[0][1], len(block)))
+    magnitudes = np.empty_like(buf) if power_needs_base(p) else None
+    for start, rows in passes:
+        v = np.matmul(x[start:start + rows], block.T, out=buf[:rows])
+        if p == math.inf:
+            out[start:start + rows] = np.maximum(v.max(axis=1), -v.min(axis=1))
+        else:
+            base = None if magnitudes is None else np.abs(v, out=magnitudes[:rows])
+            out[start:start + rows] = abs_power_inplace(v, p, base=base).mean(axis=1)
+
+
 def check_cloud_cost(prob: LevyProblem, sphere_samples, omega_samples):
     """Refuse a Levy mean over MAX_CLOUD_FLOPS or MAX_CLOUD_BYTES (sphere.refuse_cost).
 
     s is the window size from the dimension formula, so nothing is built to
-    find it. omega_samples = 0 is the exact p = 2 path, which has no cloud
-    and so no products. The cloud path counts passes of _OUTER_ROWS (64)
-    outer rows, the exact path passes of _EXACT_ROWS (200). The evaluator's
-    per-chunk arrays (MonomialMap's fixed chunk of points: one (2048, K)
-    monomial table and one (2048, 64) gather) are not counted: they do not
-    grow with the sample counts.
+    find it. omega_samples = 0 is the exact p = 2 path: it has no cloud and
+    no products, and its time is counted as _DRAW_FLOPS per outer-sample
+    coefficient. The cloud path counts passes of _OUTER_ROWS (64) outer rows
+    and one cloud block's points, the exact path passes of _EXACT_ROWS
+    (200). The evaluator's per-chunk arrays (MonomialMap's fixed chunk of
+    points: one (2048, K) monomial table, its power tables, and the
+    result's room for a padded last chunk) are not counted: they do not grow
+    with the sample counts.
     """
     _check_window(prob.m1, prob.m2)
     what = f"Levy mean for d={prob.d}, window ({prob.m1}, {prob.m2}]"
@@ -215,9 +245,10 @@ def check_cloud_cost(prob: LevyProblem, sphere_samples, omega_samples):
     if omega_samples == 0:
         # each with the temporary of its size: the squared norms' standard
         # deviation, the square of a pass of outer rows
-        refuse_cost(what, (), [("squared norms", (sphere_samples, 2), 8),
-                               ("outer rows", (min(_EXACT_ROWS, sphere_samples), s, 2), 8)],
-                    held="outer-sample arrays")
+        refuse_cost(what, (sphere_samples, s, _DRAW_FLOPS), [
+            ("squared norms", (sphere_samples, 2), 8),
+            ("outer rows", (min(_EXACT_ROWS, sphere_samples), s, 2), 8),
+        ], work="coefficient draws", held="outer-sample arrays")
         return
     rows = min(_OUTER_ROWS, sphere_samples)
     per_block = omega_samples // _CLOUD_BLOCKS
@@ -226,7 +257,7 @@ def check_cloud_cost(prob: LevyProblem, sphere_samples, omega_samples):
         ("cloud block", (per_block, s), 8),
         # and the powering's |v| of the pass, at the p where it multiplies by it
         ("pass buffer", (rows, per_block, 2) if power_needs_base(prob.p) else (rows, per_block), 8),
-        ("points", (omega_samples, prob.d), 16),
+        ("points", (per_block, prob.d), 16),
         # per outer sample: the statistics and the closing reduction's two temporaries of their size
         ("block statistics", (sphere_samples, _CLOUD_BLOCKS, 3), 8),
         ("norms", (sphere_samples, 2), 8),  # and their squares
@@ -252,19 +283,22 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
     MAX_CLOUD_FLOPS, or whose arrays take more than MAX_CLOUD_BYTES (on
     either path), are refused before any basis is built (check_cloud_cost).
 
-    Memory: the cloud path holds the (sphere_samples, s) outer rows, their
-    (sphere_samples, _CLOUD_BLOCKS) block statistics and the cloud's points,
-    never the cloud's coordinate matrix. Each (omega_samples / _CLOUD_BLOCKS,
-    s) cloud block is one eval_matrix call on its slice of the points, freed
-    before the next block is evaluated; a row's values depend on its point
-    only, not on where the slice starts. Every pass of outer rows is
-    multiplied into one (_OUTER_ROWS, omega_samples / _CLOUD_BLOCKS) buffer
-    (64 rows: 3.2 MB at 50,000 points), reduced in place (|.|^p, or max |.|
-    at p = inf) to the block's row means; at p = 3, 5, 6, 7, ... the
-    powering multiplies by |.| of the pass, held in one second buffer of
-    that size. The points, the block and those buffers are the arrays that
-    grow with omega_samples: exact row means need a whole block row at once.
-    The exact path holds one pass of _EXACT_ROWS outer rows and the squared
+    Memory: the cloud path holds the (sphere_samples, s) outer rows and
+    their (sphere_samples, _CLOUD_BLOCKS) block statistics, never the
+    cloud's coordinate matrix or all of its points. Each (omega_samples /
+    _CLOUD_BLOCKS, s) cloud block is one eval_matrix call on its own rows of
+    the cloud, drawn for it (sample_points' start); the points go with that
+    call and the block before the next block is evaluated. A row's values
+    depend on its point only, not on where the block starts. After the
+    block is evaluated, every pass of outer rows is multiplied into one
+    (_OUTER_ROWS, omega_samples / _CLOUD_BLOCKS) buffer (64 rows: 3.2 MB at
+    50,000 points), reduced in place (|.|^p, or max |.| at p = inf) to the
+    block's row means; at p = 3, 5, 6, 7, ... the powering multiplies by |.|
+    of the pass, held in one second buffer of that size. Both buffers go
+    with the block, so they never sit beside the evaluator's tables. The
+    block, its points and those buffers are the arrays that grow with
+    omega_samples: exact row means need a whole block row at once. The
+    exact path holds one pass of _EXACT_ROWS outer rows and the squared
     norms.
     """
     if sphere_samples < 2:
@@ -294,20 +328,12 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
         x = np.empty((sphere_samples, system.s))
         for start, rows in passes:
             _weighted_rows(rng, lam, x[start:start + rows])
-        pts = sample_points(prob.d, omega_samples, seed + 1)
         per_block = omega_samples // _CLOUD_BLOCKS
-        buf = np.empty((passes[0][1], per_block))
-        magnitudes = np.empty_like(buf) if power_needs_base(p) else None
         block_stat = np.empty((sphere_samples, _CLOUD_BLOCKS))
         for b in range(_CLOUD_BLOCKS):
-            block = system.eval_matrix(pts[b * per_block:(b + 1) * per_block])
-            for start, rows in passes:
-                v = np.matmul(x[start:start + rows], block.T, out=buf[:rows])
-                if p == math.inf:
-                    block_stat[start:start + rows, b] = np.maximum(v.max(axis=1), -v.min(axis=1))
-                else:
-                    base = None if magnitudes is None else np.abs(v, out=magnitudes[:rows])
-                    block_stat[start:start + rows, b] = abs_power_inplace(v, p, base=base).mean(axis=1)
+            # the block's points are drawn for its evaluation and freed with it
+            block = system.eval_matrix(sample_points(prob.d, per_block, seed + 1, start=b * per_block))
+            _reduce_block(x, block, passes, p, block_stat[:, b])
             del block  # freed before the next block is evaluated
         w = omega(prob.d)
         if p == math.inf:
@@ -388,16 +414,18 @@ def nikolskii_check(d, m1, m2, p, trials, seed, omega_samples=4096):
     come from the same cloud, so the p = 2 instance of the second ratio is
     the exact equality case.
 
-    Memory: the (s, omega_samples) coordinate values of the cloud are the
-    only array of cloud size that lives through the check. |t| on the cloud
-    is formed _OUTER_ROWS (64) trials per pass into one reused buffer; each
-    pass gives its trials' cloud maxima, the points where they lie and both
-    cloud norms, whose |t|^q and deviations share a second pass buffer. The
-    caps are evaluated _OUTER_ROWS trials per pass too, one pass's
-    (_OUTER_ROWS * _CAP_SAMPLES, s) coordinate values at a time. Inputs
-    whose cloud products cost more than MAX_CLOUD_FLOPS, or whose arrays
-    take more than MAX_CLOUD_BYTES, are refused before any basis is built
-    (refuse_cost).
+    Memory: the (s, omega_samples) coordinate values of the cloud and its
+    points are the only arrays of cloud size, and they are released before
+    the cap search, which never reads them. |t| on the cloud is formed
+    _OUTER_ROWS (64) trials per pass into one reused buffer; each pass gives
+    its trials' cloud maxima, the points where they lie and both cloud
+    norms, whose |t|^q and deviations share a second pass buffer. The caps
+    are evaluated _CAP_ROWS (16) trials per pass, one pass's (_CAP_ROWS *
+    _CAP_SAMPLES, s) coordinate values at a time, and their |t| is taken in
+    place. Inputs whose cloud products cost more than MAX_CLOUD_FLOPS, or
+    whose arrays take more than MAX_CLOUD_BYTES, are refused before any
+    basis is built (refuse_cost); the estimate adds the arrays of both
+    phases.
     """
     check_exponent(p)
     if trials < 1:
@@ -409,9 +437,16 @@ def nikolskii_check(d, m1, m2, p, trials, seed, omega_samples=4096):
         ("cloud values", (s, omega_samples), 8),
         ("pass buffers", (rows, omega_samples, 2), 8),
         ("coefficients", (trials, s), 8),
+        # best values, centers (d complex) and the four norms and errors, each
+        # with one temporary of its size
+        ("trial statistics", (trials, 5 + 2 * d, 2), 8),
         ("points", (omega_samples, d), 16),
         ("cap array", (trials, _CAP_SAMPLES, d), 16),
-        ("cap pass", (rows * _CAP_SAMPLES, s), 8),
+        # the cap search's draws or squared moduli, then two of their row
+        # sums and its values (sphere.sup_norm_refined)
+        ("cap moduli", (trials, _CAP_SAMPLES, d), 8),
+        ("cap values", (trials, _CAP_SAMPLES, 2), 8),
+        ("cap pass", (min(_CAP_ROWS, trials) * _CAP_SAMPLES, s), 8),
     ])
     system = build_real_system(d, m1, m2)
     w = omega(d)
@@ -436,12 +471,12 @@ def nikolskii_check(d, m1, m2, p, trials, seed, omega_samples=4096):
         norm2[rows], se_2[rows] = lp_norm_mc(mags, 2, d, out=work_buf[:n])
         if p != math.inf:
             norm_p[rows], se_p[rows] = lp_norm_mc(mags, p, d, out=work_buf[:n])
-    del mags, mag_buf, work_buf  # not held through the cap search
+    del mags, mag_buf, work_buf, cloud, pts  # the caps never read them
 
     def cap_values(cap):
         out = np.empty(cap.shape[:-1])
-        for start in range(0, trials, _OUTER_ROWS):
-            rows = slice(start, start + _OUTER_ROWS)
+        for start in range(0, trials, _CAP_ROWS):
+            rows = slice(start, start + _CAP_ROWS)
             # one pass's coordinate values at a time, freed before the next pass
             out[rows] = np.einsum("ts,tns->tn", coeffs[rows], system.eval_matrix(
                 cap[rows].reshape(-1, d)).reshape(-1, cap.shape[1], s))

@@ -7,7 +7,8 @@ norm estimator therefore multiplies sample means by omega(d) explicitly.
 Sampling has one fixed layout, which defines the sampled bytes: points are
 drawn _CHUNK at a time, each chunk from the stream (seed, chunk index) of a
 SeedSequence spawn key, so outputs are reproducible from (seed, count) and
-the first points do not depend on how many are drawn.
+the first points do not depend on how many are drawn; any row range can be
+drawn alone (sample_points' start).
 
 Each Monte Carlo norm has one estimator, batched so that one call covers
 many functions sampled on a shared cloud: lp_norm_mc reduces along the last
@@ -86,21 +87,30 @@ def _chunk_rng(seed, index):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def sample_points(d, count, seed):
-    """Uniform i.i.d. points on the unit sphere of C^d, shape (count, d) complex.
+def sample_points(d, count, seed, start=0):
+    """Rows [start, start + count) of the uniform points on the sphere of C^d, (count, d) complex.
 
-    Normalised standard Gaussian vectors in R^(2d), drawn _CHUNK rows per
-    stream (seed, chunk index).
+    Normalised standard Gaussian vectors in R^(2d); row i is row i % _CHUNK
+    of the stream (seed, i // _CHUNK), so a range equals that slice of one
+    whole draw.
+
+    Memory: the (count, d) result, and per stream the rows drawn up to the
+    range's end in it, at most _CHUNK.
     """
     if count < 1:
         raise ArgumentError(f"sample count must be >= 1, got {count}")
+    if start < 0:
+        raise ArgumentError(f"first sample row must be >= 0, got {start}")
     out = np.empty((count, d), dtype=complex)
-    for start in range(0, count, _CHUNK):
-        n = min(_CHUNK, count - start)
-        # (x1, y1, ..., xd, yd) rows read as d complex numbers x + iy
-        z = _chunk_rng(seed, start // _CHUNK).standard_normal((n, 2 * d)).view(complex)
+    stop = start + count
+    for first in range(start - start % _CHUNK, stop, _CHUNK):
+        lo, hi = max(start, first), min(stop, first + _CHUNK)
+        # (x1, y1, ..., xd, yd) rows read as d complex numbers x + iy; a
+        # stream's first rows do not depend on how many are drawn
+        z = _chunk_rng(seed, first // _CHUNK).standard_normal((hi - first, 2 * d)).view(complex)
+        z = z[lo - first:]
         norms = np.sqrt(np.sum(np.abs(z) ** 2, axis=1, keepdims=True))
-        np.divide(z, norms, out=out[start:start + n])
+        np.divide(z, norms, out=out[lo - start:hi - start])
     return out
 
 
@@ -193,11 +203,16 @@ def sup_norm_refined(f, best, centers, seed):
     _CAP_ROUNDS times draws K = _CAP_SAMPLES points from a Gaussian cap
     around its running maximiser (cap width _CAP_SHRINK^(r+1) in round r,
     drawn from the stream (seed, 9000 + r)) and keeps the best. f maps cap
-    points (B, K, d) to values (B, K), whose magnitudes are taken here.
+    points (B, K, d) to a new array of values (B, K), whose magnitudes are
+    taken here, in place when the values are real.
 
     Memory: one (B, K, d) complex cap array serves every round. Each round
     draws the real parts of its offsets into it, then the imaginary parts,
-    and scales, shifts and normalises them in place.
+    and scales, shifts and normalises them in place. Besides it a round
+    holds one (B, K, d) float array at a time (a draw, or the squared
+    moduli of the normalisation, which numpy squares in place) and at most
+    two of (B, K): the moduli's row sums or the round's magnitudes, with
+    the last round's magnitudes.
     """
     if np.iscomplexobj(best):
         raise ArgumentError("sup_norm_refined takes the magnitudes |f|, got complex values")
@@ -211,7 +226,8 @@ def sup_norm_refined(f, best, centers, seed):
         cap *= sigma
         cap += centers[:, None, :]
         cap /= np.sqrt(np.sum(np.abs(cap) ** 2, axis=2, keepdims=True))
-        cap_vals = np.abs(f(cap))
+        cap_vals = f(cap)
+        cap_vals = np.abs(cap_vals, out=None if np.iscomplexobj(cap_vals) else cap_vals)
         round_best = cap_vals.max(axis=1)
         improved = round_best > best
         centers = np.where(improved[:, None], cap[np.arange(batch), cap_vals.argmax(axis=1)], centers)

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -259,6 +260,27 @@ def test_project_mc_equals_full_array_oracle(d, m, n, j, samples):
         _full_array_project_oracle(f, d, m, n, pole, samples, seed=3)
 
 
+def _traced_peak(call):
+    """The tracemalloc peak of call(), in MiB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_project_mc_draws_each_chunk_where_it_integrates_it():
+    # project-d2-3-3: 200,000 samples. The integrand (3.05 MiB) and its
+    # variance's deviations (1.53 MiB) grow with the samples; each 4096-point
+    # chunk is drawn as it is integrated, so the peak is about 4.8 MiB. A
+    # (200000, 2) points array (6.1 MiB) would break the bound on its own.
+    built = build_basis(2, 3, 3)
+    pole = sample_points(2, 1, seed=2)[0]
+    f = lambda pts: built.eval_orthonormal(pts, 0)  # noqa: E731
+    assert _traced_peak(lambda: project_mc(f, 2, 3, 3, pole, 200000, seed=3)) < 5.5
+
+
 def test_project_mc_refuses_non_finite_values():
     def f(pts):
         values = np.ones(len(pts), dtype=complex)
@@ -431,6 +453,15 @@ def test_eval_orthonormal_equals_full_width_oracle(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(basis.MonomialMap, "__call__", _full_width_call)
             assert np.array_equal(got, built.eval_orthonormal(pts)), bidegree
+
+
+def test_gegenbauer_holds_no_points_through_the_recurrences():
+    # gegenbauer-d3: 50,000 pairs at d = 3. The pairs' 2.3 MiB of z and
+    # 2.3 MiB of w are released once their inner products t are summed, so
+    # the peak, about 7.6 MiB, is that sum's; holding the points through the
+    # recurrences peaks at 9.7 MiB.
+    verify_gegenbauer(3, 12, 10, seed=3)  # the first call's one-off set-up
+    assert _traced_peak(lambda: verify_gegenbauer(3, 12, 50000, seed=3)) < 8
 
 
 def test_gegenbauer_rejects_real_dimension_below_two():

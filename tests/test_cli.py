@@ -105,6 +105,42 @@ def test_chunk_flag_is_gone(capsys, argv, code):
     assert run_cli(capsys, *argv, "--seed", "0")[0] == code
 
 
+SEEDED_ARGV = {
+    ("check", "addition"): ("check", "addition", "--d", "2", "--m", "1", "--n", "1", "--samples", "200"),
+    ("check", "gegenbauer"): ("check", "gegenbauer", "--d", "2", "--lmax", "2", "--samples", "200"),
+    ("check", "nikolskii"): ("check", "nikolskii", "--d", "2", "--N", "0", "--lmax", "2", "--p", "4",
+                             "--samples", "20"),
+    ("levy", None): ("levy", "--d", "2", "--N", "0", "--lmax", "1", "--family", "id", "--p", "2",
+                     "--sphere-samples", "100", "--omega-samples", "0"),
+    ("project", None): ("project", "--d", "2", "--m", "1", "--n", "1", "--j", "0", "--samples", "2000"),
+}
+
+
+def test_seeded_argv_lists_every_subcommand_with_a_seed(capsys):
+    seeded = set()
+    for key in cli._DISPATCH:
+        code, out, _ = run_cli(capsys, *[word for word in key if word], "--help")
+        assert code == 0
+        if "--seed" in out:
+            seeded.add(key)
+    assert seeded == set(SEEDED_ARGV)
+
+
+@pytest.mark.parametrize("seed", ["-1", "-3"])
+@pytest.mark.parametrize("key", list(SEEDED_ARGV))
+def test_negative_seed_exits_2(capsys, monkeypatch, key, seed):
+    # refused by the parser, before any point is drawn (SeedSequence would
+    # raise on it)
+    def reach(*args, **kwargs):
+        raise _Reached
+
+    for module in (sphere, levy):
+        monkeypatch.setattr(module, "sample_points", reach)
+    code, out, err = run_cli(capsys, *SEEDED_ARGV[key], "--seed", seed)
+    assert code == 2 and out == ""
+    assert f"argument --seed: a seed is a nonnegative integer, got {seed}" in err
+
+
 def test_unwritable_output_exits_1(capsys):
     code, _, err = run_cli(capsys, "dims", "--d", "2", "--lmax", "1",
                            "--out", "/nonexistent-dir/out.csv")
@@ -311,8 +347,9 @@ def test_levy_refused_by_its_cost_exits_2(capsys, monkeypatch):
 
 
 def test_check_nikolskii_refused_by_its_memory_exits_2(capsys, monkeypatch):
-    # s = 28223 on d = 4, window (0, 6]: one cap pass alone, 64 x 256 x s
-    # values, would take 3.7 GB, so the check refuses before any basis.
+    # s = 28223 on d = 4, window (0, 6]: the cloud values and one cap pass
+    # of 16 x 256 points take 0.92 GB each, and the coefficients 0.23 GB,
+    # so the check refuses before any basis.
     def refuse(*args):
         raise AssertionError("a basis was built")
 
@@ -320,22 +357,24 @@ def test_check_nikolskii_refused_by_its_memory_exits_2(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "check", "nikolskii", "--d", "4", "--N", "0", "--lmax", "6")
     assert code == 2 and out == ""
     assert err.startswith("error: Nikolskii check for d=4, window (0, 6] refused: its arrays take an"
-                          " estimated 4.9 GB (cloud values 28223 x 4096, ")
-    assert "cap pass 16384 x 28223) > 2 GB" in err
+                          " estimated 2.1 GB (cloud values 28223 x 4096, ")
+    assert "cap pass 4096 x 28223) > 2 GB" in err
 
 
 def test_levy_exact_path_refused_by_its_memory_exits_2(capsys, monkeypatch):
-    # p = 2 with no cloud: 10^9 squared norms and their standard deviation's
-    # temporary would take 16 GB, so the estimate refuses before any basis.
+    # p = 2 with no cloud: 2 x 10^8 squared norms and their standard
+    # deviation's temporary would take 3.2 GB, so the estimate refuses before
+    # any basis. On d = 2, window (0, 1] (s = 7) their draws stay under the
+    # time ceiling.
     def refuse(*args):
         raise AssertionError("a basis was built")
 
     monkeypatch.setattr(levy, "build_real_system", refuse)
-    code, out, err = run_cli(capsys, "levy", "--d", "2", "--N", "0", "--lmax", "3", "--family", "id",
-                             "--p", "2", "--omega-samples", "0", "--sphere-samples", "1000000000")
+    code, out, err = run_cli(capsys, "levy", "--d", "2", "--N", "0", "--lmax", "1", "--family", "id",
+                             "--p", "2", "--omega-samples", "0", "--sphere-samples", "200000000")
     assert code == 2 and out == ""
-    assert err.startswith("error: Levy mean for d=2, window (0, 3] refused: its outer-sample arrays"
-                          " take an estimated 16.0 GB")
+    assert err.startswith("error: Levy mean for d=2, window (0, 1] refused: its outer-sample arrays"
+                          " take an estimated 3.2 GB")
 
 
 def test_levy_refused_by_its_memory_exits_2(capsys, monkeypatch):
@@ -350,7 +389,7 @@ def test_levy_refused_by_its_memory_exits_2(capsys, monkeypatch):
                              "--omega-samples", "10000000")
     assert code == 2 and out == ""
     assert err.startswith("error: Levy mean for d=3, window (0, 6] refused")
-    assert "cloud arrays take an estimated 39.7 GB" in err and err.rstrip().endswith("> 2 GB")
+    assert "cloud arrays take an estimated 39.3 GB" in err and err.rstrip().endswith("> 2 GB")
 
 
 class _Reached(Exception):
@@ -379,7 +418,18 @@ REFUSAL_CASES = [pytest.param(argv, refusal, id=name) for name, argv, refusal in
     ("gegenbauer-bytes", ("check", "gegenbauer", "--d", "3", "--lmax", "0", "--samples", "100000000"),
      "estimated 20.8 GB"),
     ("project-bytes", ("project", "--d", "2", "--m", "3", "--n", "3", "--samples", "100000000"),
-     "estimated 4.8 GB"),
+     "estimated 2.4 GB"),
+    # the exact p = 2 path: 3.9e10 coefficient draws, about 14 minutes; then
+    # just over and just under the time ceiling at s = 63 (35273369 and
+    # 35273368 x 63 x 900 flops)
+    ("levy-exact-draws", ("levy", "--d", "3", "--N", "0", "--lmax", "6", "--family", "fs:gamma=3,xi=0",
+                          "--p", "2", "--omega-samples", "0", "--sphere-samples", "10000000"),
+     "its coefficient draws cost 10000000 x 3919 x 900 = 3.53e+13 flops > 2e+12"),
+    ("levy-exact-draws-over", ("levy", "--d", "2", "--N", "0", "--lmax", "3", "--family", "id", "--p", "2",
+                               "--omega-samples", "0", "--sphere-samples", "35273369"),
+     "35273369 x 63 x 900 = 2.00e+12 flops > 2e+12"),
+    ("levy-exact-draws-under", ("levy", "--d", "2", "--N", "0", "--lmax", "3", "--family", "id", "--p", "2",
+                                "--omega-samples", "0", "--sphere-samples", "35273368"), None),
     ("gegenbauer-lmax200", ("check", "gegenbauer", "--d", "3", "--lmax", "200", "--seed", "0"), None),
 ] + [(f"bench-{op.name}", (*op.argv, "--seed", "0"), None) for op in _benchmark_ops("levy-mc")]]
 

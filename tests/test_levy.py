@@ -31,6 +31,7 @@ from cspherelab.sphere import (
     omega,
     power_needs_base,
     sample_points,
+    sup_norm_refined,
 )
 
 
@@ -248,7 +249,7 @@ def test_levy_mc_outer_chunking_invariant(monkeypatch):
 
 def test_nikolskii_cap_passes_invariant(monkeypatch):
     # 150 trials in passes of 64 (two full, one short) against one pass: the
-    # cap passes and the cloud norms are both blocked by _OUTER_ROWS
+    # cloud norms are blocked by _OUTER_ROWS (the cap passes by _CAP_ROWS)
     for p in (1, 3, 4, math.inf):
         reports = []
         for rows in (64, 1000):
@@ -282,6 +283,17 @@ def test_nikolskii_equal_at_64_and_200_rows(monkeypatch, p):
         monkeypatch.setattr(levy, "_OUTER_ROWS", rows)
         reports.append(nikolskii_check(2, 0, 2, p, 450, seed=19))
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("p", [3, math.inf])
+def test_nikolskii_equal_at_16_64_and_1000_cap_rows(monkeypatch, p):
+    # 150 trials: cap passes of 16 (nine full, one short of 6), of 64 (two
+    # full, one short of 22), or one pass
+    reports = []
+    for rows in (16, 64, 1000):
+        monkeypatch.setattr(levy, "_CAP_ROWS", rows)
+        reports.append(nikolskii_check(2, 0, 2, p, 150, seed=23))
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_levy_mc_argument_errors():
@@ -372,9 +384,9 @@ def test_levy_exact_path_equals_one_shot_draw(fam, count):
 
 def test_levy_mc_memory_stays_one_block_buffer():
     # 1000 x 50000 at p = 4 on a window with s = 63. The (omega_samples, s)
-    # cloud matrix (25 MB) is never held: the outer rows are 0.5 MB, the
-    # points 1.6 MB, one cloud block 3.2 MB and the 64-row pass buffer
-    # 3.2 MB; the peak is about 11.0 MiB, and 18.2 MiB when the call
+    # cloud matrix (25 MB) is never held: the outer rows are 0.5 MB, one
+    # cloud block's points 0.2 MB, the block 3.2 MB and the 64-row pass
+    # buffer 3.2 MB; the peak is about 6.6 MiB, and 13.9 MiB when the call
     # compiles the window's MonomialMap.
     problem = LevyProblem(2, 0, 3, parse_family("fs:gamma=3,xi=0", 2, "max"), 4)
     assert problem.system().s == 63
@@ -390,8 +402,9 @@ def test_levy_mc_memory_stays_one_block_buffer():
 def test_levy_mc_peak_grows_by_one_cloud_block():
     # Doubling omega_samples from 24000 to 48000 adds 3000 rows to the
     # cloud block buffer (s = 63 columns) and 3000 columns to the pass
-    # buffer (64 rows), plus 24000 complex points; a held (omega_samples,
-    # s) cloud matrix would add 12 MB more, and 200-row passes 3.3 MB. Exact row means need a whole
+    # buffer (64 rows), plus 3000 complex points of one block (the bound
+    # still allows 24000); a held (omega_samples, s) cloud matrix would add
+    # 12 MB more, and 200-row passes 3.3 MB. Exact row means need a whole
     # block row at once, so these buffers must grow with omega_samples.
     problem = LevyProblem(2, 0, 3, parse_family("fs:gamma=3,xi=0", 2, "max"), 4)
     levy_mean_mc(problem, 2, 1000, seed=0)  # compile the window first
@@ -410,9 +423,9 @@ def test_levy_mc_peak_grows_by_one_cloud_block():
 def test_levy_mc_block_is_one_evaluation_call():
     # levy-d2-sobolev-p1: d = 2, window (1, 4], s = 117, 1000 x 25000 at p = 1.
     # Each (3125, 117) cloud block is one eval_matrix call, freed before the
-    # next is evaluated; the peak is about 11.5 MiB. Copying evaluation chunks
+    # next is evaluated; the peak is about 7.9 MiB. Copying evaluation chunks
     # into a reused block buffer, which keeps the last (2048, 117) chunk alive
-    # beside the block through the pass products, peaks near 13.2 MiB.
+    # beside the block through the pass products, peaks near 10.7 MiB.
     problem = LevyProblem(2, 1, 4, parse_family("sobolev:gamma=2", 2, "max"), 1)
     assert problem.system().s == 117
     levy_mean_mc(problem, 1000, 25000, seed=0)  # compile the window first
@@ -422,15 +435,18 @@ def test_levy_mc_block_is_one_evaluation_call():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12.5 * 2**20
+    assert peak < 8.5 * 2**20
 
 
-# Peaks in MiB with the window's map compiled: 11.48 and 10.97 here; 14.72
-# and 17.46 with 200-row passes; 11.88 and 10.97 with full-width gathers,
-# whose (2048, K) temporary only a window with K > 64 (here 85) forms.
+# Peaks in MiB with the window's map compiled: 7.93 and 6.60 here; 8.52 and
+# 13.09 with 200-row passes; 8.60 and 8.13 with the whole cloud's points drawn
+# up front; 9.46 and 9.44 with pass buffers held beside the next block's
+# evaluation; 8.99 and 7.02 with each coordinate's (2048, F) factor table;
+# 8.39 and 6.60 with a second (2048, s) product for the padded last chunk;
+# 7.93 and 7.54 with the padding rows kept in the block.
 @pytest.mark.parametrize("d, m1, m2, family, p, omega_samples, bound_mib", [
-    (2, 1, 4, "sobolev:gamma=2", 1, 25000, 11.7),
-    (2, 0, 3, "fs:gamma=3,xi=0", 4, 50000, 14)])
+    (2, 1, 4, "sobolev:gamma=2", 1, 25000, 8.2),
+    (2, 0, 3, "fs:gamma=3,xi=0", 4, 50000, 7)])
 def test_levy_mc_peak_of_64_row_passes_and_64_column_gathers(d, m1, m2, family, p, omega_samples,
                                                               bound_mib):
     problem = LevyProblem(d, m1, m2, parse_family(family, d, "max"), p)
@@ -446,7 +462,8 @@ def test_levy_mc_peak_of_64_row_passes_and_64_column_gathers(d, m1, m2, family, 
 
 def test_nikolskii_holds_one_cloud_array():
     # The (s, 4096) cloud coordinate values are the one array of cloud size
-    # that lives through the check; |t| is formed 64 trials per pass.
+    # that lives through the cloud passes, which form |t| 64 trials at a
+    # time; they are released before the cap search.
     tracemalloc.start()
     try:
         nikolskii_check(2, 0, 2, 4, 500, 17)
@@ -459,16 +476,43 @@ def test_nikolskii_holds_one_cloud_array():
 def test_nikolskii_peak_is_bounded_by_blocked_passes():
     # One pass of 64 trials holds its 2 MiB of |t| on the 4096-point cloud
     # and one work buffer of that size for |t|^q and its deviations; the cap
-    # passes hold one pass of coordinate values at a time. The peak is about
-    # 11.4 MiB (18.3 MiB with 200-row passes). No (trials, omega_samples)
-    # array is formed.
+    # passes hold one pass of 16 trials' coordinate values at a time. The
+    # peak is about 8.0 MiB (13.6 MiB with 200-row passes, 10.1 MiB with
+    # 64-trial cap passes, 8.9 MiB with the cloud values held through the
+    # cap search). No (trials, omega_samples) array is formed.
+    nikolskii_check(2, 0, 2, 4, 10, 17)  # compiles the window's map
     tracemalloc.start()
     try:
         nikolskii_check(2, 0, 2, 4, 500, 17)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 14 * 2**20
+    assert peak < 8.5 * 2**20
+
+
+def test_nikolskii_cap_phase_holds_no_cloud_and_one_16_trial_pass(monkeypatch):
+    # d = 2, window (0, 2] (s = 26): 64 trials on 16,384 cloud points. The cap
+    # search holds the (64, 256, 2) cap array (0.5 MiB), its moduli, the
+    # caps' values and one pass of 16 trials: the (4096, 26) coordinate
+    # values of its cap points (0.8 MiB) and the evaluator's tables. Its peak
+    # is about 2.4 MiB. The (26, 16384) cloud values (3.3 MiB) held into it,
+    # or 64-trial passes (3.3 MiB of coordinate values), break the bound.
+    peaks = []
+
+    def traced(*args):
+        tracemalloc.reset_peak()
+        best = sup_norm_refined(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return best
+
+    monkeypatch.setattr(levy, "sup_norm_refined", traced)
+    nikolskii_check(2, 0, 2, 4, 64, 1, omega_samples=16384)  # compiles the window's map
+    tracemalloc.start()
+    try:
+        nikolskii_check(2, 0, 2, 4, 64, 1, omega_samples=16384)
+    finally:
+        tracemalloc.stop()
+    assert peaks[-1] < 3 * 2**20
 
 
 def test_nikolskii_pass_holds_two_cloud_size_arrays():
@@ -647,18 +691,19 @@ def test_levy_memory_guard_refuses_before_any_basis(monkeypatch):
     # the (1250000, 3919) cloud block alone is 39 GB. Only the estimate runs.
     problem = LevyProblem(3, 0, 6, finite_smooth(3, 0, "max"), 4)
     assert 2 * 2 * 3919 * 10**7 <= levy.MAX_CLOUD_FLOPS
-    want = 8 * (2 * (3919 + 26) + 1250000 * 3919 + 2 * 1250000) + 16 * 10**7 * 3
-    assert f"{want / 1e9:.1f}" == "39.7"
-    with pytest.raises(ArgumentError, match=r"take an estimated 39\.7 GB .*cloud block"
+    want = 8 * (2 * (3919 + 26) + 1250000 * 3919 + 2 * 1250000) + 16 * 1250000 * 3
+    assert f"{want / 1e9:.1f}" == "39.3"
+    with pytest.raises(ArgumentError, match=r"take an estimated 39\.3 GB .*cloud block"
                                             r" 1250000 x 3919.* > 2 GB"):
         levy_mean_mc(problem, 2, 10**7, seed=0)
     with pytest.raises(ArgumentError, match="refused"):
         check_cloud_cost(problem, 2, 10**7)
-    # 6312000 + 4031 x omega_samples bytes at 200 outer samples in passes of 64:
-    # just under (1.973e9 B) and just over (2.006e9 B) the ceiling
-    check_cloud_cost(problem, 200, 488000)
+    # 6312000 + 3989 x omega_samples bytes at 200 outer samples in passes of 64,
+    # with one cloud block's points: just under (1.985e9 B) and just over
+    # (2.017e9 B) the ceiling
+    check_cloud_cost(problem, 200, 496000)
     with pytest.raises(ArgumentError, match="estimated 2.0 GB"):
-        check_cloud_cost(problem, 200, 496000)
+        check_cloud_cost(problem, 200, 504000)
     # d = 2, window (0, 1] has s = 7: at 3.5 x 10^7 outer samples the outer rows
     # take 1.96 GB, but the (3.5e7, 8) block statistics, the closing reduction's
     # two temporaries of that size, the norms and their squares add 26 floats
@@ -677,17 +722,19 @@ def test_levy_exact_path_memory_guard_refuses_before_any_basis(monkeypatch):
 
     monkeypatch.setattr(levy, "build_real_system", refuse)
     monkeypatch.setattr(levy, "build_basis", refuse)
-    # d = 2, window (0, 3] has s = 63. At p = 2 with no cloud, 10^9 outer
-    # samples would hold 8 GB of squared norms and 8 GB more in the temporary
-    # of their standard deviation; the flop guard never fires (no cloud).
-    problem = LevyProblem(2, 0, 3, identity("max"), 2)
-    assert theta(2, 0, 3, "max") == 63
+    # d = 2, window (0, 1] has s = 7. At p = 2 with no cloud, 2 x 10^8 outer
+    # samples would hold 1.6 GB of squared norms and 1.6 GB more in the
+    # temporary of their standard deviation, while their 1.4e9 coefficient
+    # draws stay under the time ceiling.
+    problem = LevyProblem(2, 0, 1, identity("max"), 2)
+    assert theta(2, 0, 1, "max") == 7
+    assert 2 * 10**8 * 7 * levy._DRAW_FLOPS <= levy.MAX_CLOUD_FLOPS
     with pytest.raises(ArgumentError, match=r"refused: its outer-sample arrays take an estimated"
-                                            r" 16\.0 GB \(squared norms 1000000000 x 2, outer rows"
-                                            r" 200 x 63 x 2\) > 2 GB$"):
-        levy_mean_mc(problem, 10**9, 0, seed=0)
-    # 8 x 2 x (sphere_samples + 200 x 63) bytes: exactly at the ceiling, then one sample over
-    at_ceiling = levy.MAX_CLOUD_BYTES // 16 - 200 * 63
+                                            r" 3\.2 GB \(squared norms 200000000 x 2, outer rows"
+                                            r" 200 x 7 x 2\) > 2 GB$"):
+        levy_mean_mc(problem, 2 * 10**8, 0, seed=0)
+    # 8 x 2 x (sphere_samples + 200 x 7) bytes: exactly at the ceiling, then one sample over
+    at_ceiling = levy.MAX_CLOUD_BYTES // 16 - 200 * 7
     check_cloud_cost(problem, at_ceiling, 0)
     with pytest.raises(ArgumentError, match="refused"):
         check_cloud_cost(problem, at_ceiling + 1, 0)
@@ -699,26 +746,26 @@ def test_levy_memory_guard_counts_the_powering_copy(monkeypatch):
 
     monkeypatch.setattr(levy, "build_real_system", refuse)
     monkeypatch.setattr(levy, "build_basis", refuse)
-    # d = 2, window (0, 1] has s = 7. At 200 x 16 x 10^6 the arrays take 1.65 GB,
+    # d = 2, window (0, 1] has s = 7. At 200 x 16 x 10^6 the arrays take 1.20 GB,
     # and at p = 3, 5, 6, 7 the powering's (64, 2 x 10^6) |v| buffer adds 1.0 GB.
     # Only the estimate runs.
     assert [p for p in (1, 2, 2.5, 3, 4, 5, 6, 7, 8, math.inf) if power_needs_base(p)] == [3, 5, 6, 7]
-    want = 8 * (200 * (7 + 26) + 2 * 10**6 * 7 + 64 * 2 * 10**6) + 16 * 16 * 10**6 * 2
-    assert f"{want / 1e9:.2f}" == "1.65"
+    want = 8 * (200 * (7 + 26) + 2 * 10**6 * 7 + 64 * 2 * 10**6) + 16 * 2 * 10**6 * 2
+    assert f"{want / 1e9:.2f}" == "1.20"
     for p in (1, 2, 2.5, 4, 8, math.inf):
         check_cloud_cost(LevyProblem(2, 0, 1, identity("max"), p), 200, 16 * 10**6)
     for p in (3, 5, 6, 7):
         problem = LevyProblem(2, 0, 1, identity("max"), p)
-        with pytest.raises(ArgumentError, match=r"estimated 2\.7 GB .*pass buffer 64 x 2000000 x 2,"):
+        with pytest.raises(ArgumentError, match=r"estimated 2\.2 GB .*pass buffer 64 x 2000000 x 2,"):
             check_cloud_cost(problem, 200, 16 * 10**6)
         with pytest.raises(ArgumentError, match="refused"):
             levy_mean_mc(problem, 200, 16 * 10**6, seed=0)
-    # 52800 + 167 x omega_samples bytes at p = 3: just under (1.9987e9) and
-    # just over (2.00004e9) the ceiling; p = 4 holds 64 fewer per point
-    check_cloud_cost(LevyProblem(2, 0, 1, identity("max"), 3), 200, 11968000)
+    # 52800 + 139 x omega_samples bytes at p = 3: just under (1.99943e9) and
+    # just over (2.00054e9) the ceiling; p = 4 holds 64 fewer per point
+    check_cloud_cost(LevyProblem(2, 0, 1, identity("max"), 3), 200, 14384000)
     with pytest.raises(ArgumentError, match="refused"):
-        check_cloud_cost(LevyProblem(2, 0, 1, identity("max"), 3), 200, 11976000)
-    check_cloud_cost(LevyProblem(2, 0, 1, identity("max"), 4), 200, 11976000)
+        check_cloud_cost(LevyProblem(2, 0, 1, identity("max"), 3), 200, 14392000)
+    check_cloud_cost(LevyProblem(2, 0, 1, identity("max"), 4), 200, 14392000)
 
 
 # The benchmark's levy command lines, as (d, N, lmax, sphere samples, omega samples).

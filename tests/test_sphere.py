@@ -55,6 +55,26 @@ def test_sampling_chunked_consistently():
     assert np.array_equal(small, large[:4096])
 
 
+# Ranges that start or end at 4095, 4096 or 4097 (the stream boundary is at
+# 4096), cross it or lie in one stream, and single rows.
+RANGES = [(0, 4095), (0, 4096), (0, 4097), (4095, 1), (4095, 2), (4095, 4097), (4096, 1), (4096, 4096),
+          (4097, 1), (4097, 4095), (4097, 8190), (1, 4094), (1, 4096), (5000, 3192), (12287, 1), (0, 1)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("start, count", RANGES)
+def test_sample_range_equals_slice_of_one_draw(d, start, count):
+    whole = sample_points(d, 12288, seed=14)
+    part = sample_points(d, count, seed=14, start=start)
+    assert part.shape == (count, d)
+    assert part.tobytes() == whole[start:start + count].tobytes()
+
+
+def test_sample_range_refuses_a_negative_start():
+    with pytest.raises(ArgumentError, match="must be >= 0"):
+        sample_points(2, 10, seed=0, start=-1)
+
+
 def _interleaved_points(d, count, seed, chunk):
     """The earlier sample_points: real and imaginary columns joined by + 1j *, then concatenated."""
     blocks = []
