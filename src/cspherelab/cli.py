@@ -127,7 +127,7 @@ def _fill_levy(p):
     p.add_argument("--p", type=_float_or_inf, default=2.0)
     p.add_argument("--sphere-samples", type=int, default=1000)
     p.add_argument("--omega-samples", type=int, default=10000,
-                   help="inner sphere samples (0 selects the exact path, p = 2 only)")
+                   help="inner sphere samples (0 prints the exact Parseval value, p = 2 only)")
 
 
 def _fill_seq(p):

@@ -28,9 +28,9 @@ exact coefficients in the Re or Im rows of the window's K monomials.
 Both gradings assign equal multipliers within such a set, so the weighted
 norm of a coefficient vector is well defined. The Levy mean
 (mean of the squared norm over the Euclidean coefficient sphere)^(1/2) is
-estimated by outer Monte Carlo over coefficients; the inner function-space
-norm uses the exact coefficient identity at p = 2 and shared-point-cloud
-Monte Carlo otherwise.
+exact at p = 2 by Parseval (levy_mean_parseval); the Monte Carlo estimate
+samples coefficients on the sphere and takes the inner function-space norm
+on a shared point cloud.
 """
 
 from __future__ import annotations
@@ -49,19 +49,10 @@ from .sphere import (_CAP_SAMPLES, MAX_CLOUD_BYTES, MAX_CLOUD_FLOPS, _chunk_rng,
                      abs_power_inplace, check_exponent, lp_norm_mc, omega, power_needs_base, refuse_cost,
                      sample_points, sup_norm_refined)
 
-# The fixed Monte Carlo layout: rows per pass over the cloud; rows per pass of
-# the exact p = 2 path, which holds no cloud-sized array (at 64 rows its
-# 100,000 samples took 1,563 passes instead of 500, 15-25 ms more); and
-# cloud blocks for the cloud error.
+# The fixed Monte Carlo layout: rows per pass over the cloud, and cloud
+# blocks for the cloud error.
 _OUTER_ROWS = 64
-_EXACT_ROWS = 200
 _CLOUD_BLOCKS = 8
-# Time model of the exact p = 2 path, in flops of MAX_CLOUD_FLOPS: one
-# outer-sample coefficient (drawn, normalised, weighted and squared) took
-# 2.1e-8 to 2.6e-8 s at s = 63 to 117 (10^5 and 10^6 samples) on a 2-vCPU
-# x86-64 VM, about 900 times sphere.SECONDS_PER_CLOUD_FLOP. Windows with s
-# below about 20 take longer per coefficient (4.8e-8 s at s = 7).
-_DRAW_FLOPS = 900
 # Trials per pass of check nikolskii's cap search: 16 x _CAP_SAMPLES = 4096
 # cap points, two evaluation chunks
 _CAP_ROWS = 16
@@ -227,29 +218,18 @@ def _reduce_block(x, block, passes, p, out):
 
 
 def check_cloud_cost(prob: LevyProblem, sphere_samples, omega_samples):
-    """Refuse a Levy mean over MAX_CLOUD_FLOPS or MAX_CLOUD_BYTES (sphere.refuse_cost).
+    """Refuse a cloud Levy mean over MAX_CLOUD_FLOPS or MAX_CLOUD_BYTES (sphere.refuse_cost).
 
     s is the window size from the dimension formula, so nothing is built to
-    find it. omega_samples = 0 is the exact p = 2 path: it has no cloud and
-    no products, and its time is counted as _DRAW_FLOPS per outer-sample
-    coefficient. The cloud path counts passes of _OUTER_ROWS (64) outer rows
-    and one cloud block's points, the exact path passes of _EXACT_ROWS
-    (200). The evaluator's per-chunk arrays (MonomialMap's fixed chunk of
-    points: one (2048, K) monomial table, its power tables, and the
-    result's room for a padded last chunk) are not counted: they do not grow
-    with the sample counts.
+    find it. The estimate counts the cloud products, passes of _OUTER_ROWS
+    (64) outer rows and one cloud block's points. The evaluator's per-chunk
+    arrays (MonomialMap's fixed chunk of points: one (2048, K) monomial
+    table, its power tables, and the result's room for a padded last chunk)
+    are not counted: they do not grow with the sample counts.
     """
     _check_window(prob.m1, prob.m2)
     what = f"Levy mean for d={prob.d}, window ({prob.m1}, {prob.m2}]"
     s = theta(prob.d, prob.m1, prob.m2, "max")
-    if omega_samples == 0:
-        # each with the temporary of its size: the squared norms' standard
-        # deviation, the square of a pass of outer rows
-        refuse_cost(what, (sphere_samples, s, _DRAW_FLOPS), [
-            ("squared norms", (sphere_samples, 2), 8),
-            ("outer rows", (min(_EXACT_ROWS, sphere_samples), s, 2), 8),
-        ], work="coefficient draws", held="outer-sample arrays")
-        return
     rows = min(_OUTER_ROWS, sphere_samples)
     per_block = omega_samples // _CLOUD_BLOCKS
     refuse_cost(what, (2, sphere_samples, s, omega_samples), [
@@ -267,23 +247,24 @@ def check_cloud_cost(prob: LevyProblem, sphere_samples, omega_samples):
 def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
     """Monte Carlo Levy mean of the weighted p-norm on the coefficient sphere.
 
-    Outer samples are uniform on the Euclidean coefficient sphere; the inner
-    L^p norm reuses one shared uniform point cloud on the sphere of C^d
-    across all outer samples. The reported stderr combines the outer
+    p = 2 with omega_samples = 0 returns the exact Parseval value
+    (levy_mean_parseval) with all three stderrs 0 and draws nothing.
+
+    Otherwise outer samples are uniform on the Euclidean coefficient sphere;
+    the inner L^p norm reuses one shared uniform point cloud on the sphere
+    of C^d across all outer samples. The reported stderr combines the outer
     sampling error (stderr_outer) with a block-resampled estimate of the
     shared-cloud error (stderr_cloud; the cloud error does not shrink with
-    more outer samples, so it must be budgeted separately). p = 2 with
-    omega_samples = 0 takes the exact coefficient-space path for the inner
-    norm, with stderr_cloud = 0.
+    more outer samples, so it must be budgeted separately).
 
     Outer samples are drawn, normalised and weighted _OUTER_ROWS rows per
-    pass (_EXACT_ROWS on the exact path) from one stream, so the rows do not
-    depend on the pass size; the cloud's _CLOUD_BLOCKS equal blocks give
-    stderr_cloud. Inputs whose cloud products cost more than
-    MAX_CLOUD_FLOPS, or whose arrays take more than MAX_CLOUD_BYTES (on
-    either path), are refused before any basis is built (check_cloud_cost).
+    pass from one stream, so the rows do not depend on the pass size; the
+    cloud's _CLOUD_BLOCKS equal blocks give stderr_cloud. Inputs whose cloud
+    products cost more than MAX_CLOUD_FLOPS, or whose arrays take more than
+    MAX_CLOUD_BYTES, are refused before any basis is built
+    (check_cloud_cost).
 
-    Memory: the cloud path holds the (sphere_samples, s) outer rows and
+    Memory: the estimate holds the (sphere_samples, s) outer rows and
     their (sphere_samples, _CLOUD_BLOCKS) block statistics, never the
     cloud's coordinate matrix or all of its points. Each (omega_samples /
     _CLOUD_BLOCKS, s) cloud block is one eval_matrix call on its own rows of
@@ -297,53 +278,43 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
     of the pass, held in one second buffer of that size. Both buffers go
     with the block, so they never sit beside the evaluator's tables. The
     block, its points and those buffers are the arrays that grow with
-    omega_samples: exact row means need a whole block row at once. The
-    exact path holds one pass of _EXACT_ROWS outer rows and the squared
-    norms.
+    omega_samples: exact row means need a whole block row at once.
     """
     if sphere_samples < 2:
         raise ArgumentError("need at least two coefficient-sphere samples")
     p = prob.p
     check_exponent(p)
-    exact = p == 2 and omega_samples == 0
-    if not exact:
-        if omega_samples < 10**3:
-            raise ArgumentError("inner estimation needs omega_samples >= 1000 (or 0 at p = 2)")
-        omega_samples -= omega_samples % _CLOUD_BLOCKS
+    if p == 2 and omega_samples == 0:
+        return LevyEstimate(value=levy_mean_parseval(prob), stderr=0.0, stderr_outer=0.0,
+                            stderr_cloud=0.0, sphere_samples=sphere_samples, omega_samples=0)
+    if omega_samples < 10**3:
+        raise ArgumentError("inner estimation needs omega_samples >= 1000 (or 0 at p = 2)")
+    omega_samples -= omega_samples % _CLOUD_BLOCKS
     check_cloud_cost(prob, sphere_samples, omega_samples)
     system = prob.system()
     lam = system.multiplier_vector(prob.fam)
     rng = _chunk_rng(seed, 777)
-    pass_rows = _EXACT_ROWS if exact else _OUTER_ROWS
-    passes = [(start, min(pass_rows, sphere_samples - start))
-              for start in range(0, sphere_samples, pass_rows)]
-
-    if exact:
-        sq = np.empty(sphere_samples)
-        x = np.empty((passes[0][1], system.s))
-        for start, rows in passes:
-            sq[start:start + rows] = np.sum(_weighted_rows(rng, lam, x[:rows]) ** 2, axis=1)
-        se_cloud = 0.0
+    passes = [(start, min(_OUTER_ROWS, sphere_samples - start))
+              for start in range(0, sphere_samples, _OUTER_ROWS)]
+    x = np.empty((sphere_samples, system.s))
+    for start, rows in passes:
+        _weighted_rows(rng, lam, x[start:start + rows])
+    per_block = omega_samples // _CLOUD_BLOCKS
+    block_stat = np.empty((sphere_samples, _CLOUD_BLOCKS))
+    for b in range(_CLOUD_BLOCKS):
+        # the block's points are drawn for its evaluation and freed with it
+        block = system.eval_matrix(sample_points(prob.d, per_block, seed + 1, start=b * per_block))
+        _reduce_block(x, block, passes, p, block_stat[:, b])
+        del block  # freed before the next block is evaluated
+    w = omega(prob.d)
+    if p == math.inf:
+        sq = block_stat.max(axis=1) ** 2
+        block_means = np.sqrt(np.mean(block_stat**2, axis=0))
     else:
-        x = np.empty((sphere_samples, system.s))
-        for start, rows in passes:
-            _weighted_rows(rng, lam, x[start:start + rows])
-        per_block = omega_samples // _CLOUD_BLOCKS
-        block_stat = np.empty((sphere_samples, _CLOUD_BLOCKS))
-        for b in range(_CLOUD_BLOCKS):
-            # the block's points are drawn for its evaluation and freed with it
-            block = system.eval_matrix(sample_points(prob.d, per_block, seed + 1, start=b * per_block))
-            _reduce_block(x, block, passes, p, block_stat[:, b])
-            del block  # freed before the next block is evaluated
-        w = omega(prob.d)
-        if p == math.inf:
-            sq = block_stat.max(axis=1) ** 2
-            block_means = np.sqrt(np.mean(block_stat**2, axis=0))
-        else:
-            norms = (w * block_stat.mean(axis=1)) ** (1.0 / p)
-            sq = norms**2
-            block_means = np.sqrt(np.mean((w * block_stat) ** (2.0 / p), axis=0))
-        se_cloud = float(np.std(block_means, ddof=1)) / math.sqrt(_CLOUD_BLOCKS)
+        norms = (w * block_stat.mean(axis=1)) ** (1.0 / p)
+        sq = norms**2
+        block_means = np.sqrt(np.mean((w * block_stat) ** (2.0 / p), axis=0))
+    se_cloud = float(np.std(block_means, ddof=1)) / math.sqrt(_CLOUD_BLOCKS)
     mean_sq = float(np.mean(sq))
     value = math.sqrt(mean_sq)
     se_outer = float(np.std(sq, ddof=1)) / math.sqrt(sphere_samples)

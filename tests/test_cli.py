@@ -361,20 +361,22 @@ def test_check_nikolskii_refused_by_its_memory_exits_2(capsys, monkeypatch):
     assert "cap pass 4096 x 28223) > 2 GB" in err
 
 
-def test_levy_exact_path_refused_by_its_memory_exits_2(capsys, monkeypatch):
-    # p = 2 with no cloud: 2 x 10^8 squared norms and their standard
-    # deviation's temporary would take 3.2 GB, so the estimate refuses before
-    # any basis. On d = 2, window (0, 1] (s = 7) their draws stay under the
-    # time ceiling.
+def test_levy_exact_path_prints_parseval_without_drawing(capsys, monkeypatch):
+    # 2 x 10^8 outer samples on d = 2, window (0, 1]: the exact path echoes
+    # the count and draws nothing.
     def refuse(*args):
-        raise AssertionError("a basis was built")
+        raise AssertionError("a coefficient was drawn")
 
-    monkeypatch.setattr(levy, "build_real_system", refuse)
-    code, out, err = run_cli(capsys, "levy", "--d", "2", "--N", "0", "--lmax", "1", "--family", "id",
-                             "--p", "2", "--omega-samples", "0", "--sphere-samples", "200000000")
-    assert code == 2 and out == ""
-    assert err.startswith("error: Levy mean for d=2, window (0, 1] refused: its outer-sample arrays"
-                          " take an estimated 3.2 GB")
+    monkeypatch.setattr(levy, "_chunk_rng", refuse)
+    monkeypatch.setattr(levy, "_weighted_rows", refuse)
+    code, out, _ = run_cli(capsys, "levy", "--d", "2", "--N", "0", "--lmax", "1", "--family",
+                           "exp:gamma=1,r=1", "--p", "2", "--omega-samples", "0",
+                           "--sphere-samples", "200000000")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["estimate"] == doc["parseval"] == pytest.approx(math.exp(-1), rel=1e-15)
+    assert (doc["stderr"], doc["stderr_outer"], doc["stderr_cloud"]) == (0.0, 0.0, 0.0)
+    assert (doc["sphere_samples"], doc["omega_samples"]) == (200000000, 0)
 
 
 def test_levy_refused_by_its_memory_exits_2(capsys, monkeypatch):
@@ -402,8 +404,8 @@ def _benchmark_ops(workload):
 
 # Every sampling command over its ceiling, then inputs under it (refusal
 # None), among them every benchmark op of those commands. A refused input
-# would run for minutes or take gigabytes if it were run. The tests above
-# pin levy's exact path and check nikolskii's bytes.
+# would run for minutes or take gigabytes if it were run. The test above
+# pins check nikolskii's bytes.
 REFUSAL_CASES = [pytest.param(argv, refusal, id=name) for name, argv, refusal in [
     ("levy-flops", ("levy", "--d", "3", "--N", "0", "--lmax", "6", "--family", "fs:gamma=3,xi=0",
                     "--p", "4", "--omega-samples", "1000000"),
@@ -419,17 +421,9 @@ REFUSAL_CASES = [pytest.param(argv, refusal, id=name) for name, argv, refusal in
      "estimated 20.8 GB"),
     ("project-bytes", ("project", "--d", "2", "--m", "3", "--n", "3", "--samples", "100000000"),
      "estimated 2.4 GB"),
-    # the exact p = 2 path: 3.9e10 coefficient draws, about 14 minutes; then
-    # just over and just under the time ceiling at s = 63 (35273369 and
-    # 35273368 x 63 x 900 flops)
-    ("levy-exact-draws", ("levy", "--d", "3", "--N", "0", "--lmax", "6", "--family", "fs:gamma=3,xi=0",
-                          "--p", "2", "--omega-samples", "0", "--sphere-samples", "10000000"),
-     "its coefficient draws cost 10000000 x 3919 x 900 = 3.53e+13 flops > 2e+12"),
-    ("levy-exact-draws-over", ("levy", "--d", "2", "--N", "0", "--lmax", "3", "--family", "id", "--p", "2",
-                               "--omega-samples", "0", "--sphere-samples", "35273369"),
-     "35273369 x 63 x 900 = 2.00e+12 flops > 2e+12"),
-    ("levy-exact-draws-under", ("levy", "--d", "2", "--N", "0", "--lmax", "3", "--family", "id", "--p", "2",
-                                "--omega-samples", "0", "--sphere-samples", "35273368"), None),
+    # the exact p = 2 path draws nothing, so no sample count is refused
+    ("levy-exact-unrefused", ("levy", "--d", "3", "--N", "0", "--lmax", "6", "--family", "fs:gamma=3,xi=0",
+                              "--p", "2", "--omega-samples", "0", "--sphere-samples", "10000000"), None),
     ("gegenbauer-lmax200", ("check", "gegenbauer", "--d", "3", "--lmax", "200", "--seed", "0"), None),
 ] + [(f"bench-{op.name}", (*op.argv, "--seed", "0"), None) for op in _benchmark_ops("levy-mc")]]
 
@@ -554,6 +548,20 @@ def test_basis_json_matches_benchmark_goldens(capsys):
         assert code == 0
         assert (len(data), hashlib.sha256(data).hexdigest()) == \
             (ops[name]["bytes"], ops[name]["sha256"]), name
+
+
+@pytest.mark.parametrize("seed", [3, 2**31 - 1])
+def test_levy_exact_op_passes_its_benchmark_check(seed, capsys):
+    # levy-d2-p2-exact from the benchmark's op list, rendered in-process and
+    # judged by the benchmark's own Parseval check against its golden; both
+    # files are only read here.
+    checks = runpy.run_path(str(GOLDEN_PATH.parent / "checks.py"))
+    [op] = [op for op in _benchmark_ops("levy-mc") if op.name == "levy-d2-p2-exact"]
+    argv = [*op.argv, "--seed", str(seed)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == op.exit_code == 0
+    golden = checks["load_golden"](GOLDEN_PATH)[op.name]
+    assert checks["check_parseval"](op, argv, out.encode("utf-8"), golden) is None
 
 
 # The benchmark's spectrum and seq command lines, by golden name.

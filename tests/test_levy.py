@@ -126,9 +126,42 @@ def test_parseval_closed_forms():
 
 
 def test_exact_path_matches_parseval():
+    for problem in (LevyProblem(2, 0, 1, identity("max"), 2),
+                    LevyProblem(2, 0, 1, exp_analytic(1, 1, "max"), 2),
+                    LevyProblem(2, 0, 3, finite_smooth(3, 0, "max"), 2)):
+        assert levy_mean_mc(problem, 500, 0, seed=0) == LevyEstimate(
+            value=levy_mean_parseval(problem), stderr=0.0, stderr_outer=0.0, stderr_cloud=0.0,
+            sphere_samples=500, omega_samples=0)
+
+
+def test_exact_path_draws_nothing(monkeypatch):
+    # 2 x 10^8 outer samples on d = 2, window (0, 1]: a sampled path would
+    # hold gigabytes; the exact path reads the sample count only to echo it.
+    def refuse(*args):
+        raise AssertionError("a coefficient was drawn")
+
+    monkeypatch.setattr(levy, "_chunk_rng", refuse)
+    monkeypatch.setattr(levy, "_weighted_rows", refuse)
     problem = LevyProblem(2, 0, 1, exp_analytic(1, 1, "max"), 2)
-    est = levy_mean_mc(problem, 500, 0, seed=0)
-    assert est.value == pytest.approx(levy_mean_parseval(problem), abs=1e-12)
+    est = levy_mean_mc(problem, 2 * 10**8, 0, seed=0)
+    assert est.value == levy_mean_parseval(problem)
+    assert (est.stderr, est.stderr_outer, est.stderr_cloud) == (0.0, 0.0, 0.0)
+    assert est.sphere_samples == 2 * 10**8
+
+
+@pytest.mark.parametrize("d, m1, m2", [(2, 0, 3), (2, 1, 4), (3, 0, 2), (4, 0, 2)])
+def test_window_kernel_is_constant_and_gives_the_parseval_value(d, m1, m2):
+    # The addition formula makes sum_k B_k(z)^2 the constant s / omega at
+    # every z, and with it sum_k lambda_k^2 B_k(z)^2 = mean(lambda^2) s / omega,
+    # the identity behind the exact p = 2 value.
+    system = build_real_system(d, m1, m2)
+    values = system.eval_matrix(sample_points(d, 1000, seed=11))
+    w = omega(d)
+    np.testing.assert_allclose(np.sum(values**2, axis=1), system.s / w, rtol=1e-12, atol=0)
+    problem = LevyProblem(d, m1, m2, finite_smooth(3, 0, "max"), 2)
+    lam = system.multiplier_vector(problem.fam)
+    np.testing.assert_allclose(w * (values**2 @ lam**2) / system.s, levy_mean_parseval(problem) ** 2,
+                               rtol=1e-12, atol=0)
 
 
 def test_mc_path_agrees_with_parseval():
@@ -362,24 +395,6 @@ def test_levy_mc_matches_chunked_oracle(p):
     assert est.stderr_outer == pytest.approx(se_outer, rel=1e-13, abs=0)
     assert est.stderr_cloud == pytest.approx(se_cloud, rel=1e-13, abs=0)
     assert est.stderr == math.hypot(est.stderr_outer, est.stderr_cloud)
-
-
-@pytest.mark.parametrize("fam, count", [(finite_smooth(3, 0, "max"), 1234), (identity("max"), 777)])
-def test_levy_exact_path_equals_one_shot_draw(fam, count):
-    # With the identity every squared norm is 1 up to rounding, so stderr
-    # sees a change of rounding in any row.
-    problem = LevyProblem(2, 0, 3, fam, 2)
-    est = levy_mean_mc(problem, count, 0, seed=8)
-    system = problem.system()
-    x = _chunk_rng(8, 777).standard_normal((count, system.s))
-    weighted = x / np.linalg.norm(x, axis=1, keepdims=True) * system.multiplier_vector(fam)
-    sq = np.sum(weighted**2, axis=1)
-    value = math.sqrt(float(np.mean(sq)))
-    se_outer = float(np.std(sq, ddof=1)) / math.sqrt(count) / (2.0 * value)
-    assert est.value == value
-    assert est.stderr_outer == se_outer
-    assert est.stderr_cloud == 0.0
-    assert est.stderr == se_outer
 
 
 def test_levy_mc_memory_stays_one_block_buffer():
@@ -714,30 +729,6 @@ def test_levy_memory_guard_refuses_before_any_basis(monkeypatch):
     with pytest.raises(ArgumentError, match=r"estimated 9\.2 GB .*block statistics"
                                             r" 35000000 x 8 x 3, norms 35000000 x 2\)"):
         levy_mean_mc(small, 35 * 10**6, 1000, seed=0)
-
-
-def test_levy_exact_path_memory_guard_refuses_before_any_basis(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a basis was built")
-
-    monkeypatch.setattr(levy, "build_real_system", refuse)
-    monkeypatch.setattr(levy, "build_basis", refuse)
-    # d = 2, window (0, 1] has s = 7. At p = 2 with no cloud, 2 x 10^8 outer
-    # samples would hold 1.6 GB of squared norms and 1.6 GB more in the
-    # temporary of their standard deviation, while their 1.4e9 coefficient
-    # draws stay under the time ceiling.
-    problem = LevyProblem(2, 0, 1, identity("max"), 2)
-    assert theta(2, 0, 1, "max") == 7
-    assert 2 * 10**8 * 7 * levy._DRAW_FLOPS <= levy.MAX_CLOUD_FLOPS
-    with pytest.raises(ArgumentError, match=r"refused: its outer-sample arrays take an estimated"
-                                            r" 3\.2 GB \(squared norms 200000000 x 2, outer rows"
-                                            r" 200 x 7 x 2\) > 2 GB$"):
-        levy_mean_mc(problem, 2 * 10**8, 0, seed=0)
-    # 8 x 2 x (sphere_samples + 200 x 7) bytes: exactly at the ceiling, then one sample over
-    at_ceiling = levy.MAX_CLOUD_BYTES // 16 - 200 * 7
-    check_cloud_cost(problem, at_ceiling, 0)
-    with pytest.raises(ArgumentError, match="refused"):
-        check_cloud_cost(problem, at_ceiling + 1, 0)
 
 
 def test_levy_memory_guard_counts_the_powering_copy(monkeypatch):
