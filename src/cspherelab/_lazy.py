@@ -3,10 +3,11 @@
 Every command uses a few of the package's modules, and some use no
 floating-point array at all: the exact commands (`dims`, `basis`, `seq`,
 `check dim-bounds`, `widths bounds`, `widths spectrum`),
-`widths compare-gradings` and `widths fit` on a CSV written by
-`widths spectrum`. Loading numpy costs more than the rest of the package's
-start-up together, and where no bytecode cache is written every module a
-process loads is compiled from source. So a module is registered here with
+`widths compare-gradings`, `widths fit` on a CSV written by
+`widths spectrum`, and `levy --p 2 --omega-samples 0`. Loading numpy
+costs more than the rest of the package's start-up together, and where no
+bytecode cache is written every module a process loads is compiled from
+source. So a module is registered here with
 _deferred and runs only when it is first used: `_deferred(name)` returns the
 real module if `name` is already in `sys.modules`; otherwise it puts a
 `importlib.util.LazyLoader` module there (and on its parent package), and

@@ -25,12 +25,13 @@ A window's members are evaluated together: the window is compiled once
 into one basis.MonomialMap, whose (2K, s) real matrix holds each member's
 exact coefficients in the Re or Im rows of the window's K monomials.
 
-Both gradings assign equal multipliers within such a set, so the weighted
-norm of a coefficient vector is well defined. The Levy mean
-(mean of the squared norm over the Euclidean coefficient sphere)^(1/2) is
-exact at p = 2 by Parseval (levy_mean_parseval); the Monte Carlo estimate
-samples coefficients on the sphere and takes the inner function-space norm
-on a shared point cloud.
+Multipliers are per level: every member of level l = max(m, n) carries
+lambda(l), level l has dim_layer(d, l) members (LevyProblem.layers), and
+members are listed level by level. The Levy mean (mean of the squared norm
+over the Euclidean coefficient sphere)^(1/2) is exact at p = 2 by Parseval
+from that table alone (levy_mean_parseval); the Monte Carlo estimate samples
+coefficients on the sphere and takes the inner function-space norm on a
+shared point cloud.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from functools import cached_property, lru_cache
 
 from ._lazy import numpy as np
 from .basis import MonomialMap, _check_on_sphere, build_basis
-from .dimensions import layer_members, theta
+from .dimensions import dim_layer, layer_members, theta
 from .errors import ArgumentError, ConsistencyError
-from .multipliers import MultiplierFamily, lambda_value, multiplier_at
+from .multipliers import lambda_value
 # The ceilings are imported to be read as levy.MAX_CLOUD_FLOPS and levy.MAX_CLOUD_BYTES.
 from .sphere import (_CAP_SAMPLES, MAX_CLOUD_BYTES, MAX_CLOUD_FLOPS, _chunk_rng,  # noqa: F401
                      abs_power_inplace, check_exponent, lp_norm_mc, omega, power_needs_base, refuse_cost,
@@ -103,9 +104,6 @@ class RealCoordinateSystem:
             else:
                 columns.append((vec, scale, 0.0))
         return MonomialMap(self.d, columns)
-
-    def multiplier_vector(self, fam: MultiplierFamily):
-        return np.array([multiplier_at(fam, *member.bidegree) for member in self.members])
 
 
 def _real_members(d, m, n):
@@ -176,6 +174,12 @@ class LevyProblem(namedtuple("LevyProblem", "d m1 m2 fam p")):
     def system(self):
         return build_real_system(self.d, self.m1, self.m2)
 
+    def layers(self):
+        """(lambda(l), dim_layer(d, l)) for each level l of the window; builds no basis."""
+        _check_window(self.m1, self.m2)
+        return [(lambda_value(self.fam, l), dim_layer(self.d, l, "max"))
+                for l in range(self.m1 + 1, self.m2 + 1)]
+
 
 class LevyEstimate(namedtuple(
         "LevyEstimate", "value stderr stderr_outer stderr_cloud sphere_samples omega_samples")):
@@ -185,9 +189,10 @@ class LevyEstimate(namedtuple(
 
 
 def levy_mean_parseval(prob: LevyProblem):
-    """Exact p = 2 Levy mean: (mean of squared multipliers)^(1/2)."""
-    lam = prob.system().multiplier_vector(prob.fam)
-    return math.sqrt(float(np.mean(lam**2)))
+    """Exact p = 2 Levy mean (sum_l lambda(l)^2 dim_l / s)^(1/2), from layers()
+    alone: no basis is built, so every window has it. fsum rounds the sum once."""
+    layers = prob.layers()
+    return math.sqrt(math.fsum(v * v * n for v, n in layers) / sum(n for _, n in layers))
 
 
 def _weighted_rows(rng, lam, out):
@@ -292,7 +297,7 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
     omega_samples -= omega_samples % _CLOUD_BLOCKS
     check_cloud_cost(prob, sphere_samples, omega_samples)
     system = prob.system()
-    lam = system.multiplier_vector(prob.fam)
+    lam = np.repeat(*zip(*prob.layers()))  # members are listed level by level
     rng = _chunk_rng(seed, 777)
     passes = [(start, min(_OUTER_ROWS, sphere_samples - start))
               for start in range(0, sphere_samples, _OUTER_ROWS)]
@@ -338,10 +343,10 @@ def levy_bounds(prob: LevyProblem):
     swaps the shifted/unshifted sums per the non-decreasing variant.
     """
     d, fam, p = prob.d, prob.fam, prob.p
-    levels = list(range(prob.m1 + 1, prob.m2 + 1))
-    lam = [abs(lambda_value(fam, l)) for l in levels]
-    lam_shift = [abs(lambda_value(fam, l - 1)) for l in levels]
-    dims = [theta(d, l - 1, l, "max") for l in levels]
+    layers = prob.layers()
+    lam = [abs(v) for v, _ in layers]
+    lam_shift = [abs(lambda_value(fam, l)) for l in range(prob.m1, prob.m2)]
+    dims = [n for _, n in layers]
     s = sum(dims)
 
     non_increasing = all(a >= b for a, b in zip(lam_shift, lam))

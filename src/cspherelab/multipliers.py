@@ -142,18 +142,6 @@ def lambda_value(fam, t):
     return math.exp(-fam.gamma * t**fam.r)
 
 
-def level_of(grading, m, n):
-    _check_grading(grading)
-    return m + n if grading == "star" else max(m, n)
-
-
-def multiplier_at(fam, m, n):
-    """Multiplier attached to bidegree (m, n) under the family's grading."""
-    if m < 0 or n < 0:
-        raise ArgumentError(f"bidegree must be nonnegative, got ({m}, {n})")
-    return lambda_value(fam, level_of(fam.grading, m, n))
-
-
 def _magnitude(fam, level):
     """|lambda(level)|; DivergenceError if the level is beyond float range."""
     try:

@@ -402,10 +402,21 @@ def _benchmark_ops(workload):
     return runpy.run_path(str(GOLDEN_PATH.parent / "workloads.py"))["all_ops"](workload)
 
 
+def _p2_exact_op():
+    [op] = [op for op in _benchmark_ops("levy-mc") if op.name == "levy-d2-p2-exact"]
+    return op
+
+
+# Outcome of a REFUSAL_CASES row whose command exits 0 although every
+# patched builder and sampler raises: it builds and draws nothing.
+_UNBUILT = "builds nothing"
+
 # Every sampling command over its ceiling, then inputs under it (refusal
-# None), among them every benchmark op of those commands. A refused input
-# would run for minutes or take gigabytes if it were run. The test above
-# pins check nikolskii's bytes.
+# None: past the estimate, at the first build or draw), among them every
+# benchmark op of those commands, then the exact p = 2 Levy path, which
+# builds and draws nothing (_UNBUILT). A refused input would run for
+# minutes or take gigabytes if it were run. The test above pins check
+# nikolskii's bytes.
 REFUSAL_CASES = [pytest.param(argv, refusal, id=name) for name, argv, refusal in [
     ("levy-flops", ("levy", "--d", "3", "--N", "0", "--lmax", "6", "--family", "fs:gamma=3,xi=0",
                     "--p", "4", "--omega-samples", "1000000"),
@@ -421,11 +432,16 @@ REFUSAL_CASES = [pytest.param(argv, refusal, id=name) for name, argv, refusal in
      "estimated 20.8 GB"),
     ("project-bytes", ("project", "--d", "2", "--m", "3", "--n", "3", "--samples", "100000000"),
      "estimated 2.4 GB"),
-    # the exact p = 2 path draws nothing, so no sample count is refused
-    ("levy-exact-unrefused", ("levy", "--d", "3", "--N", "0", "--lmax", "6", "--family", "fs:gamma=3,xi=0",
-                              "--p", "2", "--omega-samples", "0", "--sphere-samples", "10000000"), None),
     ("gegenbauer-lmax200", ("check", "gegenbauer", "--d", "3", "--lmax", "200", "--seed", "0"), None),
-] + [(f"bench-{op.name}", (*op.argv, "--seed", "0"), None) for op in _benchmark_ops("levy-mc")]]
+] + [(f"bench-{op.name}", (*op.argv, "--seed", "0"), _UNBUILT if op.name == "levy-d2-p2-exact" else None)
+     for op in _benchmark_ops("levy-mc")] + [
+    # the exact p = 2 path reads the level table only, so no sample count is
+    # refused and no level is past a basis cap
+    ("levy-exact-unrefused", ("levy", "--d", "3", "--N", "0", "--lmax", "6", "--family", "fs:gamma=3,xi=0",
+                              "--p", "2", "--omega-samples", "0", "--sphere-samples", "10000000"), _UNBUILT),
+    ("levy-exact-past-basis-cap", ("levy", "--d", "2", "--N", "0", "--lmax", "12", "--family",
+                                   "fs:gamma=3,xi=0", "--p", "2", "--omega-samples", "0"), _UNBUILT),
+]]
 
 
 @pytest.mark.parametrize("argv, refusal", REFUSAL_CASES)
@@ -442,6 +458,10 @@ def test_sampling_commands_refuse_over_their_ceilings_before_anything_is_built(a
             run(list(argv))
         return
     code, out, err = run_cli(capsys, *argv)
+    if refusal is _UNBUILT:
+        doc = json.loads(out)
+        assert code == 0 and err == "" and doc["estimate"] == doc["parseval"]
+        return
     assert code == 2 and out == ""
     assert err.startswith("error: ") and " refused: its " in err and refusal in err
 
@@ -556,7 +576,7 @@ def test_levy_exact_op_passes_its_benchmark_check(seed, capsys):
     # judged by the benchmark's own Parseval check against its golden; both
     # files are only read here.
     checks = runpy.run_path(str(GOLDEN_PATH.parent / "checks.py"))
-    [op] = [op for op in _benchmark_ops("levy-mc") if op.name == "levy-d2-p2-exact"]
+    op = _p2_exact_op()
     argv = [*op.argv, "--seed", str(seed)]
     code, out, _ = run_cli(capsys, *argv)
     assert code == op.exit_code == 0
@@ -890,6 +910,13 @@ def test_non_finite_widths_parameters_exit_2_at_parse_time(tmp_path, capsys, arg
     assert "error: argument --" in err and "not a finite number" in err
 
 
+def test_levy_empty_window_exits_2(capsys):
+    code, out, err = run_cli(capsys, "levy", "--d", "2", "--N", "2", "--lmax", "2", "--family", "id",
+                             "--p", "2", "--omega-samples", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: need 0 <= M1 < M2")
+
+
 def test_levy_star_grading_exits_2(capsys):
     # the max-graded window weighted by the star-graded lambda(m+n) once
     # printed a lower bound above its own exact Parseval value
@@ -1094,8 +1121,11 @@ def _loaded_after(argv):
     ["widths", "spectrum", "--d", "2", "--family", "fs:gamma=3", "--nmax", "200"],
     ["widths", "spectrum", "--d", "2", "--family", "fs:gamma=3", "--nmax", "200",
      "--format", "json"],
+    [*_p2_exact_op().argv, "--seed", "0"],
+    ["levy", "--d", "2", "--N", "0", "--lmax", "12", "--family", "fs:gamma=3,xi=0", "--p", "2",
+     "--omega-samples", "0"],
 ], ids=["basis", "dims-csv", "dims-json", "seq", "check-dim-bounds", "widths-bounds",
-        "spectrum-csv", "spectrum-json"])
+        "spectrum-csv", "spectrum-json", "levy-p2-exact", "levy-p2-exact-lmax12"])
 def test_exact_commands_never_load_numpy(argv):
     code, loaded, *_ = _loaded_after(argv)
     assert code == 0
@@ -1251,6 +1281,12 @@ def test_tracer_resolves_every_target_in_a_fresh_process(tmp_path):
     spans = {span[0] for span in json.loads(trace.read_text())["spans"]}
     assert {"polynomials.gegenbauer_eval", "polynomials.disk_poly_eval",
             "sphere.sample_points"} <= spans
+    # the exact p = 2 Levy mean reads the level table, not the window's basis
+    done = subprocess.run([sys.executable, str(tracer), str(trace), *_p2_exact_op().argv, "--seed", "0"],
+                          capture_output=True, text=True, env=_child_env())
+    assert done.returncode == 0, done.stderr
+    spans = {span[0] for span in json.loads(trace.read_text())["spans"]}
+    assert "levy.levy_mean_mc" in spans and "levy.build_real_system" not in spans
 
 
 def test_infinity_p_parses(capsys):

@@ -2,13 +2,14 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cspherelab import levy
 from cspherelab.basis import build_basis
-from cspherelab.dimensions import theta
+from cspherelab.dimensions import dim_layer, theta
 from cspherelab.errors import ArgumentError
 from cspherelab.levy import (
     LevyEstimate,
@@ -20,7 +21,7 @@ from cspherelab.levy import (
     levy_mean_parseval,
     nikolskii_check,
 )
-from cspherelab.multipliers import exp_analytic, finite_smooth, identity, parse_family, sobolev
+from cspherelab.multipliers import exp_analytic, finite_smooth, identity, lambda_value, parse_family, sobolev
 from cspherelab.sphere import (
     _CAP_ROUNDS,
     _CAP_SAMPLES,
@@ -50,6 +51,12 @@ def _exact_member(system, k):
     if member.part == "re":
         return v + v.conj(), 2 * q, 1.0
     return v - v.conj(), 2 * q, -1.0j
+
+
+def _member_multipliers(system, fam):
+    """Each member's multiplier, lambda(max(m, n)) of its own bidegree: an oracle independent of
+    LevyProblem.layers."""
+    return np.array([lambda_value(fam, max(member.bidegree)) for member in system.members])
 
 
 def _exact_gram(system):
@@ -134,6 +141,51 @@ def test_exact_path_matches_parseval():
             sphere_samples=500, omega_samples=0)
 
 
+_TABLE_FAMILIES = ("id", "fs:gamma=3,xi=0", "fs:gamma=2,xi=1", "exp:gamma=1,r=1", "exp:gamma=0.5,r=2",
+                   "sobolev:gamma=2", "sobolev:gamma=0.5")
+_TABLE_WINDOWS = [(d, m1, m2) for d, top in [(2, 5), (3, 3), (4, 2)]
+                  for m1 in range(top) for m2 in range(m1 + 1, top + 1)]
+
+
+@pytest.mark.parametrize("d, m1, m2", _TABLE_WINDOWS)
+def test_level_table_gives_every_member_its_multiplier(d, m1, m2):
+    # Members are listed level by level, so the table repeated by its counts
+    # is the member vector, byte for byte; and the Parseval value from the
+    # table agrees with the mean over that vector.
+    system = build_real_system(d, m1, m2)
+    for spec in _TABLE_FAMILIES:
+        problem = LevyProblem(d, m1, m2, parse_family(spec, d, "max"), 2)
+        lam = _member_multipliers(system, problem.fam)
+        assert np.repeat(*zip(*problem.layers())).tobytes() == lam.tobytes()
+        oracle = math.sqrt(float(np.mean(lam**2)))
+        assert abs(levy_mean_parseval(problem) - oracle) <= 1e-15 * oracle
+
+
+@pytest.mark.parametrize("d, m1, m2", [(2, 0, 12), (5, 10, 30)])
+@pytest.mark.parametrize("spec", ["fs:gamma=3,xi=0", "sobolev:gamma=2", "exp:gamma=0.5,r=1", "id"])
+def test_parseval_past_the_basis_cap_matches_the_exact_sum(d, m1, m2, spec, monkeypatch):
+    # Levels past basis.MAX_BIDEGREE: the value comes from the level table
+    # alone, and equals the rational sum_l lambda(l)^2 theta_l / s rounded.
+    def refuse(*args):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(levy, "build_real_system", refuse)
+    monkeypatch.setattr(levy, "build_basis", refuse)
+    fam = parse_family(spec, d, "max")
+    levels = range(m1 + 1, m2 + 1)
+    exact = (sum(Fraction(lambda_value(fam, l)) ** 2 * dim_layer(d, l, "max") for l in levels)
+             / theta(d, m1, m2, "max"))
+    expected = math.sqrt(float(exact))
+    assert abs(levy_mean_parseval(LevyProblem(d, m1, m2, fam, 2)) - expected) <= 1e-15 * expected
+
+
+def test_empty_window_is_refused_by_the_level_table():
+    problem = LevyProblem(2, 2, 2, identity("max"), 2)
+    for compute in (LevyProblem.layers, levy_bounds, levy_mean_parseval):
+        with pytest.raises(ArgumentError, match="need 0 <= M1 < M2"):
+            compute(problem)
+
+
 def test_exact_path_draws_nothing(monkeypatch):
     # 2 x 10^8 outer samples on d = 2, window (0, 1]: a sampled path would
     # hold gigabytes; the exact path reads the sample count only to echo it.
@@ -159,7 +211,7 @@ def test_window_kernel_is_constant_and_gives_the_parseval_value(d, m1, m2):
     w = omega(d)
     np.testing.assert_allclose(np.sum(values**2, axis=1), system.s / w, rtol=1e-12, atol=0)
     problem = LevyProblem(d, m1, m2, finite_smooth(3, 0, "max"), 2)
-    lam = system.multiplier_vector(problem.fam)
+    lam = _member_multipliers(system, problem.fam)
     np.testing.assert_allclose(w * (values**2 @ lam**2) / system.s, levy_mean_parseval(problem) ** 2,
                                rtol=1e-12, atol=0)
 
@@ -356,7 +408,7 @@ def _chunked_levy_oracle(prob, sphere_samples, omega_samples, seed, chunk=200, c
     Returns (value, stderr_outer, stderr_cloud) of the shared-cloud path.
     """
     system, p = prob.system(), prob.p
-    lam = system.multiplier_vector(prob.fam)
+    lam = _member_multipliers(system, prob.fam)
     x = _chunk_rng(seed, 777).standard_normal((sphere_samples, system.s))
     weighted = x / np.linalg.norm(x, axis=1, keepdims=True) * lam
     omega_samples -= omega_samples % cloud_blocks
@@ -553,7 +605,7 @@ def _full_matrix_levy_oracle(prob, sphere_samples, omega_samples, seed):
     """The earlier levy_mean_mc: the whole (omega_samples, s) cloud matrix, passes outside."""
     p = prob.p
     system = prob.system()
-    lam = system.multiplier_vector(prob.fam)
+    lam = _member_multipliers(system, prob.fam)
     rng = _chunk_rng(seed, 777)
     omega_samples -= omega_samples % levy._CLOUD_BLOCKS
     pts = sample_points(prob.d, omega_samples, seed + 1)

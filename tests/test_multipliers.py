@@ -15,7 +15,6 @@ from cspherelab.multipliers import (
     finite_smooth,
     identity,
     lambda_value,
-    multiplier_at,
     parse_family,
     plan_beta,
     sobolev,
@@ -32,19 +31,6 @@ def test_lambda_values():
     assert lambda_value(identity(), 17) == 1.0
 
 
-def test_multiplier_at_gradings():
-    assert multiplier_at(identity(), 4, 9) == 1.0
-    assert multiplier_at(exp_analytic(1, 1, "star"), 1, 1) == pytest.approx(math.exp(-2))
-    assert multiplier_at(exp_analytic(1, 1, "max"), 1, 1) == pytest.approx(math.exp(-1))
-    assert multiplier_at(sobolev(2, 2, "star"), 0, 0) == 0.0
-
-
-def test_grading_symmetry():
-    for fam in (sobolev(1.5, 2, "star"), finite_smooth(2, 1, "max"), exp_analytic(1, 0.5, "max")):
-        for m, n in [(0, 3), (2, 5), (4, 1)]:
-            assert multiplier_at(fam, m, n) == multiplier_at(fam, n, m)
-
-
 def test_monotone_tail():
     for fam in (sobolev(1, 2), finite_smooth(3, 2), exp_analytic(1, 0.5)):
         values = [abs(lambda_value(fam, l)) for l in range(2, 200)]
@@ -57,7 +43,7 @@ def test_parseval_scaling_against_monte_carlo():
     rng = np.random.default_rng(1)
     fam = exp_analytic(1, 1, "max")
     bases = [build_basis(2, m, n) for l in range(3) for m, n in layer_members(l, "max")]
-    lam = np.concatenate([np.full(b.dim, multiplier_at(fam, b.m, b.n)) for b in bases])
+    lam = np.concatenate([np.full(b.dim, lambda_value(fam, max(b.m, b.n))) for b in bases])
     pairs = rng.standard_normal((lam.size, 2))
     filtered = (pairs[:, 0] + 1j * pairs[:, 1]) * lam
 
