@@ -428,7 +428,7 @@ def verify_addition(d, m, n, samples, seed):
     ew = basis_.eval_orthonormal(ws)
     lhs = np.sum(np.conj(ew) * ez, axis=1)
     dmn = dim_complex_harmonic(d, m, n)
-    t = np.sum(zs * np.conj(ws), axis=1)
+    t = np.sum(np.multiply(zs, np.conj(ws, out=ws), out=ws), axis=1)  # order fixed as in verify_gegenbauer
     rhs = (dmn / sphere.omega(d)) * polynomials.disk_poly_eval(m, n, d - 2, t)
     dev_pairs = float(np.max(np.abs(lhs - rhs)))
     diag = np.sum(np.abs(ez) ** 2, axis=1)
@@ -465,7 +465,9 @@ def verify_gegenbauer(d, k_max, samples, seed):
     # through the recurrences
     zs = sphere.sample_points(d, samples, seed)
     ws = sphere.sample_points(d, samples, seed, start=samples)
-    t = np.sum(zs * np.conj(ws), axis=1)
+    # np.multiply fixes the order conj(w) z: for `*` numpy may reuse a large
+    # temporary as the output and swap the operands, and the orders round differently
+    t = np.sum(np.multiply(np.conj(ws, out=ws), zs, out=ws), axis=1)
     del zs, ws
     w = sphere.omega(d)
     worst = 0.0

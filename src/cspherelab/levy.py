@@ -46,9 +46,9 @@ from .dimensions import dim_layer, layer_members, theta
 from .errors import ArgumentError, ConsistencyError
 from .multipliers import lambda_value
 # The ceilings are imported to be read as levy.MAX_CLOUD_FLOPS and levy.MAX_CLOUD_BYTES.
-from .sphere import (_CAP_SAMPLES, MAX_CLOUD_BYTES, MAX_CLOUD_FLOPS, _chunk_rng,  # noqa: F401
-                     abs_power_inplace, check_exponent, lp_norm_mc, omega, power_needs_base, refuse_cost,
-                     sample_points, sup_norm_refined)
+from .sphere import (_CAP_SAMPLES, MAX_CLOUD_BYTES, MAX_CLOUD_FLOPS, _abs_products,  # noqa: F401
+                     _chunk_rng, _power_means, check_exponent, lp_norm_mc, omega, power_needs_base,
+                     refuse_cost, sample_points, sup_norm_refined)
 
 # The fixed Monte Carlo layout: rows per pass over the cloud, and cloud
 # blocks for the cloud error.
@@ -203,25 +203,6 @@ def _weighted_rows(rng, lam, out):
     return out
 
 
-def _reduce_block(x, block, passes, p, out):
-    """Write each outer row's statistic on one cloud block into out: max |v| at
-    p = inf, else the mean of |v|^p, with v = x @ block.T formed pass by pass.
-
-    The pass buffer, and at p = 3, 5, 6, 7, ... the buffer of |v| that the
-    powering multiplies by, are allocated after the block is evaluated and
-    freed on return, so they never sit beside the evaluator's tables.
-    """
-    buf = np.empty((passes[0][1], len(block)))
-    magnitudes = np.empty_like(buf) if power_needs_base(p) else None
-    for start, rows in passes:
-        v = np.matmul(x[start:start + rows], block.T, out=buf[:rows])
-        if p == math.inf:
-            out[start:start + rows] = np.maximum(v.max(axis=1), -v.min(axis=1))
-        else:
-            base = None if magnitudes is None else np.abs(v, out=magnitudes[:rows])
-            out[start:start + rows] = abs_power_inplace(v, p, base=base).mean(axis=1)
-
-
 def check_cloud_cost(prob: LevyProblem, sphere_samples, omega_samples):
     """Refuse a cloud Levy mean over MAX_CLOUD_FLOPS or MAX_CLOUD_BYTES (sphere.refuse_cost).
 
@@ -267,7 +248,8 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
     cloud's _CLOUD_BLOCKS equal blocks give stderr_cloud. Inputs whose cloud
     products cost more than MAX_CLOUD_FLOPS, or whose arrays take more than
     MAX_CLOUD_BYTES, are refused before any basis is built
-    (check_cloud_cost).
+    (check_cloud_cost); a p whose powers |.|^p underflow or overflow is
+    refused by the pass reduction (sphere._power_means).
 
     Memory: the estimate holds the (sphere_samples, s) outer rows and
     their (sphere_samples, _CLOUD_BLOCKS) block statistics, never the
@@ -276,11 +258,11 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
     the cloud, drawn for it (sample_points' start); the points go with that
     call and the block before the next block is evaluated. A row's values
     depend on its point only, not on where the block starts. After the
-    block is evaluated, every pass of outer rows is multiplied into one
-    (_OUTER_ROWS, omega_samples / _CLOUD_BLOCKS) buffer (64 rows: 3.2 MB at
-    50,000 points), reduced in place (|.|^p, or max |.| at p = inf) to the
-    block's row means; at p = 3, 5, 6, 7, ... the powering multiplies by |.|
-    of the pass, held in one second buffer of that size. Both buffers go
+    block is evaluated, sphere._abs_products forms |.| of each pass of outer
+    rows in one (_OUTER_ROWS, omega_samples / _CLOUD_BLOCKS) buffer (64 rows:
+    3.2 MB at 50,000 points) and sphere._power_means reduces it in place to
+    the block's row means of |.|^p (maxima at p = inf); at p = 3, 5, 6, 7,
+    ... the powers go to one second buffer of that size. Both buffers go
     with the block, so they never sit beside the evaluator's tables. The
     block, its points and those buffers are the arrays that grow with
     omega_samples: exact row means need a whole block row at once.
@@ -299,18 +281,18 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
     system = prob.system()
     lam = np.repeat(*zip(*prob.layers()))  # members are listed level by level
     rng = _chunk_rng(seed, 777)
-    passes = [(start, min(_OUTER_ROWS, sphere_samples - start))
-              for start in range(0, sphere_samples, _OUTER_ROWS)]
     x = np.empty((sphere_samples, system.s))
-    for start, rows in passes:
-        _weighted_rows(rng, lam, x[start:start + rows])
+    for start in range(0, sphere_samples, _OUTER_ROWS):
+        _weighted_rows(rng, lam, x[start:start + _OUTER_ROWS])
     per_block = omega_samples // _CLOUD_BLOCKS
     block_stat = np.empty((sphere_samples, _CLOUD_BLOCKS))
     for b in range(_CLOUD_BLOCKS):
         # the block's points are drawn for its evaluation and freed with it
         block = system.eval_matrix(sample_points(prob.d, per_block, seed + 1, start=b * per_block))
-        _reduce_block(x, block, passes, p, block_stat[:, b])
-        del block  # freed before the next block is evaluated
+        work = np.empty((min(_OUTER_ROWS, sphere_samples), per_block)) if power_needs_base(p) else None
+        for part, mags in _abs_products(x, block, _OUTER_ROWS):
+            block_stat[part, b] = _power_means(mags, p, None if work is None else work[:len(mags)])
+        del block, mags, work  # freed before the next block is evaluated
     w = omega(prob.d)
     if p == math.inf:
         sq = block_stat.max(axis=1) ** 2
@@ -393,9 +375,10 @@ def nikolskii_check(d, m1, m2, p, trials, seed, omega_samples=4096):
     Memory: the (s, omega_samples) coordinate values of the cloud and its
     points are the only arrays of cloud size, and they are released before
     the cap search, which never reads them. |t| on the cloud is formed
-    _OUTER_ROWS (64) trials per pass into one reused buffer; each pass gives
-    its trials' cloud maxima, the points where they lie and both cloud
-    norms, whose |t|^q and deviations share a second pass buffer. The caps
+    _OUTER_ROWS (64) trials per pass (sphere._abs_products) into one reused
+    buffer; each pass gives its trials' cloud maxima, the points where they
+    lie and both cloud norms, whose |t|^q and deviations share a second pass
+    buffer; lp_norm_mc refuses a p whose powers or errors are lost. The caps
     are evaluated _CAP_ROWS (16) trials per pass, one pass's (_CAP_ROWS *
     _CAP_SAMPLES, s) coordinate values at a time, and their |t| is taken in
     place. Inputs whose cloud products cost more than MAX_CLOUD_FLOPS, or
@@ -430,24 +413,20 @@ def nikolskii_check(d, m1, m2, p, trials, seed, omega_samples=4096):
     coeffs = rng.standard_normal((trials, s))
 
     pts = sample_points(d, omega_samples, seed + 2)
-    cloud = system.eval_matrix(pts).T  # (s, omega_samples)
+    cloud = system.eval_matrix(pts)  # (omega_samples, s)
     best, centers = np.empty(trials), np.empty((trials, d), dtype=complex)
     norm2, se_2 = np.empty(trials), np.empty(trials)
     norm_p, se_p = np.empty(trials), np.zeros(trials)
-    mag_buf, work_buf = (np.empty((min(_OUTER_ROWS, trials), omega_samples)) for _ in range(2))
-    for start in range(0, trials, _OUTER_ROWS):
-        rows = slice(start, start + _OUTER_ROWS)
-        n = min(_OUTER_ROWS, trials - start)
-        mags = np.matmul(coeffs[rows], cloud, out=mag_buf[:n])
-        np.abs(mags, out=mags)
+    work = np.empty((min(_OUTER_ROWS, trials), omega_samples))
+    for rows, mags in _abs_products(coeffs, cloud, _OUTER_ROWS):
         best[rows] = mags.max(axis=1)
         centers[rows] = pts[mags.argmax(axis=1)]
         # Both norms of each ratio come from the same shared cloud, so the
         # p = 2 instance of the p-versus-2 comparison is the exact equality case.
-        norm2[rows], se_2[rows] = lp_norm_mc(mags, 2, d, out=work_buf[:n])
+        norm2[rows], se_2[rows] = lp_norm_mc(mags, 2, d, out=work[:len(mags)])
         if p != math.inf:
-            norm_p[rows], se_p[rows] = lp_norm_mc(mags, p, d, out=work_buf[:n])
-    del mags, mag_buf, work_buf, cloud, pts  # the caps never read them
+            norm_p[rows], se_p[rows] = lp_norm_mc(mags, p, d, out=work[:len(mags)])
+    del mags, work, cloud, pts  # the caps never read them
 
     def cap_values(cap):
         out = np.empty(cap.shape[:-1])

@@ -134,7 +134,7 @@ def abs_power_inplace(v, p, base=None):
     first only for p = 1 and, without a base, for the other odd p (to make
     the copy): an even power ends in a squaring, and v is squared before
     a base is read. Other p use np.abs and np.power. This is the one |.|^p
-    rule of the Monte Carlo norms (lp_norm_mc and the Levy mean).
+    rule of the Monte Carlo norms (_power_means).
     """
     if not float(p).is_integer():
         np.abs(v, out=v)
@@ -151,6 +151,46 @@ def abs_power_inplace(v, p, base=None):
     return v
 
 
+def _abs_products(coeffs, values, rows):
+    """Yield (part, |coeffs[part] @ values.T|) for consecutive slices of at most `rows` rows
+    of coeffs; each array is a view of one buffer, which the next pass overwrites."""
+    buf = np.empty((min(rows, len(coeffs)), len(values)))
+    for start in range(0, len(coeffs), rows):
+        part = slice(start, min(start + rows, len(coeffs)))
+        mags = np.matmul(coeffs[part], values.T, out=buf[:part.stop - start])
+        yield part, np.abs(mags, out=mags)
+
+
+def _power_error(p):
+    return ArgumentError(f"|f|^p at p = {p:g} underflows or overflows double precision, so its"
+                         " Monte Carlo mean is lost; use --p inf for the sup norm")
+
+
+def _power_means(mags, p, work=None):
+    """Means of mags^p (sampled |f|) along the last axis, maxima at p = inf; the powers
+    are formed in work with mags as their base, or without work in mags.
+
+    p is refused when a mean is not finite, or is 0 on a row whose largest
+    |f| is positive: the powers overflowed or underflowed.
+    """
+    if p == math.inf:
+        return mags.max(axis=-1)
+    # powering in place loses the row maxima that tell an underflow from |f| = 0
+    # (but |f|^1 is |f|)
+    peaks = mags.max(axis=-1) if work is None and p != 1 else None
+    with np.errstate(over="ignore"):
+        if work is None:
+            means = abs_power_inplace(mags, p).mean(axis=-1)
+        else:
+            np.copyto(work, mags)
+            means = abs_power_inplace(work, p, base=mags).mean(axis=-1)
+    if peaks is None and not means.all():
+        peaks = mags.max(axis=-1)
+    if not np.isfinite(means).all() or (peaks is not None and np.any((means == 0) & (peaks > 0))):
+        raise _power_error(p)
+    return means
+
+
 def lp_norm_mc(values, p, d, out=None):
     """L^p(Omega_d) norm estimates from |f| sampled at uniform points.
 
@@ -158,12 +198,14 @@ def lp_norm_mc(values, p, d, out=None):
     each with the shape of `values` less that axis.
     For finite p the value is (omega(d) * mean(|f|^p))^(1/p) with its
     delta-method standard error. For p = inf the value is max(values), a
-    lower-biased estimate of the essential sup, with stderr 0.
+    lower-biased estimate of the essential sup, with stderr 0. A p whose
+    powers, their mean or the error overflow or underflow is refused
+    (_power_means).
 
     `values` must be finite and nonnegative: they are the multiplier of the
     powering (abs_power_inplace's base), so no copy of them is made.
 
-    Memory: |f|^p and then its deviations from the mean (numpy's
+    Memory: |f|^p (_power_means' work) and then its deviations (numpy's
     std(ddof=1), formed in place) take one array of the size of `values`:
     `out` if given, a float array of that shape which the caller reuses.
     """
@@ -179,18 +221,18 @@ def lp_norm_mc(values, p, d, out=None):
         return value, np.zeros_like(value)[()]
     w = omega(d)
     powers = np.empty_like(values) if out is None else out
-    np.copyto(powers, values)
-    abs_power_inplace(powers, p, base=values)
-    mean = powers.mean(axis=-1)
-    value = (w * mean) ** (1.0 / p)
-    stderr = np.zeros_like(value)
-    if n > 1:
-        np.subtract(powers, mean[..., None], out=powers)
-        np.square(powers, out=powers)
-        se_mean = np.sqrt(powers.sum(axis=-1) / (n - 1)) / math.sqrt(n)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    mean = _power_means(values, p, powers)
+    stderr = np.zeros_like(mean)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        value = (w * mean) ** (1.0 / p)
+        if n > 1:
+            np.subtract(powers, mean[..., None], out=powers)
+            np.square(powers, out=powers)
+            se_mean = np.sqrt(powers.sum(axis=-1) / (n - 1)) / math.sqrt(n)
             delta = (1.0 / p) * (w * mean) ** (1.0 / p - 1.0) * w * se_mean
-        stderr = np.where(mean > 0, delta, 0.0)
+            stderr = np.where(mean > 0, delta, 0.0)
+    if not (np.isfinite(value).all() and np.isfinite(stderr).all()):
+        raise _power_error(p)
     return value, stderr[()]
 
 

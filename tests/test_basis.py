@@ -207,7 +207,7 @@ def test_gegenbauer_one_sample_covers_every_degree():
     # every degree 0..12 is checked on the pairs of one 2 x 2000 draw
     d, k_max = 3, 12
     pts = sample_points(d, 4000, 5)
-    t = np.sum(pts[:2000] * np.conj(pts[2000:]), axis=1)
+    t = np.sum(np.multiply(np.conj(pts[2000:]), pts[:2000]), axis=1)  # conj(w) z, as the check forms it
     w = omega(d)
     worst = 0.0
     for k in range(k_max + 1):
@@ -218,6 +218,28 @@ def test_gegenbauer_one_sample_covers_every_degree():
     assert verify_gegenbauer(d, k_max, 2000, seed=5) == worst
     assert worst < 1e-9
 
+
+
+# At d = 3, 1000 pairs are 48 KB of points per side, below the 256 KiB from
+# which numpy reuses a temporary of `a * b` as its output and may swap the
+# operands; 6000 pairs are 288 KB, above it.
+@pytest.mark.parametrize("samples", [1000, 6000])
+def test_pair_products_keep_their_operand_order_at_every_count(monkeypatch, samples):
+    from cspherelab import polynomials
+
+    seen = []
+
+    def recorded(m, n, alpha, t):
+        seen.append(t.copy())
+        return disk_poly_eval(m, n, alpha, t)
+
+    monkeypatch.setattr(polynomials, "disk_poly_eval", recorded)
+    pts = sample_points(3, 2 * samples, 4242)
+    zs, ws = pts[:samples], pts[samples:]
+    verify_gegenbauer(3, 0, samples, 4242)
+    assert seen[-1].tobytes() == np.sum(np.multiply(np.conj(ws), zs), axis=1).tobytes()
+    verify_addition(3, 1, 1, samples, 4242)
+    assert seen[-1].tobytes() == np.sum(np.multiply(zs, np.conj(ws)), axis=1).tobytes()
 
 def test_projection_reproduces_basis_function():
     built = build_basis(2, 1, 1)

@@ -155,6 +155,34 @@ def test_check_nikolskii_cli(capsys):
     assert doc["pass"] is True and doc["violations_sup"] == 0
 
 
+
+# At p = 400 every |f|^p of the window underflows to 0 (the same command gives
+# 0.05126 at p = 200); at p = 600 the norm-comparison powers overflow. Both
+# printed a result before: estimate 0, or "pass": true with an infinite ratio.
+@pytest.mark.parametrize("argv", [
+    ("levy", "--d", "2", "--N", "0", "--lmax", "3", "--family", "fs:gamma=3,xi=0", "--p", "400",
+     "--omega-samples", "4000", "--sphere-samples", "50"),
+    ("check", "nikolskii", "--d", "2", "--N", "0", "--lmax", "2", "--samples", "50", "--p", "600")])
+def test_power_means_lost_to_underflow_or_overflow_exit_2(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "p = " + argv[argv.index("--p") + 1] in err and "--p inf" in err
+
+
+@pytest.mark.parametrize("p", ["4", "400"])
+def test_levy_window_with_zero_multiplier_keeps_its_zero_estimate(capsys, p):
+    # lambda = 0 on the window (0, 1] of fs:gamma=3,xi=0: |f| is 0, not an underflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run_cli(capsys, "levy", "--d", "2", "--N", "0", "--lmax", "1", "--family",
+                               "fs:gamma=3,xi=0", "--p", p, "--omega-samples", "4000",
+                               "--sphere-samples", "50")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["estimate"] == doc["stderr"] == 0
+
 def test_byte_identical_reruns(capsys):
     argv = ("levy", "--d", "2", "--N", "0", "--lmax", "1", "--family", "exp:gamma=1,r=1",
             "--p", "2", "--sphere-samples", "200", "--omega-samples", "2000", "--seed", "7")

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cspherelab import levy
+from cspherelab import levy, sphere
 from cspherelab.basis import build_basis
 from cspherelab.dimensions import dim_layer, theta
 from cspherelab.errors import ArgumentError
@@ -341,6 +341,33 @@ def test_nikolskii_cap_passes_invariant(monkeypatch):
             monkeypatch.setattr(levy, "_OUTER_ROWS", rows)
             reports.append(nikolskii_check(2, 0, 1, p, 150, seed=3))
         assert reports[0] == reports[1], p
+
+
+
+def test_cloud_products_are_formed_only_by_the_pass_layer(monkeypatch):
+    # 150 rows are passes of 64, 64 and 22, for each cloud block of the Levy
+    # mean. At p = inf the Levy mean is homogeneous bit for bit (max, squares,
+    # mean and sqrt of values scaled by 2), so doubling every yielded pass
+    # doubles it exactly only if no cloud product bypasses the layer.
+    passes, scale = [], 1.0
+
+    def counted(coeffs, values, rows):
+        for part, mags in sphere._abs_products(coeffs, values, rows):
+            passes.append(len(mags))
+            yield part, np.multiply(mags, scale, out=mags)
+
+    monkeypatch.setattr(levy, "_abs_products", counted)
+    levy_mean_mc(LevyProblem(2, 0, 2, finite_smooth(3, 0, "max"), 3), 150, 4000, seed=5)
+    assert passes == [64, 64, 22] * levy._CLOUD_BLOCKS
+    passes.clear()
+    nikolskii_check(2, 0, 2, 4, 150, seed=3)
+    assert passes == [64, 64, 22]
+    problem = LevyProblem(2, 0, 2, finite_smooth(3, 0, "max"), math.inf)
+    plain = levy_mean_mc(problem, 150, 4000, seed=5)
+    scale = 2.0
+    doubled = levy_mean_mc(problem, 150, 4000, seed=5)
+    assert (doubled.value, doubled.stderr_outer, doubled.stderr_cloud) == (
+        2 * plain.value, 2 * plain.stderr_outer, 2 * plain.stderr_cloud)
 
 
 # The benchmark's four cloud levy ops at their p, at reduced sizes: 250 outer

@@ -8,7 +8,9 @@ import pytest
 from cspherelab import sphere
 from cspherelab.errors import ArgumentError
 from cspherelab.sphere import (
+    _abs_products,
     _chunk_rng,
+    _power_means,
     abs_power_inplace,
     lp_norm_mc,
     omega,
@@ -118,7 +120,7 @@ def test_abs_power_inplace_with_base_equals_its_copy(p):
 
 @pytest.mark.parametrize("p", [1, 3, 5, 6, 7])
 def test_abs_power_inplace_reads_a_signed_input_through_its_base(p):
-    # the Levy mean passes a signed pass with |pass| as base
+    # a signed input read through |input| as its base
     v = np.random.default_rng(5).standard_normal((30, 70))
     want = abs_power_inplace(v.copy(), p)
     out = v.copy()
@@ -230,3 +232,47 @@ def test_lp_norm_argument_errors():
             lp_norm_mc([1.0, bad, 2.0], 2, d=2)
         with pytest.raises(ArgumentError):
             lp_norm_mc([[1.0, 2.0], [bad, 0.0]], 3, d=2, out=np.empty((2, 2)))
+
+
+@pytest.mark.parametrize("rows, sizes", [(64, [64, 64, 22]), (150, [150]), (1000, [150])])
+def test_abs_products_pass_by_pass_in_one_buffer(rows, sizes):
+    rng = np.random.default_rng(6)
+    coeffs, values = rng.standard_normal((150, 7)), rng.standard_normal((40, 7))
+    parts, views, copies = [], [], []
+    for part, mags in _abs_products(coeffs, values, rows):
+        parts.append(part)
+        views.append(mags)
+        copies.append(mags.copy())
+    starts = range(0, 150, rows)
+    assert parts == [slice(start, start + size) for start, size in zip(starts, sizes)]
+    assert all(m.base is views[0].base and np.shares_memory(m, views[0]) for m in views)
+    for part, got in zip(parts, copies):
+        assert got.tobytes() == np.abs(coeffs[part] @ values.T).tobytes()
+
+
+# Row 0 is |f| = 0, whose powers are rightly 0; row 1's powers underflow to 0
+# and row 2's overflow. p = 1024 is raised in place without work, 1100 through
+# a copy of its base, 1100.5 by np.power.
+@pytest.mark.parametrize("p", [1024, 1100, 1100.5])
+@pytest.mark.parametrize("with_work", [False, True])
+def test_power_means_refuse_powers_lost_to_underflow_or_overflow(p, with_work):
+    mags = np.array([[0.0, 0.0, 0.0], [0.25, 0.125, 0.0], [2.0, 1.0, 0.5]])
+
+    def means(rows):
+        part = mags[rows].copy()
+        return _power_means(part, p, np.empty_like(part) if with_work else None)
+
+    assert means([0]).tolist() == [0.0]
+    for rows in ([0, 1], [2], [1, 2]):
+        with pytest.raises(ArgumentError, match=f"p = {p:g}.*--p inf"):
+            means(rows)
+    mags[2] = [1.0, 1.0, 0.0]
+    assert means([0, 2]).tolist() == [0.0, 2.0 / 3.0]
+
+
+def test_lp_norm_refuses_an_error_that_overflows():
+    # the mean of |f|^3 is 5e299, but its squared deviations overflow
+    with pytest.raises(ArgumentError, match="p = 3"):
+        lp_norm_mc([1e100, 0.0], 3, d=2)
+    with pytest.raises(ArgumentError, match="p = 4"):
+        lp_norm_mc([[1.0, 2.0], [1e100, 0.0]], 4, d=2)  # the mean itself overflows
