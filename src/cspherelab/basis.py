@@ -64,14 +64,17 @@ POINT_TOL = 1e-12
 _EVAL_ROWS = 2048
 
 # Time model of verify_gegenbauer, in flops of sphere.MAX_CLOUD_FLOPS: each
-# disk polynomial runs min(m, n) Jacobi recurrence steps and one step's
-# worth of set-up over every point pair. One step over one pair took 1.4e-8
-# to 2.5e-8 s at 1000 pairs (d = 2 to 4, k_max = 50 and 100) on a 2-vCPU
-# x86-64 VM, about 700 times sphere.SECONDS_PER_CLOUD_FLOP. A step over
-# fewer pairs costs about as much as over 1000 (numpy's per-call overhead),
-# so fewer count as 1000.
-_STEP_FLOPS = 700
-_STEP_MIN_PAIRS = 1000
+# pair costs one term per disk polynomial with m + n <= k_max (its share of
+# the table, of the Gegenbauer sweeps and of the rows' sum) and about
+# 5 (d + 1) terms for its draw and inner product. One term over one pair
+# took 1.9e-8 to 2.1e-8 s at 1000 pairs (d = 2, 3 and 5, k_max = 100 and
+# 200), and a pair at k_max = 0 3.4e-7 s at d = 2 to 6.5e-7 s at d = 5, on
+# a 2-vCPU x86-64 VM: a term is about 700 times
+# sphere.SECONDS_PER_CLOUD_FLOP. Fewer than 1000 pairs cost about as much
+# as 1000 (numpy's per-call overhead), so they count as 1000; 4096 pairs
+# and more cost about half as much per pair.
+_TERM_FLOPS = 700
+_TERM_MIN_PAIRS = 1000
 
 
 def _moment(d, total):
@@ -444,9 +447,17 @@ def verify_gegenbauer(d, k_max, samples, seed):
     Every degree is checked on the same pairs. The left side uses the
     Gegenbauer polynomial with index d - 1 (the real sphere is S^(2d-1))
     evaluated at Re <z, w>; this check pins down the Gegenbauer
-    normalisation used in this package. Inputs estimated at more than
-    sphere.MAX_CLOUD_FLOPS (_STEP_FLOPS per recurrence step and pair) or
-    sphere.MAX_CLOUD_BYTES are refused before any point is drawn.
+    normalisation used in this package. Degrees whose disk polynomial
+    recurrences would overflow (polynomials.check_table_degree), and inputs
+    estimated at more than sphere.MAX_CLOUD_FLOPS (_TERM_FLOPS per term and
+    pair) or sphere.MAX_CLOUD_BYTES, are refused before any point is drawn.
+
+    The pairs are drawn and checked one sampling chunk at a time, and every
+    disk polynomial of a chunk comes from polynomials.disk_poly_table, whose
+    rows are summed in m order as they arrive; the deviation is the largest
+    over the chunks, so it does not depend on the chunk size. Memory: one
+    chunk's points and pair values, and the table's powers, recurrences and
+    row over that chunk; no array grows with samples.
     """
     if d < 2:
         raise ArgumentError(f"complex dimension d must be >= 2, got {d}")
@@ -454,31 +465,42 @@ def verify_gegenbauer(d, k_max, samples, seed):
         raise ArgumentError(f"degree must be nonnegative, got {k_max}")
     if samples < 1:
         raise ArgumentError("need at least one sample pair")
-    # sum of min(m, n) + 1 over the disk polynomials with m + n <= k_max
-    steps = k_max * (k_max + 2) * (2 * k_max - 1) // 24 + (k_max + 1) * (k_max + 2) // 2
+    polynomials.check_table_degree(d - 2, k_max)
+    chunk = min(samples, sphere._CHUNK)
+    terms = (k_max + 1) * (k_max + 2) // 2 + 5 * (d + 1)
     sphere.refuse_cost(f"Gegenbauer check for d={d}, degrees 0..{k_max}",
-                       (max(samples, _STEP_MIN_PAIRS), steps, _STEP_FLOPS), [
-                           ("points", (2 * samples, d), 16),
-                           ("pair values", (samples, 7), 16),  # the recurrences' working arrays
-                       ], work="recurrence steps")
-    # the pairs (z, w) are rows i and samples + i of one draw, not held
-    # through the recurrences
-    zs = sphere.sample_points(d, samples, seed)
-    ws = sphere.sample_points(d, samples, seed, start=samples)
-    # np.multiply fixes the order conj(w) z: for `*` numpy may reuse a large
-    # temporary as the output and swap the operands, and the orders round differently
-    t = np.sum(np.multiply(np.conj(ws, out=ws), zs, out=ws), axis=1)
-    del zs, ws
+                       (max(samples, _TERM_MIN_PAIRS), terms, _TERM_FLOPS), [
+                           ("points", (2 * chunk, d), 16),
+                           ("pair values", (chunk, 7), 16),  # t and the Gegenbauer sweep's arrays
+                           ("powers", (2 * (k_max + 1), chunk), 16),  # z^j and conj(z)^j
+                           ("Jacobi recurrences", (2 * (k_max + 1), chunk), 8),
+                           ("row", (k_max + 1, chunk), 16),
+                       ], work="disk polynomial terms")
     w = sphere.omega(d)
+    # each degree's Gegenbauer factor and its zonals' weights dim H(m, k - m) / omega
+    scales = [(2 * d + 2 * k - 2) / (w * (2 * d - 2)) for k in range(k_max + 1)]
+    weights = [[dim_complex_harmonic(d, m, k - m) / w for m in range(k + 1)] for k in range(k_max + 1)]
     worst = 0.0
-    for k in range(k_max + 1):
-        lhs = ((2 * d + 2 * k - 2) / (w * (2 * d - 2))
-               * polynomials.gegenbauer_eval(k, d - 1, t.real))
-        rhs = np.zeros_like(lhs, dtype=complex)
-        for m in range(k + 1):
-            rhs += ((dim_complex_harmonic(d, m, k - m) / w)
-                    * polynomials.disk_poly_eval(m, k - m, d - 2, t))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    # the pairs (z, w) are rows i and samples + i of one draw, drawn and
+    # checked one sampling chunk at a time
+    for start in range(0, samples, sphere._CHUNK):
+        count = min(sphere._CHUNK, samples - start)
+        zs = sphere.sample_points(d, count, seed, start=start)
+        ws = sphere.sample_points(d, count, seed, start=samples + start)
+        # np.multiply fixes the order conj(w) z: for `*` numpy may reuse a large
+        # temporary as the output and swap the operands, and the orders round differently
+        t = np.sum(np.multiply(np.conj(ws, out=ws), zs, out=ws), axis=1)
+        del zs, ws
+        for k, row in enumerate(polynomials.disk_poly_table(d - 2, k_max, t)):
+            lhs = scales[k] * polynomials.gegenbauer_eval(k, d - 1, t.real)
+            # the sum of zonals in m order, built in the first one (starting
+            # from zeros could only change the sign of a zero of rhs)
+            rhs = row[0]
+            for m, (weight, disk) in enumerate(zip(weights[k], row)):
+                np.multiply(weight, disk, out=disk)
+                if m:
+                    rhs += disk
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
 

@@ -258,10 +258,12 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
     the cloud, drawn for it (sample_points' start); the points go with that
     call and the block before the next block is evaluated. A row's values
     depend on its point only, not on where the block starts. After the
-    block is evaluated, sphere._abs_products forms |.| of each pass of outer
-    rows in one (_OUTER_ROWS, omega_samples / _CLOUD_BLOCKS) buffer (64 rows:
-    3.2 MB at 50,000 points) and sphere._power_means reduces it in place to
-    the block's row means of |.|^p (maxima at p = inf); at p = 3, 5, 6, 7,
+    block is evaluated, sphere._abs_products forms each pass of outer rows
+    in one (_OUTER_ROWS, omega_samples / _CLOUD_BLOCKS) buffer (64 rows:
+    3.2 MB at 50,000 points), with |.| except at p = 2, 4, 8, ..., whose
+    squarings make it redundant, and sphere._power_means reduces it in place
+    to the block's row means of |.|^p (maxima at p = inf); only a row whose
+    mean is 0 is formed again, for its largest |f|. At p = 3, 5, 6, 7,
     ... the powers go to one second buffer of that size. Both buffers go
     with the block, so they never sit beside the evaluator's tables. The
     block, its points and those buffers are the arrays that grow with
@@ -286,13 +288,18 @@ def levy_mean_mc(prob: LevyProblem, sphere_samples, omega_samples, seed):
         _weighted_rows(rng, lam, x[start:start + _OUTER_ROWS])
     per_block = omega_samples // _CLOUD_BLOCKS
     block_stat = np.empty((sphere_samples, _CLOUD_BLOCKS))
+    # p = 2^k is raised by squarings alone, so its passes need no |.|
+    signed = p > 1 and float(p).is_integer() and not power_needs_base(p)
     for b in range(_CLOUD_BLOCKS):
         # the block's points are drawn for its evaluation and freed with it
         block = system.eval_matrix(sample_points(prob.d, per_block, seed + 1, start=b * per_block))
         work = np.empty((min(_OUTER_ROWS, sphere_samples), per_block)) if power_needs_base(p) else None
-        for part, mags in _abs_products(x, block, _OUTER_ROWS):
-            block_stat[part, b] = _power_means(mags, p, None if work is None else work[:len(mags)])
-        del block, mags, work  # freed before the next block is evaluated
+        for part, values in _abs_products(x, block, _OUTER_ROWS, signed=signed):
+            # a row whose mean is 0 is re-formed to tell |f| = 0 from an underflow
+            block_stat[part, b] = _power_means(
+                values, p, None if work is None else work[:len(values)],
+                reform=lambda lost, rows=x[part]: np.abs(rows[lost] @ block.T))
+        del block, values, work  # freed before the next block is evaluated
     w = omega(prob.d)
     if p == math.inf:
         sq = block_stat.max(axis=1) ** 2

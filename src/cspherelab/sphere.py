@@ -151,14 +151,18 @@ def abs_power_inplace(v, p, base=None):
     return v
 
 
-def _abs_products(coeffs, values, rows):
+def _abs_products(coeffs, values, rows, signed=False):
     """Yield (part, |coeffs[part] @ values.T|) for consecutive slices of at most `rows` rows
-    of coeffs; each array is a view of one buffer, which the next pass overwrites."""
+    of coeffs; each array is a view of one buffer, which the next pass overwrites.
+
+    signed=True yields the products without |.|, for a caller that only raises them to an
+    even power (np.square(v) and np.square(|v|) have the same bits).
+    """
     buf = np.empty((min(rows, len(coeffs)), len(values)))
     for start in range(0, len(coeffs), rows):
         part = slice(start, min(start + rows, len(coeffs)))
-        mags = np.matmul(coeffs[part], values.T, out=buf[:part.stop - start])
-        yield part, np.abs(mags, out=mags)
+        products = np.matmul(coeffs[part], values.T, out=buf[:part.stop - start])
+        yield part, products if signed else np.abs(products, out=products)
 
 
 def _power_error(p):
@@ -166,27 +170,27 @@ def _power_error(p):
                          " Monte Carlo mean is lost; use --p inf for the sup norm")
 
 
-def _power_means(mags, p, work=None):
-    """Means of mags^p (sampled |f|) along the last axis, maxima at p = inf; the powers
-    are formed in work with mags as their base, or without work in mags.
+def _power_means(values, p, work=None, reform=None):
+    """Means of |values|^p along the last axis (sampled f or |f|), maxima at p = inf (where
+    values is |f|); the powers are formed in work with values (|f|) as their base, or
+    without work in values, which may then hold signed f at even p.
 
-    p is refused when a mean is not finite, or is 0 on a row whose largest
-    |f| is positive: the powers overflowed or underflowed.
+    p is refused when a mean is not finite, or is 0 on a row whose largest |f| is positive:
+    the powers overflowed or underflowed. Powering in place loses |f| (except at p = 1), so
+    without work reform(mask of the rows whose mean is 0) must return those rows' |f|.
     """
     if p == math.inf:
-        return mags.max(axis=-1)
-    # powering in place loses the row maxima that tell an underflow from |f| = 0
-    # (but |f|^1 is |f|)
-    peaks = mags.max(axis=-1) if work is None and p != 1 else None
+        return values.max(axis=-1)
     with np.errstate(over="ignore"):
         if work is None:
-            means = abs_power_inplace(mags, p).mean(axis=-1)
+            means = abs_power_inplace(values, p).mean(axis=-1)
         else:
-            np.copyto(work, mags)
-            means = abs_power_inplace(work, p, base=mags).mean(axis=-1)
-    if peaks is None and not means.all():
-        peaks = mags.max(axis=-1)
-    if not np.isfinite(means).all() or (peaks is not None and np.any((means == 0) & (peaks > 0))):
+            np.copyto(work, values)
+            means = abs_power_inplace(work, p, base=values).mean(axis=-1)
+    if not np.isfinite(means).all():
+        raise _power_error(p)
+    lost = means == 0
+    if lost.any() and np.any((reform(lost) if work is None and p != 1 else values[lost]) > 0):
         raise _power_error(p)
     return means
 

@@ -19,7 +19,7 @@ from cspherelab.basis import (
 )
 from cspherelab.dimensions import bidegree_monomials, dim_complex_harmonic
 from cspherelab.errors import ArgumentError, DataError
-from cspherelab.polynomials import disk_poly_eval, gegenbauer_eval
+from cspherelab.polynomials import disk_poly_eval, disk_poly_table, gegenbauer_eval
 from cspherelab.sphere import omega, sample_points
 
 
@@ -219,25 +219,59 @@ def test_gegenbauer_one_sample_covers_every_degree():
     assert worst < 1e-9
 
 
+# one chunk short of, at, just past and past two sampling chunks of 4096 pairs
+@pytest.mark.parametrize("d, k_max", [(2, 7), (3, 6)])
+@pytest.mark.parametrize("samples", [4095, 4096, 4097, 8193])
+def test_gegenbauer_chunks_equal_the_per_bidegree_oracle(d, k_max, samples):
+    pts = sample_points(d, 2 * samples, 11)
+    t = np.sum(np.multiply(np.conj(pts[samples:]), pts[:samples]), axis=1)
+    w = omega(d)
+    worst = 0.0
+    for k in range(k_max + 1):
+        lhs = (2 * d + 2 * k - 2) / (w * (2 * d - 2)) * gegenbauer_eval(k, d - 1, t.real)
+        rhs = sum((dim_complex_harmonic(d, m, k - m) / w) * disk_poly_eval(m, k - m, d - 2, t)
+                  for m in range(k + 1))
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    assert verify_gegenbauer(d, k_max, samples, seed=11) == worst
+
+
+def test_gegenbauer_refuses_degrees_past_double_range_before_drawing(monkeypatch):
+    from cspherelab import basis
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("points were drawn")
+
+    monkeypatch.setattr(basis.sphere, "sample_points", drawn)
+    with pytest.raises(ArgumentError, match="total degree 1435 at alpha = 1 overflow"):
+        verify_gegenbauer(3, 1435, 1, seed=0)
+
+
 
 # At d = 3, 1000 pairs are 48 KB of points per side, below the 256 KiB from
 # which numpy reuses a temporary of `a * b` as its output and may swap the
-# operands; 6000 pairs are 288 KB, above it.
+# operands; 6000 pairs are 288 KB, above it. check gegenbauer forms them in
+# chunks of at most 4096 pairs (6000 is two), check addition all at once.
 @pytest.mark.parametrize("samples", [1000, 6000])
 def test_pair_products_keep_their_operand_order_at_every_count(monkeypatch, samples):
     from cspherelab import polynomials
 
-    seen = []
+    seen, tables = [], []
 
     def recorded(m, n, alpha, t):
         seen.append(t.copy())
         return disk_poly_eval(m, n, alpha, t)
 
+    def recorded_table(alpha, k_max, t):
+        tables.append(t.copy())
+        return disk_poly_table(alpha, k_max, t)
+
     monkeypatch.setattr(polynomials, "disk_poly_eval", recorded)
+    monkeypatch.setattr(polynomials, "disk_poly_table", recorded_table)
     pts = sample_points(3, 2 * samples, 4242)
     zs, ws = pts[:samples], pts[samples:]
     verify_gegenbauer(3, 0, samples, 4242)
-    assert seen[-1].tobytes() == np.sum(np.multiply(np.conj(ws), zs), axis=1).tobytes()
+    assert len(tables) == -(-samples // 4096) and not seen
+    assert np.concatenate(tables).tobytes() == np.sum(np.multiply(np.conj(ws), zs), axis=1).tobytes()
     verify_addition(3, 1, 1, samples, 4242)
     assert seen[-1].tobytes() == np.sum(np.multiply(zs, np.conj(ws)), axis=1).tobytes()
 
@@ -478,12 +512,17 @@ def test_eval_orthonormal_equals_full_width_oracle(monkeypatch):
 
 
 def test_gegenbauer_holds_no_points_through_the_recurrences():
-    # gegenbauer-d3: 50,000 pairs at d = 3. The pairs' 2.3 MiB of z and
-    # 2.3 MiB of w are released once their inner products t are summed, so
-    # the peak, about 7.6 MiB, is that sum's; holding the points through the
-    # recurrences peaks at 9.7 MiB.
+    # gegenbauer-d3: 50,000 pairs at d = 3. The pairs are drawn and checked
+    # 4096 at a time, so the peak, about 4.2 MiB, is one chunk's disk
+    # polynomial table (z^j, conj(z)^j and two recurrence arrays for each of
+    # 13 differences j: 2.4 MiB) and row, and it does not grow with the
+    # pairs. Drawing all pairs at once peaked at 5.3 MiB, set by the sum of
+    # their inner products, and holding their points through the
+    # recurrences at 9.7 MiB.
     verify_gegenbauer(3, 12, 10, seed=3)  # the first call's one-off set-up
-    assert _traced_peak(lambda: verify_gegenbauer(3, 12, 50000, seed=3)) < 8
+    peak = _traced_peak(lambda: verify_gegenbauer(3, 12, 50000, seed=3))
+    assert peak < 5
+    assert _traced_peak(lambda: verify_gegenbauer(3, 12, 200000, seed=3)) < peak + 0.1
 
 
 def test_gegenbauer_rejects_real_dimension_below_two():

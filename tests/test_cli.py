@@ -454,10 +454,13 @@ REFUSAL_CASES = [pytest.param(argv, refusal, id=name) for name, argv, refusal in
      "2 x 1000 x 3919 x 1000000 = 7.84e+12 flops > 2e+12"),
     ("addition-bytes", ("check", "addition", "--d", "3", "--m", "3", "--n", "2", "--samples", "10000000"),
      "estimated 21.9 GB"),
-    ("gegenbauer-flops", ("check", "gegenbauer", "--d", "3", "--lmax", "2000"),
-     "1000 x 669169501 x 700 = 4.68e+14 flops > 2e+12, an estimated 14053 s"),
-    ("gegenbauer-bytes", ("check", "gegenbauer", "--d", "3", "--lmax", "0", "--samples", "100000000"),
-     "estimated 20.8 GB"),
+    ("gegenbauer-flops", ("check", "gegenbauer", "--d", "3", "--lmax", "1000", "--samples", "10000"),
+     "10000 x 501521 x 700 = 3.51e+12 flops > 2e+12, an estimated 105 s"),
+    # the check holds one chunk of pairs, so its arrays grow with d, not with the pairs
+    ("gegenbauer-bytes", ("check", "gegenbauer", "--d", "100000", "--lmax", "0"),
+     "estimated 3.2 GB"),
+    ("gegenbauer-pairs", ("check", "gegenbauer", "--d", "3", "--lmax", "0", "--samples", "1000000000"),
+     "1000000000 x 21 x 700 = 1.47e+13 flops > 2e+12, an estimated 441 s"),
     ("project-bytes", ("project", "--d", "2", "--m", "3", "--n", "3", "--samples", "100000000"),
      "estimated 2.4 GB"),
     ("gegenbauer-lmax200", ("check", "gegenbauer", "--d", "3", "--lmax", "200", "--seed", "0"), None),
@@ -1307,8 +1310,14 @@ def test_tracer_resolves_every_target_in_a_fresh_process(tmp_path):
                           text=True, env=_child_env())
     assert done.returncode == 0, done.stderr
     spans = {span[0] for span in json.loads(trace.read_text())["spans"]}
-    assert {"polynomials.gegenbauer_eval", "polynomials.disk_poly_eval",
-            "sphere.sample_points"} <= spans
+    assert {"polynomials.gegenbauer_eval", "sphere.sample_points"} <= spans
+    # check gegenbauer reads its disk polynomials from disk_poly_table, check
+    # addition its one bidegree from disk_poly_eval
+    done = subprocess.run([sys.executable, str(tracer), str(trace), "check", "addition",
+                           "--d", "2", "--m", "1", "--n", "1", "--samples", "50"],
+                          capture_output=True, text=True, env=_child_env())
+    assert done.returncode == 0, done.stderr
+    assert "polynomials.disk_poly_eval" in {span[0] for span in json.loads(trace.read_text())["spans"]}
     # the exact p = 2 Levy mean reads the level table, not the window's basis
     done = subprocess.run([sys.executable, str(tracer), str(trace), *_p2_exact_op().argv, "--seed", "0"],
                           capture_output=True, text=True, env=_child_env())

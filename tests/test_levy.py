@@ -344,6 +344,30 @@ def test_nikolskii_cap_passes_invariant(monkeypatch):
 
 
 
+def test_signed_passes_at_powers_of_two_change_no_bit(monkeypatch):
+    # at p = 2^k the passes keep their signs, which the first squaring drops;
+    # p = 512 underflows on this window and the window (0, 1] has lambda = 0
+    asked = []
+
+    def with_abs(coeffs, values, rows, signed=False):
+        asked.append(signed)
+        return sphere._abs_products(coeffs, values, rows)
+
+    fs3 = finite_smooth(3, 0, "max")
+    for p in (2, 4, 8):
+        problem = LevyProblem(2, 0, 3, fs3, p)
+        signed = levy_mean_mc(problem, 100, 4000, seed=9)
+        with monkeypatch.context() as patch:
+            patch.setattr(levy, "_abs_products", with_abs)
+            assert levy_mean_mc(problem, 100, 4000, seed=9) == signed, p
+        assert asked and all(asked)
+        asked.clear()
+    with pytest.raises(ArgumentError, match="p = 512"):
+        levy_mean_mc(LevyProblem(2, 0, 3, fs3, 512), 50, 4000, seed=0)
+    zero = levy_mean_mc(LevyProblem(2, 0, 1, fs3, 512), 50, 4000, seed=0)
+    assert zero.value == zero.stderr == 0
+
+
 def test_cloud_products_are_formed_only_by_the_pass_layer(monkeypatch):
     # 150 rows are passes of 64, 64 and 22, for each cloud block of the Levy
     # mean. At p = inf the Levy mean is homogeneous bit for bit (max, squares,
@@ -351,8 +375,8 @@ def test_cloud_products_are_formed_only_by_the_pass_layer(monkeypatch):
     # doubles it exactly only if no cloud product bypasses the layer.
     passes, scale = [], 1.0
 
-    def counted(coeffs, values, rows):
-        for part, mags in sphere._abs_products(coeffs, values, rows):
+    def counted(coeffs, values, rows, signed=False):
+        for part, mags in sphere._abs_products(coeffs, values, rows, signed):
             passes.append(len(mags))
             yield part, np.multiply(mags, scale, out=mags)
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from cspherelab.errors import ArgumentError
-from cspherelab.polynomials import disk_poly_eval, gegenbauer_eval, jacobi_eval
+from cspherelab.polynomials import (check_table_degree, disk_poly_eval, disk_poly_table, gegenbauer_eval,
+                                    jacobi_eval)
 
 
 def gen_binom(a, j):
@@ -149,3 +150,48 @@ def test_disk_poly_argument_errors():
         disk_poly_eval(1, 0, 0, 1.2 + 0j)
     # round-off outside the disk is projected back
     assert disk_poly_eval(1, 0, 0, (1.0 + 5e-13) + 0j) == pytest.approx(1.0 + 0j)
+
+
+# z = 0, real z of both signs, |z| = 1, |z| = 1 + 5e-13 (projected back), and
+# random points of the disk
+_TABLE_POINTS = {
+    "zero": np.zeros(3, dtype=complex),
+    "real": np.array([0.3, -0.7, 1.0, -1.0, 0.0], dtype=complex),
+    "unit": np.exp(1j * np.array([0.0, 0.4, 1.0, 2.5, np.pi / 2, np.pi, -2.0])),
+    "past-unit": (1.0 + 5e-13) * np.exp(1j * np.array([0.0, 0.9, 3.0, -1.3])),
+    "disk": np.sqrt(np.random.default_rng(5).uniform(0, 1, 200))
+            * np.exp(1j * np.random.default_rng(6).uniform(-np.pi, np.pi, 200)),
+}
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2, 3])
+@pytest.mark.parametrize("points", list(_TABLE_POINTS), ids=list(_TABLE_POINTS))
+def test_disk_poly_table_equals_each_bidegree_bit_for_bit(alpha, points):
+    z = _TABLE_POINTS[points]
+    rows = list(disk_poly_table(alpha, 20, z))
+    assert [len(row) for row in rows] == list(range(1, 22))
+    for k, row in enumerate(rows):
+        for m, got in enumerate(row):
+            assert got.tobytes() == disk_poly_eval(m, k - m, alpha, z).tobytes(), (m, k - m)
+
+
+def test_disk_poly_table_argument_errors():
+    for alpha, k_max in [(-1, 2), (0.5, 2), (0, -1), (0, 1.5)]:
+        with pytest.raises(ArgumentError):
+            disk_poly_table(alpha, k_max, np.zeros(2))
+    with pytest.raises(ArgumentError):
+        disk_poly_table(0, 2, np.array([0.5, 1.2 + 0j]))
+
+
+def test_table_degree_limit_lies_below_the_first_overflow():
+    # the recurrences first overflow at total degree 1439 (alpha = 0 to 3)
+    for alpha in (0, 1, 3):
+        check_table_degree(alpha, 1434)
+        with pytest.raises(ArgumentError, match="overflow double precision"):
+            check_table_degree(alpha, 1435)
+    # a large alpha (d - 2 at large d) lowers the limit
+    with pytest.raises(ArgumentError):
+        check_table_degree(998, 600)
+    # a huge degree is refused at once, not after a scan of every lo
+    with pytest.raises(ArgumentError, match="overflow double precision"):
+        check_table_degree(0, 10**12)

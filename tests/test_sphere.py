@@ -252,7 +252,8 @@ def test_abs_products_pass_by_pass_in_one_buffer(rows, sizes):
 
 # Row 0 is |f| = 0, whose powers are rightly 0; row 1's powers underflow to 0
 # and row 2's overflow. p = 1024 is raised in place without work, 1100 through
-# a copy of its base, 1100.5 by np.power.
+# a copy of its base, 1100.5 by np.power. Powered in place, a row whose mean is
+# 0 is formed again (reform) for its |f|.
 @pytest.mark.parametrize("p", [1024, 1100, 1100.5])
 @pytest.mark.parametrize("with_work", [False, True])
 def test_power_means_refuse_powers_lost_to_underflow_or_overflow(p, with_work):
@@ -260,7 +261,8 @@ def test_power_means_refuse_powers_lost_to_underflow_or_overflow(p, with_work):
 
     def means(rows):
         part = mags[rows].copy()
-        return _power_means(part, p, np.empty_like(part) if with_work else None)
+        return _power_means(part, p, np.empty_like(part) if with_work else None,
+                            reform=lambda lost: mags[rows][lost])
 
     assert means([0]).tolist() == [0.0]
     for rows in ([0, 1], [2], [1, 2]):
