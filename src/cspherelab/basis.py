@@ -29,6 +29,11 @@ is compiled into its distinct monomials and one dense real coefficient
 matrix (orthonormalising factors folded in), and evaluated chunk by chunk
 as one monomial table and one BLAS product. MonomialPoly.eval,
 HarmonicBasis.eval_orthonormal and the real coordinates of levy all use it.
+
+refuse_cost lives here, with its ceilings MAX_CLOUD_FLOPS and
+MAX_CLOUD_BYTES: it is the one up-front refusal by estimated cost, of
+build_basis's exact elimination and of every sampling command, and this
+module is one that all of them run.
 """
 
 from __future__ import annotations
@@ -42,20 +47,35 @@ from functools import lru_cache
 # the basis command uses neither.
 from . import polynomials, sphere
 from ._lazy import numpy as np
-from .dimensions import bidegree_monomials, dim_complex_harmonic
+from .dimensions import bidegree_monomials, check_dimension, dim_complex_harmonic
 from .errors import ArgumentError, ConsistencyError, DataError
 
-# Combinatorial growth guard for exact basis construction.
+# Bidegree and dimension caps of build_basis. They bound the accuracy of the
+# float monomial evaluation (MonomialMap), not the cost, which refuse_cost
+# prices: the relative addition-formula deviation of eval_orthonormal was
+# 1.7e-11 at d=2 (8, 8), 1.1e-9 at (12, 12) and 3.1e-5 at (20, 20).
 MAX_BIDEGREE = 8
 MAX_DIMENSION = 4
 
-# Cost guard: the elimination of a signature block of s monomials costs about
-# s^4 (s^3 big-integer operations on entries whose size grows with s). One
-# unit took 1e-8 to 1.6e-8 s on a 2-vCPU x86-64 VM with Python 3.11 (d=4
-# bidegree (6, 6): 1.7e9 units, 18 s), so the ceiling refuses inputs that
-# would take more than about a minute, e.g. d=4 bidegree (8, 8) at 5.2e10.
-MAX_BLOCK_COST = 4 * 10**9
-SECONDS_PER_BLOCK_COST = 1.2e-8
+# Ceilings of the up-front refusal (refuse_cost) of build_basis and of every
+# sampling command. A whole Levy cloud-path call took 2.6e-11 to 3.0e-11 s
+# per product flop on a 2-vCPU x86-64 VM with OpenBLAS (s = 63 to 342, 1000
+# to 4000 outer rows, 5e4 to 1e5 points), so the flop ceiling refuses inputs
+# that would take more than about a minute. Windows with s below about 20
+# take longer per flop: their |.|^p reductions cost more than their products.
+# The byte ceiling is a quarter of an 8 GB machine: a small sample count can
+# keep the flops low while one array alone takes tens of gigabytes.
+MAX_CLOUD_FLOPS = 2 * 10**12
+SECONDS_PER_CLOUD_FLOP = 3e-11
+MAX_CLOUD_BYTES = 2 * 10**9
+
+# Time model of build_basis, in flops of MAX_CLOUD_FLOPS: the elimination of
+# a signature block of s monomials costs about s^4 units (s^3 big-integer
+# operations on entries whose size grows with s). One unit took 1e-8 to
+# 1.6e-8 s on a 2-vCPU x86-64 VM with Python 3.11 (d=4 bidegree (6, 6): 1.7e9
+# units, 18 s), about 500 times SECONDS_PER_CLOUD_FLOP, so the ceiling
+# refuses more than 4e9 units, e.g. d=4 bidegree (8, 8) at 5.2e10.
+_BLOCK_FLOPS = 500
 
 POINT_TOL = 1e-12
 
@@ -63,18 +83,39 @@ POINT_TOL = 1e-12
 # hold less: the row count is part of the evaluator's bits (MonomialMap).
 _EVAL_ROWS = 2048
 
-# Time model of verify_gegenbauer, in flops of sphere.MAX_CLOUD_FLOPS: each
+# Time model of verify_gegenbauer, in flops of MAX_CLOUD_FLOPS: each
 # pair costs one term per disk polynomial with m + n <= k_max (its share of
 # the table, of the Gegenbauer sweeps and of the rows' sum) and about
 # 5 (d + 1) terms for its draw and inner product. One term over one pair
 # took 1.9e-8 to 2.1e-8 s at 1000 pairs (d = 2, 3 and 5, k_max = 100 and
 # 200), and a pair at k_max = 0 3.4e-7 s at d = 2 to 6.5e-7 s at d = 5, on
 # a 2-vCPU x86-64 VM: a term is about 700 times
-# sphere.SECONDS_PER_CLOUD_FLOP. Fewer than 1000 pairs cost about as much
+# SECONDS_PER_CLOUD_FLOP. Fewer than 1000 pairs cost about as much
 # as 1000 (numpy's per-call overhead), so they count as 1000; 4096 pairs
 # and more cost about half as much per pair.
 _TERM_FLOPS = 700
 _TERM_MIN_PAIRS = 1000
+
+
+def refuse_cost(what, factors, arrays, work="cloud products", held="arrays"):
+    """Refuse `what` up front if it would pass MAX_CLOUD_FLOPS or MAX_CLOUD_BYTES.
+
+    factors are the factors of its product flops (none: no flop term).
+    arrays lists (name, shape, bytes per entry) for every array that grows
+    with the sample counts; a 16-byte entry is complex. The message is built
+    from the same factors and list, so it states what was estimated.
+    """
+    flops = math.prod(factors)
+    if flops > MAX_CLOUD_FLOPS:
+        raise ArgumentError(
+            f"{what} refused: its {work} cost {' x '.join(map(str, factors))} = {flops:.2e} flops"
+            f" > {MAX_CLOUD_FLOPS:.0e}, an estimated {flops * SECONDS_PER_CLOUD_FLOP:.0f} s")
+    nbytes = sum(math.prod(shape) * size for _, shape, size in arrays)
+    if nbytes > MAX_CLOUD_BYTES:
+        listed = ", ".join(f"{name} {' x '.join(map(str, shape))}{' complex' * (size == 16)}"
+                           for name, shape, size in arrays)
+        raise ArgumentError(f"{what} refused: its {held} take an estimated {nbytes / 1e9:.1f} GB"
+                            f" ({listed}) > {MAX_CLOUD_BYTES / 1e9:.0f} GB")
 
 
 def _moment(d, total):
@@ -350,8 +391,7 @@ def build_basis(d, m, n):
     reverse sorted signature order. Aborts if the emitted count disagrees
     with the dimension formula.
     """
-    if d < 2:
-        raise ArgumentError(f"complex dimension d must be >= 2, got {d}")
+    check_dimension(d)
     if m < 0 or n < 0:
         raise ArgumentError(f"bidegree must be nonnegative, got ({m}, {n})")
     if m > MAX_BIDEGREE or n > MAX_BIDEGREE or d > MAX_DIMENSION:
@@ -371,12 +411,9 @@ def build_basis(d, m, n):
         blocks.setdefault(sig, ([], []))[1].append((a, b))
 
     sizes = [len(u) + len(l) for u, l in blocks.values()]
-    cost = sum(size**4 for size in sizes)
-    if cost > MAX_BLOCK_COST:
-        raise ArgumentError(
-            f"exact basis for d={d}, bidegree ({m}, {n}) refused: its signature blocks (largest"
-            f" {max(sizes)} monomials) cost {cost:.2e} > {MAX_BLOCK_COST:.0e}, an estimated"
-            f" {cost * SECONDS_PER_BLOCK_COST:.0f} s of exact elimination")
+    refuse_cost(f"exact basis for d={d}, bidegree ({m}, {n})",
+                (sum(size**4 for size in sizes), _BLOCK_FLOPS), (),
+                work=f"signature blocks (largest {max(sizes)} monomials)")
 
     scale = math.factorial(d - 1 + m + n)
     vectors = []
@@ -415,11 +452,11 @@ def verify_addition(d, m, n, samples, seed):
 
     Checks both sum_j conj(Y_j(w)) Y_j(z) = zonal(w, z) and the diagonal
     normalisation sum_j |Y_j(z)|^2 = dim / omega(d). Inputs whose arrays
-    would pass sphere.MAX_CLOUD_BYTES are refused before the basis is built.
+    would pass MAX_CLOUD_BYTES are refused before the basis is built.
     """
     if samples < 1:
         raise ArgumentError("need at least one sample pair")
-    sphere.refuse_cost(f"addition check for d={d}, bidegree ({m}, {n})", (), [
+    refuse_cost(f"addition check for d={d}, bidegree ({m}, {n})", (), [
         ("points", (2 * samples, d), 16),
         ("basis values", (samples, dim_complex_harmonic(d, m, n), 3), 16),  # at z, at w, their products
         ("pair values", (samples, 5), 16),  # the sums, the zonal and their deviations
@@ -449,8 +486,8 @@ def verify_gegenbauer(d, k_max, samples, seed):
     evaluated at Re <z, w>; this check pins down the Gegenbauer
     normalisation used in this package. Degrees whose disk polynomial
     recurrences would overflow (polynomials.check_table_degree), and inputs
-    estimated at more than sphere.MAX_CLOUD_FLOPS (_TERM_FLOPS per term and
-    pair) or sphere.MAX_CLOUD_BYTES, are refused before any point is drawn.
+    estimated at more than MAX_CLOUD_FLOPS (_TERM_FLOPS per term and
+    pair) or MAX_CLOUD_BYTES, are refused before any point is drawn.
 
     The pairs are drawn and checked one sampling chunk at a time, and every
     disk polynomial of a chunk comes from polynomials.disk_poly_table, whose
@@ -459,8 +496,7 @@ def verify_gegenbauer(d, k_max, samples, seed):
     chunk's points and pair values, and the table's powers, recurrences and
     row over that chunk; no array grows with samples.
     """
-    if d < 2:
-        raise ArgumentError(f"complex dimension d must be >= 2, got {d}")
+    check_dimension(d)
     if k_max < 0:
         raise ArgumentError(f"degree must be nonnegative, got {k_max}")
     if samples < 1:
@@ -468,14 +504,14 @@ def verify_gegenbauer(d, k_max, samples, seed):
     polynomials.check_table_degree(d - 2, k_max)
     chunk = min(samples, sphere._CHUNK)
     terms = (k_max + 1) * (k_max + 2) // 2 + 5 * (d + 1)
-    sphere.refuse_cost(f"Gegenbauer check for d={d}, degrees 0..{k_max}",
-                       (max(samples, _TERM_MIN_PAIRS), terms, _TERM_FLOPS), [
-                           ("points", (2 * chunk, d), 16),
-                           ("pair values", (chunk, 7), 16),  # t and the Gegenbauer sweep's arrays
-                           ("powers", (2 * (k_max + 1), chunk), 16),  # z^j and conj(z)^j
-                           ("Jacobi recurrences", (2 * (k_max + 1), chunk), 8),
-                           ("row", (k_max + 1, chunk), 16),
-                       ], work="disk polynomial terms")
+    refuse_cost(f"Gegenbauer check for d={d}, degrees 0..{k_max}",
+                (max(samples, _TERM_MIN_PAIRS), terms, _TERM_FLOPS), [
+                    ("points", (2 * chunk, d), 16),
+                    ("pair values", (chunk, 7), 16),  # t and the Gegenbauer sweep's arrays
+                    ("powers", (2 * (k_max + 1), chunk), 16),  # z^j and conj(z)^j
+                    ("Jacobi recurrences", (2 * (k_max + 1), chunk), 8),
+                    ("row", (k_max + 1, chunk), 16),
+                ], work="disk polynomial terms")
     w = sphere.omega(d)
     # each degree's Gegenbauer factor and its zonals' weights dim H(m, k - m) / omega
     scales = [(2 * d + 2 * k - 2) / (w * (2 * d - 2)) for k in range(k_max + 1)]
@@ -511,7 +547,7 @@ def project_mc(f, d, m, n, w, samples, seed):
     Integrates f(z) * conj(zonal_w(z)) over the sphere: returns
     (omega(d) * mean, stderr) where the stderr combines the real and
     imaginary sample variances of the integrand. A call whose arrays would
-    pass sphere.MAX_CLOUD_BYTES is refused before f is first called.
+    pass MAX_CLOUD_BYTES is refused before f is first called.
 
     Memory: each sampling chunk of points is drawn as it is integrated
     (sample_points' start), and f and the zonal kernel are evaluated on it
@@ -521,7 +557,7 @@ def project_mc(f, d, m, n, w, samples, seed):
     """
     if samples < 2:
         raise ArgumentError("need at least two samples for a standard error")
-    sphere.refuse_cost(f"projection for d={d}, bidegree ({m}, {n})", (), [
+    refuse_cost(f"projection for d={d}, bidegree ({m}, {n})", (), [
         ("integrand", (samples,), 16), ("deviations", (samples,), 8)])
     integrand = np.empty(samples, dtype=complex)
     for start in range(0, samples, sphere._CHUNK):

@@ -24,14 +24,19 @@ def _check_grading(grading):
     return grading
 
 
+def check_dimension(d):
+    """Refuse a complex dimension d < 2: the one rule of every function that takes d."""
+    if d < 2:
+        raise ArgumentError(f"complex dimension d must be >= 2, got {d}")
+
+
 def dim_complex_harmonic(d, m, n):
     """Dimension of the bidegree-(m, n) harmonic space on the unit sphere of C^d.
 
     binom(m+d-1, m) * binom(n+d-1, n) - binom(m+d-2, m-1) * binom(n+d-2, n-1),
     with binom(., -1) = 0.
     """
-    if d < 2:
-        raise ArgumentError(f"complex dimension d must be >= 2, got {d}")
+    check_dimension(d)
     if m < 0 or n < 0:
         raise ArgumentError(f"bidegree components must be nonnegative, got ({m}, {n})")
     lead = comb(m + d - 1, m) * comb(n + d - 1, n)
@@ -62,8 +67,7 @@ def layer_members(l, grading):
         raise ArgumentError(f"level must be nonnegative, got {l}")
     if grading == "star":
         return [(m, l - m) for m in range(l + 1)]
-    members = [(m, l) for m in range(l)] + [(l, n) for n in range(l + 1)]
-    return sorted(members)
+    return [(m, l) for m in range(l)] + [(l, n) for n in range(l + 1)]
 
 
 class LayerSummary(namedtuple("LayerSummary", "l members a_l d_l cum_dim")):
@@ -87,8 +91,7 @@ def cum_dim(d, l, grading):
     gives the degree-<=l polynomial dimension on the real sphere S^(2d-1).
     dim_layer_by_members cross-checks these term by term.
     """
-    if d < 2:
-        raise ArgumentError(f"complex dimension d must be >= 2, got {d}")
+    check_dimension(d)
     _check_grading(grading)
     if l < 0:
         return 0
@@ -136,8 +139,7 @@ def check_dim_bounds(d, l_min, l_max):
     which involves (d-2)! and (mn)^(d-2) and is therefore skipped for d = 2
     and for bidegrees with mn = 0 (recorded in the report).
     """
-    if d < 2:
-        raise ArgumentError(f"complex dimension d must be >= 2, got {d}")
+    check_dimension(d)
     if l_min < 1 or l_min > l_max:
         raise ArgumentError(f"need 1 <= l_min <= l_max, got [{l_min}, {l_max}]")
 
@@ -247,8 +249,7 @@ def laplacian_kernel_rank(d, m, n):
     bidegree (m-1, n-1). Small cases only (intended for m, n <= 4, d <= 3);
     this is the independent ground truth for dim_complex_harmonic.
     """
-    if d < 2:
-        raise ArgumentError(f"complex dimension d must be >= 2, got {d}")
+    check_dimension(d)
     cols = bidegree_monomials(d, m, n)
     if m == 0 or n == 0:
         return len(cols)

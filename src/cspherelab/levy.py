@@ -41,14 +41,14 @@ from collections import namedtuple
 from functools import cached_property, lru_cache
 
 from ._lazy import numpy as np
-from .basis import MonomialMap, _check_on_sphere, build_basis
-from .dimensions import dim_layer, layer_members, theta
-from .errors import ArgumentError, ConsistencyError
-from .multipliers import lambda_value
 # The ceilings are imported to be read as levy.MAX_CLOUD_FLOPS and levy.MAX_CLOUD_BYTES.
-from .sphere import (_CAP_SAMPLES, MAX_CLOUD_BYTES, MAX_CLOUD_FLOPS, _abs_products,  # noqa: F401
-                     _chunk_rng, _power_means, check_exponent, lp_norm_mc, omega, power_needs_base,
-                     refuse_cost, sample_points, sup_norm_refined)
+from .basis import (MAX_CLOUD_BYTES, MAX_CLOUD_FLOPS, MonomialMap, _check_on_sphere,  # noqa: F401
+                    build_basis, refuse_cost)
+from .dimensions import dim_layer, layer_members, theta
+from .errors import ArgumentError, ConsistencyError, DivergenceError
+from .multipliers import lambda_value
+from .sphere import (_CAP_SAMPLES, _abs_products, _chunk_rng, _power_means, check_exponent, lp_norm_mc,
+                     omega, power_needs_base, sample_points, sup_norm_refined)
 
 # The fixed Monte Carlo layout: rows per pass over the cloud, and cloud
 # blocks for the cloud error.
@@ -174,11 +174,18 @@ class LevyProblem(namedtuple("LevyProblem", "d m1 m2 fam p")):
     def system(self):
         return build_real_system(self.d, self.m1, self.m2)
 
+    def multiplier(self, l):
+        """lambda(l), refused (DivergenceError) where its square, which every Levy mean and
+        bound sums, is beyond the float range."""
+        value = lambda_value(self.fam, l)
+        if not math.isfinite(value * value):
+            raise DivergenceError(f"lambda({l})^2 is beyond the float range ({self.fam.describe()})")
+        return value
+
     def layers(self):
         """(lambda(l), dim_layer(d, l)) for each level l of the window; builds no basis."""
         _check_window(self.m1, self.m2)
-        return [(lambda_value(self.fam, l), dim_layer(self.d, l, "max"))
-                for l in range(self.m1 + 1, self.m2 + 1)]
+        return [(self.multiplier(l), dim_layer(self.d, l, "max")) for l in range(self.m1 + 1, self.m2 + 1)]
 
 
 class LevyEstimate(namedtuple(
@@ -204,7 +211,7 @@ def _weighted_rows(rng, lam, out):
 
 
 def check_cloud_cost(prob: LevyProblem, sphere_samples, omega_samples):
-    """Refuse a cloud Levy mean over MAX_CLOUD_FLOPS or MAX_CLOUD_BYTES (sphere.refuse_cost).
+    """Refuse a cloud Levy mean over MAX_CLOUD_FLOPS or MAX_CLOUD_BYTES (basis.refuse_cost).
 
     s is the window size from the dimension formula, so nothing is built to
     find it. The estimate counts the cloud products, passes of _OUTER_ROWS
@@ -331,10 +338,10 @@ def levy_bounds(prob: LevyProblem):
     d (p = 2) are fully numeric. A non-monotone multiplier over the window
     swaps the shifted/unshifted sums per the non-decreasing variant.
     """
-    d, fam, p = prob.d, prob.fam, prob.p
+    d, p = prob.d, prob.p
     layers = prob.layers()
     lam = [abs(v) for v, _ in layers]
-    lam_shift = [abs(lambda_value(fam, l)) for l in range(prob.m1, prob.m2)]
+    lam_shift = [abs(prob.multiplier(l)) for l in range(prob.m1, prob.m2)]
     dims = [n for _, n in layers]
     s = sum(dims)
 

@@ -19,9 +19,10 @@ factor e, and budgets approximation ranks geometrically between them.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
-from .dimensions import _check_grading, cum_dim, theta
+from .dimensions import _check_grading, check_dimension, cum_dim, theta
 from .errors import ArgumentError, DivergenceError
 
 FAMILY_KINDS = ("sobolev", "finite_smooth", "exp_analytic", "identity")
@@ -59,8 +60,7 @@ class MultiplierFamily(namedtuple("MultiplierFamily", "kind grading gamma xi r d
 def sobolev(gamma, d, grading="star"):
     if gamma <= 0:
         raise ArgumentError(f"sobolev smoothness gamma must be positive, got {gamma}")
-    if d < 2:
-        raise ArgumentError(f"sobolev family needs the ambient dimension d >= 2, got {d}")
+    check_dimension(d)
     return MultiplierFamily(kind="sobolev", grading=grading, gamma=float(gamma), d=int(d))
 
 
@@ -126,38 +126,39 @@ def parse_family(spec, d, grading):
 
 
 def lambda_value(fam, t):
-    """The multiplier function at level t >= 0."""
+    """The multiplier function at level t >= 0.
+
+    DivergenceError if lambda(t), or the level t itself, is beyond the float
+    range: the one refusal of a multiplier that cannot be evaluated.
+    """
     if t < 0:
         raise ArgumentError(f"level must be nonnegative, got {t}")
-    if fam.kind == "identity":
-        return 1.0
-    if fam.kind == "sobolev":
-        if t == 0:
-            return 0.0
-        return (t * (t + 2 * fam.d - 2)) ** (-fam.gamma / 2.0)
-    if fam.kind == "finite_smooth":
-        if t <= 1:
-            return 0.0
-        return t ** (-fam.gamma) * math.log(t) ** (-fam.xi)
-    return math.exp(-fam.gamma * t**fam.r)
-
-
-def _magnitude(fam, level):
-    """|lambda(level)|; DivergenceError if the level is beyond float range."""
     try:
-        return abs(lambda_value(fam, level))
+        if fam.kind == "identity":
+            return 1.0
+        if fam.kind == "sobolev":
+            if t == 0:
+                return 0.0
+            return (t * (t + 2 * fam.d - 2)) ** (-fam.gamma / 2.0)
+        if fam.kind == "finite_smooth":
+            if t <= 1:
+                return 0.0
+            return t ** (-fam.gamma) * math.log(t) ** (-fam.xi)
+        return math.exp(-fam.gamma * t**fam.r)
     except OverflowError:
+        if t <= sys.float_info.max:
+            raise DivergenceError(f"lambda({t}) is beyond the float range ({fam.describe()})") from None
         raise DivergenceError(
-            f"a level of {len(str(level))} digits is beyond the float range, so the multiplier"
+            f"a level of {len(str(t))} digits is beyond the float range, so the multiplier"
             f" cannot be evaluated there ({fam.describe()})") from None
 
 
 def _drops_below(fam, level, target):
     # A level beyond float range counts as a drop: it is past every level
-    # that can be evaluated, and _magnitude rejects it if the search ends there.
+    # that can be evaluated, and lambda_value refuses it if the search ends there.
     try:
         return abs(lambda_value(fam, level)) <= target
-    except OverflowError:
+    except DivergenceError:
         return True
 
 
@@ -192,7 +193,7 @@ def build_level_sequence(fam, start, count):
         raise ArgumentError(f"need at least one sequence term, got {count}")
     if start < 1:
         raise ArgumentError(f"start level must be >= 1, got {start}")
-    current = _magnitude(fam, start)
+    current = abs(lambda_value(fam, start))
     if current == 0:
         raise ArgumentError(f"lambda({start}) = 0; the level sequence needs a positive start value")
     if count > 1 and fam.kind == "identity":
@@ -204,7 +205,7 @@ def build_level_sequence(fam, start, count):
                 f"lambda underflows to 0.0 at level {levels[-1]}, so no later level of the sequence"
                 f" is determined ({fam.describe()})")
         levels.append(_next_level_gallop(fam, levels[-1], current / math.e))
-        current = _magnitude(fam, levels[-1])
+        current = abs(lambda_value(fam, levels[-1]))
     return levels
 
 

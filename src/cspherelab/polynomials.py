@@ -2,11 +2,12 @@
 
 All evaluators use the forward three-term recurrence, which is stable for
 the degrees (a few hundred at most) and parameter ranges this package needs;
-disk_poly_table refuses degrees at which its values would overflow
-(check_table_degree). The Jacobi recurrence is written once
-(_jacobi_terms): jacobi_eval and disk_poly_eval run it to one degree, and
-disk_poly_table runs one per difference |m - n| to give every disk
-polynomial of total degree up to k_max in one sweep. Arguments are
+disk_poly_eval and disk_poly_table refuse a bidegree whose own recurrence
+could overflow, by one rule (_overflows; check_table_degree for a table).
+The Jacobi recurrence is written once (_jacobi_terms): jacobi_eval and
+disk_poly_eval run it to one degree, and disk_poly_table runs one per
+difference |m - n| to give every disk polynomial of total degree up to
+k_max in one sweep. Arguments are
 restricted to the geometric domain they arise from: |x| <= 1 for the real
 polynomials and |z| <= 1 for disk polynomials, with a 1e-12 round-off
 allowance (inputs come from inner products of unit vectors).
@@ -145,10 +146,12 @@ def disk_poly_eval(m, n, alpha, z):
         raise ArgumentError(f"degrees must be nonnegative integers, got ({m}, {n})")
     alpha = _check_disk_index(alpha)
     m, n = int(m), int(n)
+    lo, hi = min(m, n), max(m, n)
+    if _overflows(alpha, lo, hi - lo):
+        raise ArgumentError(f"the disk polynomial of bidegree ({m}, {n}) at alpha = {alpha} would"
+                            " overflow double precision in its Jacobi recurrence")
     z = _clamp_disk(z)
     scalar = z.ndim == 0
-
-    lo, hi = min(m, n), max(m, n)
     radial = jacobi_eval(lo, alpha, hi - lo, _radial_arg(z)) / math.comb(lo + alpha, lo)
     angular = z ** (m - n) if m >= n else np.conj(z) ** (n - m)
     out = angular * radial
@@ -159,19 +162,28 @@ def _log_comb(n, r):
     return math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
 
 
-def check_table_degree(alpha, k_max):
-    """Refuse a disk_poly_table(alpha, k_max) whose Jacobi recurrences could overflow.
+def _overflows(alpha, lo, j):
+    """Whether the Jacobi recurrence of P_lo^(alpha, j), the radial factor of the disk
+    polynomials R_(lo+j, lo) and R_(lo, lo+j), could overflow.
 
     On [-1, 1], |P_lo^(alpha, j)| peaks at binom(lo + max(alpha, j), lo) (Szego,
     Orthogonal Polynomials, 7.32.2), which grows with the total degree 2 lo + j, and a
-    recurrence step multiplies such values by at most 4 (k_max + alpha + 2)^3 before it
-    divides. At alpha = 0 to 50 this refuses k_max above 1434; the recurrence first
-    overflows at 1439. The scan over lo stops at the first peak past the limit, so a
-    huge k_max is refused after a few terms.
+    recurrence step multiplies such values by at most 4 (2 lo + j + alpha + 2)^3 before it
+    divides. The one overflow rule of disk_poly_eval and check_table_degree.
     """
-    step = math.log(4 * (k_max + alpha + 2) ** 3)
-    if any(_log_comb(lo + max(alpha, k_max - 2 * lo), lo) + step >= _LOG_DOUBLE_MAX
-           for lo in range(k_max // 2 + 1)):
+    step = math.log(4 * (2 * lo + j + alpha + 2) ** 3)
+    return _log_comb(lo + max(alpha, j), lo) + step >= _LOG_DOUBLE_MAX
+
+
+def check_table_degree(alpha, k_max):
+    """Refuse a disk_poly_table(alpha, k_max) whose Jacobi recurrences could overflow.
+
+    Every bidegree of total degree k_max is checked (_overflows). At alpha = 0 to 50
+    this refuses k_max above 1434; the recurrence first overflows at 1439. The scan over
+    lo stops at the first peak past the limit, so a huge k_max is refused after a few
+    terms.
+    """
+    if any(_overflows(alpha, lo, k_max - 2 * lo) for lo in range(k_max // 2 + 1)):
         raise ArgumentError(f"disk polynomials of total degree {k_max} at alpha = {alpha} overflow"
                             " double precision in their Jacobi recurrence")
 

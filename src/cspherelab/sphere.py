@@ -17,9 +17,9 @@ standard errors; sup_norm_refined starts from the largest sampled |f| of
 each function and its point, and runs the shrinking-cap sup search for a
 batch of functions at once.
 
-Every sampling command refuses an input over MAX_CLOUD_FLOPS or
-MAX_CLOUD_BYTES before it builds a basis or draws a point, through
-refuse_cost.
+Every sampling command refuses an input over its cost ceilings before it
+builds a basis or draws a point, through basis.refuse_cost: it lives in
+basis, which the exact basis command runs without this module.
 """
 
 from __future__ import annotations
@@ -36,18 +36,6 @@ _CAP_ROUNDS = 2
 _CAP_SAMPLES = 256
 _CAP_SHRINK = 0.3
 
-# Ceilings of every sampling command's up-front refusal (refuse_cost). A
-# whole Levy cloud-path call took 2.6e-11 to 3.0e-11 s per product flop on a
-# 2-vCPU x86-64 VM with OpenBLAS (s = 63 to 342, 1000 to 4000 outer rows,
-# 5e4 to 1e5 points), so the flop ceiling refuses inputs that would take
-# more than about a minute. Windows with s below about 20 take longer per
-# flop: their |.|^p reductions cost more than their products. The byte
-# ceiling is a quarter of an 8 GB machine: a small sample count can keep the
-# flops low while one array alone takes tens of gigabytes.
-MAX_CLOUD_FLOPS = 2 * 10**12
-SECONDS_PER_CLOUD_FLOP = 3e-11
-MAX_CLOUD_BYTES = 2 * 10**9
-
 
 def omega(d):
     """Surface area of the unit sphere of C^d, i.e. of S^(2d-1) in R^(2d)."""
@@ -60,27 +48,6 @@ def check_exponent(p):
     """Refuse an L^p exponent outside 1 <= p <= inf; NaN fails the comparison."""
     if not p >= 1:
         raise ArgumentError(f"need p >= 1 or p = inf, got {p}")
-
-
-def refuse_cost(what, factors, arrays, work="cloud products", held="arrays"):
-    """Refuse `what` up front if it would pass MAX_CLOUD_FLOPS or MAX_CLOUD_BYTES.
-
-    factors are the factors of its product flops (none: no flop term).
-    arrays lists (name, shape, bytes per entry) for every array that grows
-    with the sample counts; a 16-byte entry is complex. The message is built
-    from the same factors and list, so it states what was estimated.
-    """
-    flops = math.prod(factors)
-    if flops > MAX_CLOUD_FLOPS:
-        raise ArgumentError(
-            f"{what} refused: its {work} cost {' x '.join(map(str, factors))} = {flops:.2e} flops"
-            f" > {MAX_CLOUD_FLOPS:.0e}, an estimated {flops * SECONDS_PER_CLOUD_FLOP:.0f} s")
-    nbytes = sum(math.prod(shape) * size for _, shape, size in arrays)
-    if nbytes > MAX_CLOUD_BYTES:
-        listed = ", ".join(f"{name} {' x '.join(map(str, shape))}{' complex' * (size == 16)}"
-                           for name, shape, size in arrays)
-        raise ArgumentError(f"{what} refused: its {held} take an estimated {nbytes / 1e9:.1f} GB"
-                            f" ({listed}) > {MAX_CLOUD_BYTES / 1e9:.0f} GB")
 
 
 def _chunk_rng(seed, index):

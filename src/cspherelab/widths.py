@@ -16,7 +16,7 @@ import operator
 from collections import namedtuple
 
 from ._lazy import numpy as np
-from .dimensions import dim_layer
+from .dimensions import check_dimension, dim_layer
 from .errors import ArgumentError, HypothesisError
 from .multipliers import MultiplierFamily, lambda_value
 
@@ -406,8 +406,7 @@ def fit_stretched(table, d, r, lo, hi):
     For the analytic families the slope estimates the negated
     stretched-exponential decay constant.
     """
-    if d < 2:
-        raise ArgumentError(f"complex dimension d must be >= 2, got {d}")
+    check_dimension(d)
     if not 0 < r < math.inf:
         raise ArgumentError(f"stretch parameter r must be positive and finite, got {r}")
     n, v = _fit_points(table, lo, hi, 2)
@@ -507,8 +506,7 @@ def bound_eval(spec: BoundSpec, m):
     """
     d, gamma, xi, r, p, q = spec.d, spec.gamma, spec.xi, spec.r, spec.p, spec.q
     tid = spec.theorem
-    if d < 2:
-        raise ArgumentError(f"complex dimension d must be >= 2, got {d}")
+    check_dimension(d)
 
     if tid == "T6.4":
         _require(gamma > 0 and r > 0, "gamma > 0 and r > 0")

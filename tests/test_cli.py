@@ -439,12 +439,12 @@ def _p2_exact_op():
 # patched builder and sampler raises: it builds and draws nothing.
 _UNBUILT = "builds nothing"
 
-# Every sampling command over its ceiling, then inputs under it (refusal
-# None: past the estimate, at the first build or draw), among them every
-# benchmark op of those commands, then the exact p = 2 Levy path, which
-# builds and draws nothing (_UNBUILT). A refused input would run for
-# minutes or take gigabytes if it were run. The test above pins check
-# nikolskii's bytes.
+# Every sampling command and the exact basis command over its ceiling, then
+# inputs under it (refusal None: past the estimate, at the first elimination
+# or draw), among them every benchmark op of those commands, then the exact
+# p = 2 Levy path, which builds and draws nothing (_UNBUILT). A refused
+# input would run for minutes or take gigabytes if it were run. The test
+# above pins check nikolskii's bytes.
 REFUSAL_CASES = [pytest.param(argv, refusal, id=name) for name, argv, refusal in [
     ("levy-flops", ("levy", "--d", "3", "--N", "0", "--lmax", "6", "--family", "fs:gamma=3,xi=0",
                     "--p", "4", "--omega-samples", "1000000"),
@@ -464,6 +464,9 @@ REFUSAL_CASES = [pytest.param(argv, refusal, id=name) for name, argv, refusal in
     ("project-bytes", ("project", "--d", "2", "--m", "3", "--n", "3", "--samples", "100000000"),
      "estimated 2.4 GB"),
     ("gegenbauer-lmax200", ("check", "gegenbauer", "--d", "3", "--lmax", "200", "--seed", "0"), None),
+    # the exact basis command, priced by the same refusal: its elimination
+    ("basis-flops", ("basis", "--d", "4", "--m", "8", "--n", "8"),
+     "51524550493 x 500 = 2.58e+13 flops > 2e+12, an estimated 773 s"),
 ] + [(f"bench-{op.name}", (*op.argv, "--seed", "0"), _UNBUILT if op.name == "levy-d2-p2-exact" else None)
      for op in _benchmark_ops("levy-mc")] + [
     # the exact p = 2 path reads the level table only, so no sample count is
@@ -481,7 +484,10 @@ def test_sampling_commands_refuse_over_their_ceilings_before_anything_is_built(a
     def reach(*args, **kwargs):
         raise _Reached
 
-    for module, name in [(basis, "build_basis"), (levy, "build_basis"), (levy, "build_real_system"),
+    # basis's own build_basis runs uncached up to its first elimination, so
+    # that its refusal is reached and a cached basis cannot skip the patch
+    monkeypatch.setattr(basis, "build_basis", basis.build_basis.__wrapped__)
+    for module, name in [(basis, "_block_basis"), (levy, "build_basis"), (levy, "build_real_system"),
                          (sphere, "sample_points"), (levy, "sample_points")]:
         monkeypatch.setattr(module, name, reach)
     if refusal is None:
@@ -918,7 +924,20 @@ def test_widths_fit_refuses_nan(tmp_path, capsys, body):
     ["widths", "bounds", "--theorem", "T6.4", "--d", "0", "--gamma", "3", "--r", "1",
      "--nmax", "100"],
     ["widths", "fit", None, "--model", "stretched", "--d", "1", "--nmax", "20000"],
-], ids=["dims", "seq", "widths-spectrum", "widths-bounds", "widths-bounds-d0", "widths-fit"])
+    ["widths", "compare-gradings", "--d", "1", "--family", "fs:gamma=3", "--nmax", "20000"],
+    ["seq", "--d", "1", "--family", "sobolev:gamma=3", "--N", "3", "--eps", "0.5"],
+    ["basis", "--d", "1", "--m", "1", "--n", "1"],
+    ["check", "addition", "--d", "1", "--m", "1", "--n", "1", "--samples", "10"],
+    ["check", "gegenbauer", "--d", "1", "--lmax", "2", "--samples", "10"],
+    ["check", "nikolskii", "--d", "1", "--N", "0", "--lmax", "1", "--samples", "10",
+     "--omega-samples", "1000"],
+    ["check", "dim-bounds", "--d", "1", "--lmax", "10"],
+    ["levy", "--d", "1", "--N", "0", "--lmax", "1", "--family", "fs:gamma=3", "--p", "4",
+     "--sphere-samples", "10", "--omega-samples", "1000"],
+    ["project", "--d", "1", "--m", "1", "--n", "1", "--samples", "100"],
+], ids=["dims", "seq", "widths-spectrum", "widths-bounds", "widths-bounds-d0", "widths-fit",
+        "compare-gradings", "seq-sobolev", "basis", "check-addition", "check-gegenbauer",
+        "check-nikolskii", "check-dim-bounds", "levy", "project"])
 def test_complex_dimension_below_2_exits_2(tmp_path, capsys, argv):
     argv = [_writer_csv(tmp_path) if arg is None else arg for arg in argv]
     code, out, err = run_cli(capsys, *argv)
@@ -1058,13 +1077,27 @@ def test_seq_slow_family_and_overflow_exit_codes(capsys):
         assert err.startswith("error: ") and "finite_smooth" in err
 
 
-@pytest.mark.parametrize("family, eps, message", [
-    ("exp:gamma=1,r=1", "0.001", "lambda underflows to 0.0 at level 746, so no later level"),
-    ("exp:gamma=1e-300,r=1", "5",
+def _levy_exact(family):
+    return ("levy", "--d", "2", "--N", "0", "--lmax", "3", "--family", family, "--p", "2",
+            "--omega-samples", "0")
+
+
+# lambda or lambda^2 past the float range exits 1 in every command
+@pytest.mark.parametrize("argv, message", [
+    (("seq", "--family", "exp:gamma=1,r=1", "--d", "2", "--N", "1", "--eps", "0.001"),
+     "lambda underflows to 0.0 at level 746, so no later level"),
+    (("seq", "--family", "exp:gamma=1e-300,r=1", "--d", "2", "--N", "1", "--eps", "5"),
      "rank budget e^(-eps k) theta12 exceeds the float range (theta12 has 900 digits"),
-], ids=["lambda-underflow", "budget-overflow"])
-def test_seq_past_the_float_range_exits_1(capsys, family, eps, message):
-    code, out, err = run_cli(capsys, "seq", "--family", family, "--d", "2", "--N", "1", "--eps", eps)
+    (("seq", "--family", "fs:gamma=3,xi=1e308", "--d", "2", "--N", "2", "--eps", "0.5"),
+     "lambda(2) is beyond the float range (finite_smooth"),
+    (_levy_exact("fs:gamma=3,xi=1000"), "lambda(2)^2 is beyond the float range (finite_smooth"),
+    (_levy_exact("exp:gamma=1,r=1000"), "lambda(3) is beyond the float range (exp_analytic"),
+    (("widths", "spectrum", "--family", "fs:gamma=3,xi=1e308", "--d", "2", "--nmax", "10",
+      "--format", "json"), "lambda(2) is beyond the float range (finite_smooth"),
+], ids=["lambda-underflow", "budget-overflow", "seq-lambda", "levy-lambda-squared", "levy-lambda",
+        "spectrum-lambda"])
+def test_seq_past_the_float_range_exits_1(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
 

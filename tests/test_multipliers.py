@@ -111,6 +111,11 @@ def test_level_beyond_float_range_diverges():
         build_level_sequence(sobolev(2, 2), 10**400, 2)
     with pytest.raises(DivergenceError, match="exp_analytic"):
         build_level_sequence(exp_analytic(1, 0.001), 3, 10)
+    # lambda_value names lambda(level) where the level fits a float
+    with pytest.raises(DivergenceError, match=r"^lambda\(2\) is beyond the float range \(finite_smooth"):
+        lambda_value(finite_smooth(3, 1e308, "max"), 2)
+    with pytest.raises(DivergenceError, match=r"^a level of 801 digits is beyond the float range"):
+        lambda_value(sobolev(2, 2), 10**800)
     # every level fits a float, but theta_k / theta12 at d = 4 does not
     with pytest.raises(DivergenceError, match="finite_smooth"):
         plan_beta(finite_smooth(0.2, 0, "max"), 4, 3, 0.5)

@@ -195,3 +195,11 @@ def test_table_degree_limit_lies_below_the_first_overflow():
     # a huge degree is refused at once, not after a scan of every lo
     with pytest.raises(ArgumentError, match="overflow double precision"):
         check_table_degree(0, 10**12)
+    # one bidegree is refused exactly where its own recurrence could overflow
+    z = np.array([0.3 + 0.2j, 1.0, -0.5j])
+    for m, n in [(2000, 1000), (1000, 2000)]:
+        with pytest.raises(ArgumentError, match=rf"bidegree \({m}, {n}\) .* overflow double precision"):
+            disk_poly_eval(m, n, 0, z)
+    for m, n in [(2000, 2000), (800, 700)]:
+        assert np.isfinite(disk_poly_eval(m, n, 0, z)).all()
+        assert disk_poly_eval(m, n, 0, 1.0) == pytest.approx(1.0)
