@@ -30,6 +30,13 @@ matrix (orthonormalising factors folded in), and evaluated chunk by chunk
 as one monomial table and one BLAS product. MonomialPoly.eval,
 HarmonicBasis.eval_orthonormal and the real coordinates of levy all use it.
 
+The zonal kernel (dim / omega) R_(m,n)^(d-2)(t) is written once, as a
+function of t = <z, w> (_zonal): zonal_eval, verify_addition and
+project_mc read it. The sampled checks draw their points through
+sphere.draw_chunks and its pair form sphere.draw_pairs, one sampling chunk
+at a time, so none holds an array that grows with its samples; the two
+pair checks share one refusal rule (_refuse_pairs).
+
 refuse_cost lives here, with its ceilings MAX_CLOUD_FLOPS and
 MAX_CLOUD_BYTES: it is the one up-front refusal by estimated cost, of
 build_basis's exact elimination and of every sampling command, and this
@@ -83,16 +90,22 @@ POINT_TOL = 1e-12
 # hold less: the row count is part of the evaluator's bits (MonomialMap).
 _EVAL_ROWS = 2048
 
-# Time model of verify_gegenbauer, in flops of MAX_CLOUD_FLOPS: each
-# pair costs one term per disk polynomial with m + n <= k_max (its share of
-# the table, of the Gegenbauer sweeps and of the rows' sum) and about
-# 5 (d + 1) terms for its draw and inner product. One term over one pair
-# took 1.9e-8 to 2.1e-8 s at 1000 pairs (d = 2, 3 and 5, k_max = 100 and
-# 200), and a pair at k_max = 0 3.4e-7 s at d = 2 to 6.5e-7 s at d = 5, on
-# a 2-vCPU x86-64 VM: a term is about 700 times
-# SECONDS_PER_CLOUD_FLOP. Fewer than 1000 pairs cost about as much
-# as 1000 (numpy's per-call overhead), so they count as 1000; 4096 pairs
-# and more cost about half as much per pair.
+# Time model of the pair checks (_refuse_pairs), in flops of MAX_CLOUD_FLOPS:
+# a pair costs a count of terms, each _TERM_FLOPS. verify_gegenbauer counts
+# one term per disk polynomial with m + n <= k_max (its share of the table,
+# of the Gegenbauer sweep and of the rows' sum) and about 5 (d + 1) for its
+# draw and inner product: one term over one pair took 1.9e-8 to 2.1e-8 s at
+# 1000 pairs (d = 2, 3 and 5, k_max = 100 and 200), and a pair at k_max = 0
+# 3.4e-7 s at d = 2 to 6.5e-7 s at d = 5, on a 2-vCPU x86-64 VM: a term is
+# about 700 times SECONDS_PER_CLOUD_FLOP. verify_addition counts 2 d K terms
+# for the monomial tables of its K bidegree monomials at z and w, K dim / 50
+# for their two products with the dim orthonormal functions, and 40 for the
+# draw, the disk polynomial and the sums: the estimate was 0.5 to 1.9 times
+# the time taken at 1000 pairs (0.5 at d = 2, (8, 8), whose evaluator pads
+# 1000 points to 2048) and 2.1 to 3.3 times at 50,000 (d = 2 to 4, bidegrees
+# (0, 0) to (8, 8); d = 4, (4, 4): 1.3 at 1000 pairs, 2.4 at 8192). Fewer
+# than 1000 pairs cost about as much as 1000 (numpy's per-call overhead),
+# so they count as 1000; 4096 pairs and more cost about half as much per pair.
 _TERM_FLOPS = 700
 _TERM_MIN_PAIRS = 1000
 
@@ -402,13 +415,10 @@ def build_basis(d, m, n):
     uppers = bidegree_monomials(d, m, n)
     lowers = bidegree_monomials(d, m - 1, n - 1) if m > 0 and n > 0 else []
 
-    blocks = {}
-    for a, b in uppers:
-        sig = tuple(ai - bi for ai, bi in zip(a, b))
-        blocks.setdefault(sig, ([], []))[0].append((a, b))
-    for a, b in lowers:
-        sig = tuple(ai - bi for ai, bi in zip(a, b))
-        blocks.setdefault(sig, ([], []))[1].append((a, b))
+    blocks = {}  # signature a - b -> (its upper monomials, its lower ones)
+    for side, keys in enumerate((uppers, lowers)):
+        for a, b in keys:
+            blocks.setdefault(tuple(ai - bi for ai, bi in zip(a, b)), ([], []))[side].append((a, b))
 
     sizes = [len(u) + len(l) for u, l in blocks.values()]
     refuse_cost(f"exact basis for d={d}, bidegree ({m}, {n})",
@@ -432,48 +442,65 @@ def build_basis(d, m, n):
     return HarmonicBasis(d=d, m=m, n=n, vectors=tuple(vectors), sq_norms=tuple(sq_norms))
 
 
+def _zonal(d, m, n, t):
+    """The zonal kernel of the (m, n) harmonic space as a function of t = <z, w>:
+    (dim / omega(d)) * R_{m,n}^(d-2)(t)."""
+    return (dim_complex_harmonic(d, m, n) / sphere.omega(d)) * polynomials.disk_poly_eval(m, n, d - 2, t)
+
+
 def zonal_eval(d, m, n, w, z):
     """Zonal kernel of the (m, n) harmonic space with pole w, evaluated at z.
 
     (dim / omega(d)) * R_{m,n}^(d-2)(<z, w>), where <z, w> = sum z_j conj(w_j).
     z may be a single point or an (N, d) array.
     """
-    w = np.asarray(w, dtype=complex)
     _check_on_sphere(w)
-    z = np.asarray(z, dtype=complex)
     _check_on_sphere(z)
-    t = z @ np.conj(w) if z.ndim > 1 else np.dot(z, np.conj(w))
-    return ((dim_complex_harmonic(d, m, n) / sphere.omega(d))
-            * polynomials.disk_poly_eval(m, n, d - 2, t))
+    return _zonal(d, m, n, np.asarray(z, dtype=complex) @ np.conj(w))
+
+
+def _refuse_pairs(what, d, pairs, terms, per_pair, work):
+    """Refuse a check over point pairs up front: no pairs, or by refuse_cost, `terms`
+    per pair at _TERM_FLOPS each, over at least _TERM_MIN_PAIRS pairs, and one chunk's
+    arrays, its points and per_pair's (name, values per pair, bytes per value)."""
+    if pairs < 1:
+        raise ArgumentError("need at least one sample pair")
+    chunk = sphere.chunk_rows(pairs)
+    refuse_cost(what, (max(pairs, _TERM_MIN_PAIRS), terms, _TERM_FLOPS),
+                [("points", (2 * chunk, d), 16)]
+                + [(name, (chunk, width), size) for name, width, size in per_pair], work=work)
 
 
 def verify_addition(d, m, n, samples, seed):
     """Max deviation of the reproducing identity over random point pairs.
 
     Checks both sum_j conj(Y_j(w)) Y_j(z) = zonal(w, z) and the diagonal
-    normalisation sum_j |Y_j(z)|^2 = dim / omega(d). Inputs whose arrays
-    would pass MAX_CLOUD_BYTES are refused before the basis is built.
+    normalisation sum_j |Y_j(z)|^2 = dim / omega(d). Inputs estimated at
+    more than MAX_CLOUD_FLOPS (_TERM_FLOPS per term and pair) or
+    MAX_CLOUD_BYTES are refused before the basis is built.
+
+    The pairs are drawn and checked one sampling chunk at a time
+    (sphere.draw_pairs), and the deviation is the largest over the chunks,
+    the same bits as a check of all pairs at once. Memory: one chunk's
+    points, basis values at both sides and pair values, and the evaluator's
+    tables; no array grows with samples.
     """
-    if samples < 1:
-        raise ArgumentError("need at least one sample pair")
-    refuse_cost(f"addition check for d={d}, bidegree ({m}, {n})", (), [
-        ("points", (2 * samples, d), 16),
-        ("basis values", (samples, dim_complex_harmonic(d, m, n), 3), 16),  # at z, at w, their products
-        ("pair values", (samples, 5), 16),  # the sums, the zonal and their deviations
-    ])
-    basis_ = build_basis(d, m, n)
-    pts = sphere.sample_points(d, 2 * samples, seed)
-    zs, ws = pts[:samples], pts[samples:]
-    ez = basis_.eval_orthonormal(zs)
-    ew = basis_.eval_orthonormal(ws)
-    lhs = np.sum(np.conj(ew) * ez, axis=1)
     dmn = dim_complex_harmonic(d, m, n)
-    t = np.sum(np.multiply(zs, np.conj(ws, out=ws), out=ws), axis=1)  # order fixed as in verify_gegenbauer
-    rhs = (dmn / sphere.omega(d)) * polynomials.disk_poly_eval(m, n, d - 2, t)
-    dev_pairs = float(np.max(np.abs(lhs - rhs)))
-    diag = np.sum(np.abs(ez) ** 2, axis=1)
-    dev_diag = float(np.max(np.abs(diag - dmn / sphere.omega(d))))
-    return max(dev_pairs, dev_diag)
+    monomials = math.comb(m + d - 1, m) * math.comb(n + d - 1, n)  # K, those of bidegree (m, n)
+    _refuse_pairs(f"addition check for d={d}, bidegree ({m}, {n})", d, samples,
+                  40 + 2 * d * monomials + monomials * dmn // 50, [
+                      ("basis values", 3 * dmn, 16),  # at z, at w, their products
+                      ("pair values", 5, 16),  # the sums, the zonal and their deviations
+                  ], work="basis and kernel terms")
+    basis_ = build_basis(d, m, n)
+    worst = 0.0
+    for zs, ws in sphere.draw_pairs(d, samples, seed):
+        ez = basis_.eval_orthonormal(zs)
+        lhs = np.sum(np.conj(basis_.eval_orthonormal(ws)) * ez, axis=1)
+        t = np.sum(np.multiply(zs, np.conj(ws, out=ws), out=ws), axis=1)  # a fixed order, z conj(w)
+        worst = max(worst, float(np.max(np.abs(lhs - _zonal(d, m, n, t)))),
+                    float(np.max(np.abs(np.sum(np.abs(ez) ** 2, axis=1) - dmn / sphere.omega(d)))))
+    return worst
 
 
 def verify_gegenbauer(d, k_max, samples, seed):
@@ -489,46 +516,38 @@ def verify_gegenbauer(d, k_max, samples, seed):
     estimated at more than MAX_CLOUD_FLOPS (_TERM_FLOPS per term and
     pair) or MAX_CLOUD_BYTES, are refused before any point is drawn.
 
-    The pairs are drawn and checked one sampling chunk at a time, and every
-    disk polynomial of a chunk comes from polynomials.disk_poly_table, whose
-    rows are summed in m order as they arrive; the deviation is the largest
-    over the chunks, so it does not depend on the chunk size. Memory: one
-    chunk's points and pair values, and the table's powers, recurrences and
-    row over that chunk; no array grows with samples.
+    The pairs are drawn and checked one sampling chunk at a time
+    (sphere.draw_pairs). Per chunk, the disk polynomials come from
+    polynomials.disk_poly_table, whose rows are summed in m order as they
+    arrive, beside one sweep of polynomials.gegenbauer_terms; the deviation
+    is the largest over the chunks, so it does not depend on the chunk
+    size. Memory: one chunk's points and pair values, and the table's
+    powers, recurrences and row over that chunk; no array grows with
+    samples.
     """
     check_dimension(d)
     if k_max < 0:
         raise ArgumentError(f"degree must be nonnegative, got {k_max}")
-    if samples < 1:
-        raise ArgumentError("need at least one sample pair")
     polynomials.check_table_degree(d - 2, k_max)
-    chunk = min(samples, sphere._CHUNK)
-    terms = (k_max + 1) * (k_max + 2) // 2 + 5 * (d + 1)
-    refuse_cost(f"Gegenbauer check for d={d}, degrees 0..{k_max}",
-                (max(samples, _TERM_MIN_PAIRS), terms, _TERM_FLOPS), [
-                    ("points", (2 * chunk, d), 16),
-                    ("pair values", (chunk, 7), 16),  # t and the Gegenbauer sweep's arrays
-                    ("powers", (2 * (k_max + 1), chunk), 16),  # z^j and conj(z)^j
-                    ("Jacobi recurrences", (2 * (k_max + 1), chunk), 8),
-                    ("row", (k_max + 1, chunk), 16),
-                ], work="disk polynomial terms")
+    _refuse_pairs(f"Gegenbauer check for d={d}, degrees 0..{k_max}", d, samples,
+                  (k_max + 1) * (k_max + 2) // 2 + 5 * (d + 1), [
+                      ("pair values", 7, 16),  # t and the Gegenbauer sweep's arrays
+                      ("powers", 2 * (k_max + 1), 16),  # z^j and conj(z)^j
+                      ("Jacobi recurrences", 2 * (k_max + 1), 8),
+                      ("row", k_max + 1, 16),
+                  ], work="disk polynomial terms")
     w = sphere.omega(d)
     # each degree's Gegenbauer factor and its zonals' weights dim H(m, k - m) / omega
     scales = [(2 * d + 2 * k - 2) / (w * (2 * d - 2)) for k in range(k_max + 1)]
     weights = [[dim_complex_harmonic(d, m, k - m) / w for m in range(k + 1)] for k in range(k_max + 1)]
     worst = 0.0
-    # the pairs (z, w) are rows i and samples + i of one draw, drawn and
-    # checked one sampling chunk at a time
-    for start in range(0, samples, sphere._CHUNK):
-        count = min(sphere._CHUNK, samples - start)
-        zs = sphere.sample_points(d, count, seed, start=start)
-        ws = sphere.sample_points(d, count, seed, start=samples + start)
+    for zs, ws in sphere.draw_pairs(d, samples, seed):
         # np.multiply fixes the order conj(w) z: for `*` numpy may reuse a large
         # temporary as the output and swap the operands, and the orders round differently
         t = np.sum(np.multiply(np.conj(ws, out=ws), zs, out=ws), axis=1)
         del zs, ws
+        gegenbauer = polynomials.gegenbauer_terms(d - 1, t.real)  # its term k beside row k
         for k, row in enumerate(polynomials.disk_poly_table(d - 2, k_max, t)):
-            lhs = scales[k] * polynomials.gegenbauer_eval(k, d - 1, t.real)
             # the sum of zonals in m order, built in the first one (starting
             # from zeros could only change the sign of a zero of rhs)
             rhs = row[0]
@@ -536,7 +555,7 @@ def verify_gegenbauer(d, k_max, samples, seed):
                 np.multiply(weight, disk, out=disk)
                 if m:
                     rhs += disk
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+            worst = max(worst, float(np.max(np.abs(scales[k] * next(gegenbauer) - rhs))))
     return worst
 
 
@@ -547,26 +566,26 @@ def project_mc(f, d, m, n, w, samples, seed):
     Integrates f(z) * conj(zonal_w(z)) over the sphere: returns
     (omega(d) * mean, stderr) where the stderr combines the real and
     imaginary sample variances of the integrand. A call whose arrays would
-    pass MAX_CLOUD_BYTES is refused before f is first called.
+    pass MAX_CLOUD_BYTES is refused before f is first called. The pole is
+    checked on the sphere once; the drawn points lie on it.
 
     Memory: each sampling chunk of points is drawn as it is integrated
-    (sample_points' start), and f and the zonal kernel are evaluated on it
-    into one (samples,) complex integrand array; no array of all the points
-    is held. The integrand and the float deviations of its variance are the
-    arrays that grow with samples.
+    (sphere.draw_chunks), and f and the zonal kernel (_zonal at <z, w>) are
+    evaluated on it into one (samples,) complex integrand array; no array of
+    all the points is held. The integrand and the float deviations of its
+    variance are the arrays that grow with samples.
     """
     if samples < 2:
         raise ArgumentError("need at least two samples for a standard error")
     refuse_cost(f"projection for d={d}, bidegree ({m}, {n})", (), [
         ("integrand", (samples,), 16), ("deviations", (samples,), 8)])
+    _check_on_sphere(w)  # once: the chunks are drawn on the sphere
     integrand = np.empty(samples, dtype=complex)
-    for start in range(0, samples, sphere._CHUNK):
-        chunk = sphere.sample_points(d, min(sphere._CHUNK, samples - start), seed, start=start)
-        fvals = np.asarray(f(chunk), dtype=complex)
+    for start, pts in sphere.draw_chunks(d, samples, seed):
+        fvals = np.asarray(f(pts), dtype=complex)
         if not np.all(np.isfinite(fvals)):
             raise DataError("f produced non-finite values at sample points")
-        zonal = zonal_eval(d, m, n, w, chunk)
-        np.multiply(fvals, np.conj(zonal), out=integrand[start:start + len(chunk)])
+        np.multiply(fvals, np.conj(_zonal(d, m, n, pts @ np.conj(w))), out=integrand[start:start + len(pts)])
     wd = sphere.omega(d)
     estimate = wd * complex(integrand.mean())
     var = integrand.real.var(ddof=1) + integrand.imag.var(ddof=1)

@@ -41,9 +41,7 @@ from collections import namedtuple
 from functools import cached_property, lru_cache
 
 from ._lazy import numpy as np
-# The ceilings are imported to be read as levy.MAX_CLOUD_FLOPS and levy.MAX_CLOUD_BYTES.
-from .basis import (MAX_CLOUD_BYTES, MAX_CLOUD_FLOPS, MonomialMap, _check_on_sphere,  # noqa: F401
-                    build_basis, refuse_cost)
+from .basis import MonomialMap, _check_on_sphere, build_basis, refuse_cost
 from .dimensions import dim_layer, layer_members, theta
 from .errors import ArgumentError, ConsistencyError, DivergenceError
 from .multipliers import lambda_value
@@ -97,12 +95,8 @@ class RealCoordinateSystem:
         for member in self.members:
             base = build_basis(self.d, *member.bidegree)
             vec, scale = base.vectors[member.index], base.orthonormal_scale(member.index)
-            if member.part == "re":
-                columns.append((vec, root2 * scale, 0.0))
-            elif member.part == "im":
-                columns.append((vec, 0.0, root2 * scale))
-            else:
-                columns.append((vec, scale, 0.0))
+            weights = {"re": (root2 * scale, 0.0), "im": (0.0, root2 * scale), "real": (scale, 0.0)}
+            columns.append((vec, *weights[member.part]))  # (re_weight, im_weight) of MonomialMap
         return MonomialMap(self.d, columns)
 
 
@@ -183,9 +177,18 @@ class LevyProblem(namedtuple("LevyProblem", "d m1 m2 fam p")):
         return value
 
     def layers(self):
-        """(lambda(l), dim_layer(d, l)) for each level l of the window; builds no basis."""
+        """(lambda(l), dim_layer(d, l)) for each level l of the window; builds no basis.
+
+        A window whose sum of lambda(l)^2 dim_l, which every Levy mean and bound
+        takes, or one of its terms is beyond the float range is refused
+        (DivergenceError), before anything is sampled.
+        """
         _check_window(self.m1, self.m2)
-        return [(self.multiplier(l), dim_layer(self.d, l, "max")) for l in range(self.m1 + 1, self.m2 + 1)]
+        layers = [(self.multiplier(l), dim_layer(self.d, l, "max")) for l in range(self.m1 + 1, self.m2 + 1)]
+        if not math.isfinite(sum(v * v * n for v, n in layers)):
+            raise DivergenceError(f"the window's sum of lambda(l)^2 x dim_l is beyond the float range"
+                                  f" ({self.fam.describe()})")
+        return layers
 
 
 class LevyEstimate(namedtuple(

@@ -153,6 +153,12 @@ def lambda_value(fam, t):
             f" cannot be evaluated there ({fam.describe()})") from None
 
 
+def first_positive_level(fam):
+    """The first level where lambda is positive in exact arithmetic: 1 for sobolev, 2 for
+    finite_smooth, 0 for the others. A 0.0 from lambda_value there or later is an underflow."""
+    return {"sobolev": 1, "finite_smooth": 2}.get(fam.kind, 0)
+
+
 def _drops_below(fam, level, target):
     # A level beyond float range counts as a drop: it is past every level
     # that can be evaluated, and lambda_value refuses it if the search ends there.

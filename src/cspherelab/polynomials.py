@@ -7,7 +7,9 @@ could overflow, by one rule (_overflows; check_table_degree for a table).
 The Jacobi recurrence is written once (_jacobi_terms): jacobi_eval and
 disk_poly_eval run it to one degree, and disk_poly_table runs one per
 difference |m - n| to give every disk polynomial of total degree up to
-k_max in one sweep. Arguments are
+k_max in one sweep. The Gegenbauer recurrence is written once too
+(gegenbauer_terms): gegenbauer_eval takes its term k, and a check of
+every degree up to k_max runs it once. Arguments are
 restricted to the geometric domain they arise from: |x| <= 1 for the real
 polynomials and |z| <= 1 for disk polynomials, with a 1e-12 round-off
 allowance (inputs come from inner products of unit vectors).
@@ -94,32 +96,37 @@ def jacobi_eval(k, alpha, beta, x):
     return float(p_k) if x.ndim == 0 else p_k
 
 
-def gegenbauer_eval(k, lam, t):
-    """Gegenbauer polynomial C_k^lam(t), lam > 0, t in [-1, 1].
+def gegenbauer_terms(lam, t):
+    """Yield C_0^lam, C_1^lam, C_2^lam, ... at the clamped t in [-1, 1], lam > 0, by the
+    forward three-term recurrence; each term is a new array. lam and t are checked when
+    the first term is taken.
 
     Normalised so that C_k^lam(1) = binom(k + 2*lam - 1, k).
     """
-    if k < 0 or k != int(k):
-        raise ArgumentError(f"degree k must be a nonnegative integer, got {k}")
     if not math.isfinite(lam) or lam <= 0:
         raise ArgumentError(f"Gegenbauer index lam must be positive, got {lam}")
-    k = int(k)
     t = _clamp_interval(t, name="t")
-    scalar = t.ndim == 0
-
     c_prev = np.ones_like(t)
-    if k == 0:
-        return float(c_prev) if scalar else c_prev
+    yield c_prev
     c_cur = 2.0 * lam * t
+    yield c_cur
     two_t = 2.0 * t
-    for n in range(2, k + 1):
+    for n in itertools.count(2):
         # (2 t (n + lam - 1) c_cur - (n + 2 lam - 2) c_prev) / n in one new array
         c_next = two_t * (n + lam - 1.0)
         c_next *= c_cur
         c_next -= (n + 2.0 * lam - 2.0) * c_prev
         c_next /= n
         c_prev, c_cur = c_cur, c_next
-    return float(c_cur) if scalar else c_cur
+        yield c_cur
+
+
+def gegenbauer_eval(k, lam, t):
+    """Gegenbauer polynomial C_k^lam(t), lam > 0, t in [-1, 1]: term k of gegenbauer_terms."""
+    if k < 0 or k != int(k):
+        raise ArgumentError(f"degree k must be a nonnegative integer, got {k}")
+    c_k = next(itertools.islice(gegenbauer_terms(lam, t), int(k), None))
+    return float(c_k) if np.ndim(t) == 0 else c_k
 
 
 def _check_disk_index(alpha):

@@ -8,7 +8,10 @@ Sampling has one fixed layout, which defines the sampled bytes: points are
 drawn _CHUNK at a time, each chunk from the stream (seed, chunk index) of a
 SeedSequence spawn key, so outputs are reproducible from (seed, count) and
 the first points do not depend on how many are drawn; any row range can be
-drawn alone (sample_points' start).
+drawn alone (sample_points' start). A command that integrates or checks
+its points as they are drawn takes them from draw_chunks, consecutive
+ranges of at most _CHUNK rows, or from its pair form draw_pairs, so no
+array of all its points is held.
 
 Each Monte Carlo norm has one estimator, batched so that one call covers
 many functions sampled on a shared cloud: lp_norm_mc reduces along the last
@@ -79,6 +82,25 @@ def sample_points(d, count, seed, start=0):
         norms = np.sqrt(np.sum(np.abs(z) ** 2, axis=1, keepdims=True))
         np.divide(z, norms, out=out[lo - start:hi - start])
     return out
+
+
+def chunk_rows(count):
+    """Rows of the largest range that draw_chunks and draw_pairs yield for count rows."""
+    return min(count, _CHUNK)
+
+
+def draw_chunks(d, count, seed):
+    """Yield (start, points) for consecutive ranges of at most _CHUNK rows that cover
+    rows [0, count) of the uniform points, each drawn by sample_points when it is reached."""
+    for start in range(0, count, _CHUNK):
+        yield start, sample_points(d, chunk_rows(count - start), seed, start=start)
+
+
+def draw_pairs(d, count, seed):
+    """Yield (zs, ws) for consecutive ranges of at most _CHUNK of count point pairs: pair i
+    is rows i and count + i of one draw of 2 count points."""
+    for start, zs in draw_chunks(d, count, seed):
+        yield zs, sample_points(d, len(zs), seed, start=count + start)
 
 
 def power_needs_base(p):

@@ -18,7 +18,7 @@ from collections import namedtuple
 from ._lazy import numpy as np
 from .dimensions import check_dimension, dim_layer
 from .errors import ArgumentError, HypothesisError
-from .multipliers import MultiplierFamily, lambda_value
+from .multipliers import MultiplierFamily, first_positive_level, lambda_value
 
 # Levels scanned when accumulating spectrum multiplicities.
 LEVEL_CAP = 1000
@@ -99,28 +99,29 @@ def expand_spectrum(pairs, n_max):
 def l2_width_table(fam: MultiplierFamily, d, n_max):
     """Exact L^2 -> L^2 Kolmogorov width table of a multiplier operator.
 
-    Enumerates levels 0 .. LEVEL_CAP and stops once the levels carrying a
-    nonzero multiplier cover rank n_max. Every family is non-increasing past
-    its first positive level, so the stop is sound, the zeros of the start
-    levels sort to the tail, and a zero after a positive value is a float
-    underflow that every later level shares: ArgumentError names that level
-    and the largest n_max left. Reaching the cap raises ArgumentError too.
+    Enumerates the levels from the family's first positive level
+    (multipliers.first_positive_level; the levels below it have lambda = 0,
+    which adds no width) to LEVEL_CAP and stops once they cover rank n_max.
+    Every family is non-increasing past that level, so the stop is sound,
+    and a zero there or later is a float underflow that every later level
+    shares: ArgumentError names that level and the largest n_max left.
+    Reaching the cap raises ArgumentError too.
     """
     if n_max < 1:
         raise ArgumentError(f"n_max must be >= 1, got {n_max}")
     pairs = []
-    nonzero_cum = 0
-    for l in range(LEVEL_CAP + 1):
+    covered = 0
+    for l in range(first_positive_level(fam), LEVEL_CAP + 1):
         value = abs(lambda_value(fam, l))
-        if value == 0 and nonzero_cum:
+        if value == 0:
             raise ArgumentError(
-                f"lambda underflows to 0.0 at level {l} ({fam.describe()}, {fam.grading}"
-                f" grading); the largest n_max it can tabulate is {nonzero_cum - 1}")
+                f"lambda underflows to 0.0 at level {l} ({fam.describe()}, {fam.grading} grading); "
+                + (f"the largest n_max it can tabulate is {covered - 1}" if covered else
+                   "no rank has a positive width"))
         mult = dim_layer(d, l, fam.grading)
         pairs.append((value, mult))
-        if value > 0:
-            nonzero_cum += mult
-        if nonzero_cum > n_max:
+        covered += mult
+        if covered > n_max:
             break
     else:
         raise ArgumentError(

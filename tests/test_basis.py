@@ -220,7 +220,8 @@ def test_gegenbauer_one_sample_covers_every_degree():
 
 
 # one chunk short of, at, just past and past two sampling chunks of 4096 pairs
-@pytest.mark.parametrize("d, k_max", [(2, 7), (3, 6)])
+@pytest.mark.parametrize("d, k_max", [(2, 7), (3, 6), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1), (4, 5),
+                                      (5, 0), (5, 1), (5, 4)])
 @pytest.mark.parametrize("samples", [4095, 4096, 4097, 8193])
 def test_gegenbauer_chunks_equal_the_per_bidegree_oracle(d, k_max, samples):
     pts = sample_points(d, 2 * samples, 11)
@@ -233,6 +234,39 @@ def test_gegenbauer_chunks_equal_the_per_bidegree_oracle(d, k_max, samples):
                   for m in range(k + 1))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     assert verify_gegenbauer(d, k_max, samples, seed=11) == worst
+
+
+def _whole_array_addition(d, m, n, samples, seed):
+    """The earlier verify_addition: every pair drawn and checked at once."""
+    built = build_basis(d, m, n)
+    pts = sample_points(d, 2 * samples, seed)
+    zs, ws = pts[:samples], pts[samples:]
+    ez, ew = built.eval_orthonormal(zs), built.eval_orthonormal(ws)
+    lhs = np.sum(np.conj(ew) * ez, axis=1)
+    dmn = dim_complex_harmonic(d, m, n)
+    t = np.sum(np.multiply(zs, np.conj(ws)), axis=1)
+    rhs = (dmn / omega(d)) * disk_poly_eval(m, n, d - 2, t)
+    diag = np.sum(np.abs(ez) ** 2, axis=1)
+    return max(float(np.max(np.abs(lhs - rhs))), float(np.max(np.abs(diag - dmn / omega(d)))))
+
+
+# one chunk short of, at, just past and past two sampling chunks of 4096 pairs
+@pytest.mark.parametrize("d, m, n", [(2, 0, 0), (2, 1, 0), (2, 3, 3), (3, 3, 2), (3, 0, 2), (4, 1, 1)])
+@pytest.mark.parametrize("samples", [1, 4095, 4096, 4097, 8193])
+def test_addition_chunks_equal_the_whole_array_check(d, m, n, samples):
+    assert verify_addition(d, m, n, samples, seed=samples + m) == \
+        _whole_array_addition(d, m, n, samples, seed=samples + m)
+
+
+def test_addition_holds_one_chunk_of_pairs():
+    # addition-d3-3-2 at 50,000 pairs: drawing and checking them at once
+    # peaked at 101.5 MiB (the (50000, 42) basis values at z and w and their
+    # products); one 4096-pair chunk of those peaks at about 8.4 MiB, and
+    # 200,000 pairs hold no more than 50,000.
+    verify_addition(3, 3, 2, 10, seed=3)  # builds the basis
+    peak = _traced_peak(lambda: verify_addition(3, 3, 2, 50000, seed=3))
+    assert peak <= 15
+    assert _traced_peak(lambda: verify_addition(3, 3, 2, 200000, seed=3)) < peak + 0.1
 
 
 def test_gegenbauer_refuses_degrees_past_double_range_before_drawing(monkeypatch):
@@ -249,8 +283,8 @@ def test_gegenbauer_refuses_degrees_past_double_range_before_drawing(monkeypatch
 
 # At d = 3, 1000 pairs are 48 KB of points per side, below the 256 KiB from
 # which numpy reuses a temporary of `a * b` as its output and may swap the
-# operands; 6000 pairs are 288 KB, above it. check gegenbauer forms them in
-# chunks of at most 4096 pairs (6000 is two), check addition all at once.
+# operands; 6000 pairs are 288 KB, above it. check gegenbauer and check
+# addition form them in chunks of at most 4096 pairs (6000 is two).
 @pytest.mark.parametrize("samples", [1000, 6000])
 def test_pair_products_keep_their_operand_order_at_every_count(monkeypatch, samples):
     from cspherelab import polynomials
@@ -273,7 +307,8 @@ def test_pair_products_keep_their_operand_order_at_every_count(monkeypatch, samp
     assert len(tables) == -(-samples // 4096) and not seen
     assert np.concatenate(tables).tobytes() == np.sum(np.multiply(np.conj(ws), zs), axis=1).tobytes()
     verify_addition(3, 1, 1, samples, 4242)
-    assert seen[-1].tobytes() == np.sum(np.multiply(zs, np.conj(ws)), axis=1).tobytes()
+    assert len(seen) == len(tables)
+    assert np.concatenate(seen).tobytes() == np.sum(np.multiply(zs, np.conj(ws)), axis=1).tobytes()
 
 def test_projection_reproduces_basis_function():
     built = build_basis(2, 1, 1)

@@ -452,8 +452,9 @@ REFUSAL_CASES = [pytest.param(argv, refusal, id=name) for name, argv, refusal in
     ("nikolskii-flops", ("check", "nikolskii", "--d", "3", "--N", "0", "--lmax", "6",
                          "--omega-samples", "1000000"),
      "2 x 1000 x 3919 x 1000000 = 7.84e+12 flops > 2e+12"),
+    # check addition holds one chunk of pairs, so it is refused by its time rule, not its bytes
     ("addition-bytes", ("check", "addition", "--d", "3", "--m", "3", "--n", "2", "--samples", "10000000"),
-     "estimated 21.9 GB"),
+     "10000000 x 450 x 700 = 3.15e+12 flops > 2e+12, an estimated 94 s"),
     ("gegenbauer-flops", ("check", "gegenbauer", "--d", "3", "--lmax", "1000", "--samples", "10000"),
      "10000 x 501521 x 700 = 3.51e+12 flops > 2e+12, an estimated 105 s"),
     # the check holds one chunk of pairs, so its arrays grow with d, not with the pairs
@@ -1094,8 +1095,18 @@ def _levy_exact(family):
     (_levy_exact("exp:gamma=1,r=1000"), "lambda(3) is beyond the float range (exp_analytic"),
     (("widths", "spectrum", "--family", "fs:gamma=3,xi=1e308", "--d", "2", "--nmax", "10",
       "--format", "json"), "lambda(2) is beyond the float range (finite_smooth"),
+    # lambda(2)^2 = 1e307 fits, lambda(2)^2 x dim_2 (19) does not: on the exact
+    # path, and on the sampled paths before any point is drawn
+    (("levy", "--d", "2", "--N", "1", "--lmax", "2", "--family", "fs:gamma=3,xi=972", "--p", "2",
+      "--omega-samples", "0"), "the window's sum of lambda(l)^2 x dim_l is beyond the float range"),
+    (("levy", "--d", "2", "--N", "1", "--lmax", "2", "--family", "fs:gamma=3,xi=972", "--p", "inf",
+      "--omega-samples", "4000", "--sphere-samples", "50"),
+     "the window's sum of lambda(l)^2 x dim_l is beyond the float range"),
+    (("levy", "--d", "2", "--N", "1", "--lmax", "2", "--family", "fs:gamma=3,xi=972", "--p", "4",
+      "--omega-samples", "4000", "--sphere-samples", "50"),
+     "the window's sum of lambda(l)^2 x dim_l is beyond the float range"),
 ], ids=["lambda-underflow", "budget-overflow", "seq-lambda", "levy-lambda-squared", "levy-lambda",
-        "spectrum-lambda"])
+        "spectrum-lambda", "levy-window-sum", "levy-window-sum-pinf", "levy-window-sum-p4"])
 def test_seq_past_the_float_range_exits_1(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
@@ -1111,6 +1122,20 @@ def test_spectrum_underflow_exits_2_naming_its_cause(capsys):
     code, out, err = run_cli(capsys, "widths", "compare-gradings", "--family",
                              "exp:gamma=70,r=1", "--d", "2", "--nmax", "1000000")
     assert code == 2 and "underflows to 0.0 at level 11" in err
+
+
+# lambda of the family's first positive level is 0.0 in floats, so no n_max
+# can be covered: named at once, not after a scan to the level cap
+@pytest.mark.parametrize("argv, level", [
+    (("spectrum", "--family", "fs:gamma=2000", "--d", "2", "--nmax", "10", "--format", "json"), 2),
+    (("spectrum", "--family", "sobolev:gamma=3000", "--d", "2", "--nmax", "10", "--format", "json"), 1),
+    (("compare-gradings", "--family", "fs:gamma=2000", "--d", "2", "--nmax", "2000"), 2),
+], ids=["fs", "sobolev", "compare-gradings"])
+def test_spectrum_underflow_at_the_first_positive_level_exits_2(capsys, argv, level):
+    code, out, err = run_cli(capsys, "widths", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: lambda underflows to 0.0 at level {level} ")
+    assert err.endswith("; no rank has a positive width\n") and "level cap" not in err
 
 
 def test_project_reproducing_property(capsys):
@@ -1343,9 +1368,10 @@ def test_tracer_resolves_every_target_in_a_fresh_process(tmp_path):
                           text=True, env=_child_env())
     assert done.returncode == 0, done.stderr
     spans = {span[0] for span in json.loads(trace.read_text())["spans"]}
-    assert {"polynomials.gegenbauer_eval", "sphere.sample_points"} <= spans
-    # check gegenbauer reads its disk polynomials from disk_poly_table, check
-    # addition its one bidegree from disk_poly_eval
+    assert "sphere.sample_points" in spans
+    # check gegenbauer reads its disk polynomials from disk_poly_table and its
+    # Gegenbauer polynomials from one gegenbauer_terms sweep, check addition
+    # its one bidegree from disk_poly_eval
     done = subprocess.run([sys.executable, str(tracer), str(trace), "check", "addition",
                            "--d", "2", "--m", "1", "--n", "1", "--samples", "50"],
                           capture_output=True, text=True, env=_child_env())

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cspherelab import levy, sphere
+from cspherelab import basis, levy, sphere
 from cspherelab.basis import build_basis
 from cspherelab.dimensions import dim_layer, theta
 from cspherelab.errors import ArgumentError
@@ -808,7 +808,7 @@ def test_levy_memory_guard_refuses_before_any_basis(monkeypatch):
     # d = 3, window (0, 6] at 2 x 10^7: 1.6e11 flops pass the flop guard, but
     # the (1250000, 3919) cloud block alone is 39 GB. Only the estimate runs.
     problem = LevyProblem(3, 0, 6, finite_smooth(3, 0, "max"), 4)
-    assert 2 * 2 * 3919 * 10**7 <= levy.MAX_CLOUD_FLOPS
+    assert 2 * 2 * 3919 * 10**7 <= basis.MAX_CLOUD_FLOPS
     want = 8 * (2 * (3919 + 26) + 1250000 * 3919 + 2 * 1250000) + 16 * 1250000 * 3
     assert f"{want / 1e9:.1f}" == "39.3"
     with pytest.raises(ArgumentError, match=r"take an estimated 39\.3 GB .*cloud block"
@@ -827,8 +827,8 @@ def test_levy_memory_guard_refuses_before_any_basis(monkeypatch):
     # two temporaries of that size, the norms and their squares add 26 floats
     # per sample, 9.2 GB in all, at 4.9e11 flops.
     small = LevyProblem(2, 0, 1, finite_smooth(3, 0, "max"), 4)
-    assert 2 * 35 * 10**6 * 7 * 1000 <= levy.MAX_CLOUD_FLOPS
-    assert 8 * 35 * 10**6 * 7 < levy.MAX_CLOUD_BYTES
+    assert 2 * 35 * 10**6 * 7 * 1000 <= basis.MAX_CLOUD_FLOPS
+    assert 8 * 35 * 10**6 * 7 < basis.MAX_CLOUD_BYTES
     with pytest.raises(ArgumentError, match=r"estimated 9\.2 GB .*block statistics"
                                             r" 35000000 x 8 x 3, norms 35000000 x 2\)"):
         levy_mean_mc(small, 35 * 10**6, 1000, seed=0)

@@ -7,6 +7,7 @@ import pytest
 
 from cspherelab.errors import ArgumentError
 from cspherelab.polynomials import (check_table_degree, disk_poly_eval, disk_poly_table, gegenbauer_eval,
+                                    gegenbauer_terms,
                                     jacobi_eval)
 
 
@@ -94,6 +95,34 @@ def test_gegenbauer_matches_sum_formula():
             for t in ts:
                 assert gegenbauer_eval(k, lam, t) == pytest.approx(
                     gegenbauer_sum_formula(k, lam, t), abs=1e-11)
+
+
+def _restarted_gegenbauer(k, lam, t):
+    """The earlier gegenbauer_eval: the recurrence run from degree 0 up to k alone."""
+    t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
+    c_prev = np.ones_like(t)
+    if k == 0:
+        return c_prev
+    c_cur = 2.0 * lam * t
+    two_t = 2.0 * t
+    for n in range(2, k + 1):
+        c_next = two_t * (n + lam - 1.0)
+        c_next *= c_cur
+        c_next -= (n + 2.0 * lam - 2.0) * c_prev
+        c_next /= n
+        c_prev, c_cur = c_cur, c_next
+    return c_cur
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 4.0])
+def test_gegenbauer_sweep_equals_each_degree_bit_for_bit(lam):
+    t = np.concatenate([[-1.0, 0.0, 1.0, 1.0 + 5e-13], np.random.default_rng(7).uniform(-1, 1, 500)])
+    sweep = gegenbauer_terms(lam, t)
+    for k in range(40):
+        term = next(sweep)
+        assert term.tobytes() == _restarted_gegenbauer(k, lam, t).tobytes()
+        assert gegenbauer_eval(k, lam, t).tobytes() == term.tobytes()
+        assert gegenbauer_eval(k, lam, float(t[5])) == float(term[5])
 
 
 def test_gegenbauer_rejects_nonpositive_index():

@@ -12,6 +12,8 @@ from cspherelab.sphere import (
     _chunk_rng,
     _power_means,
     abs_power_inplace,
+    draw_chunks,
+    draw_pairs,
     lp_norm_mc,
     omega,
     sample_points,
@@ -95,6 +97,30 @@ def test_sampling_matches_interleaved_construction(monkeypatch, d, count, chunk)
     pts = sample_points(d, count, seed=9)
     assert pts.shape == (count, d)
     assert pts.tobytes() == _interleaved_points(d, count, 9, chunk).tobytes()
+
+
+# one range short of, at, just past and past two sampling chunks of 4096 rows
+@pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 8193])
+def test_chunks_and_pairs_are_ranges_of_one_draw(count):
+    whole = sample_points(2, 2 * count, seed=5)
+    chunks = list(draw_chunks(2, count, 5))
+    assert [start for start, _ in chunks] == list(range(0, count, 4096))
+    assert max(len(pts) for _, pts in chunks) == sphere.chunk_rows(count) == min(count, 4096)
+    assert np.concatenate([pts for _, pts in chunks]).tobytes() == whole[:count].tobytes()
+    pairs = list(draw_pairs(2, count, 5))
+    assert np.concatenate([zs for zs, _ in pairs]).tobytes() == whole[:count].tobytes()
+    assert np.concatenate([ws for _, ws in pairs]).tobytes() == whole[count:].tobytes()
+
+
+def test_chunks_are_drawn_by_sample_points(monkeypatch):
+    # each range is one sample_points call (the tracer's span), made as it is reached
+    calls = []
+    draw = sphere.sample_points
+    monkeypatch.setattr(sphere, "sample_points", lambda *args, **kw: calls.append((args, kw)) or draw(*args, **kw))
+    pairs = draw_pairs(3, 5000, 9)
+    assert not calls
+    next(pairs)
+    assert calls == [((3, 4096, 9), {"start": 0}), ((3, 4096, 9), {"start": 5000})]
 
 
 @pytest.mark.parametrize("p", [1, 2, 2.5, 3, 4, 5, 6, 7, 8])

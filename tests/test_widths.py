@@ -7,7 +7,7 @@ import pytest
 
 from cspherelab.dimensions import dim_layer, dim_real_harmonic
 from cspherelab.errors import ArgumentError, HypothesisError
-from cspherelab.multipliers import exp_analytic, finite_smooth, identity, lambda_value, sobolev
+from cspherelab.multipliers import exp_analytic, finite_smooth, first_positive_level, identity, lambda_value, sobolev
 from cspherelab.widths import (
     LEVEL_CAP,
     BoundSpec,
@@ -160,6 +160,18 @@ def test_underflow_names_its_level_and_the_largest_n_max():
     assert l2_width_table(fam, 2, 1330).size == 1331
     with pytest.raises(ArgumentError, match=r"underflows to 0\.0 at level 11 .*is 1330$"):
         l2_width_table(fam, 2, 1331)
+
+
+@pytest.mark.parametrize("fam, level", [(finite_smooth(2000, 0, "max"), 2), (sobolev(3000, 2, "max"), 1),
+                                        (exp_analytic(800, 1, "max"), 1), (finite_smooth(2000, 0, "star"), 2)])
+def test_underflow_at_the_first_positive_level_is_named_at_once(fam, level, monkeypatch):
+    from cspherelab import widths
+
+    scanned = []
+    monkeypatch.setattr(widths, "lambda_value", lambda f, l: scanned.append(l) or lambda_value(f, l))
+    with pytest.raises(ArgumentError, match=f"underflows to 0\\.0 at level {level} "):
+        l2_width_table(fam, 2, 10)
+    assert scanned == list(range(first_positive_level(fam), level + 1))
 
 
 def test_level_cap_message():
